@@ -1,7 +1,7 @@
 // Copyright (c) NetKernel reproduction authors.
 // Shared topology builders and measurement helpers for the per-figure
 // benchmark binaries. Every bench reproduces one table or figure of the
-// paper's evaluation (§6-§7); EXPERIMENTS.md maps outputs to paper numbers.
+// paper's evaluation (§6-§7).
 
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_

@@ -90,7 +90,9 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
       uint32_t out = word == 0 ? static_cast<uint32_t>(v) : static_cast<uint32_t>(v >> 32);
       return {static_cast<uint32_t>(CeOp::kOk), out};
     }
-    // nklint-allow(switch-default): ce_op arrives as a raw uint32 from the guest-facing control channel; register ops need a device pointer and use the direct API below, and malformed values must land on kError, not UB.
+    // ce_op arrives as a raw uint32 from the guest-facing control channel;
+    // register ops need a device pointer and use the direct API below, and
+    // malformed values must land on kError, not UB.
     default:
       return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
   }
@@ -1071,10 +1073,8 @@ bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, uint8_t nsm_id, std::vector<De
   d.dst = reg->dev;
   d.qset = nqe.queue_set;
   if (d.qset >= reg->dev->num_queue_sets()) d.qset = 0;
-  d.ring = (op == NqeOp::kRecvData || op == NqeOp::kFinReceived ||
-            op == NqeOp::kDgramRecv || op == NqeOp::kDgramRecvZc)
-               ? shm::RingKind::kReceive
-               : shm::RingKind::kCompletion;
+  d.ring = shm::OpRides(op, shm::RingKind::kReceive) ? shm::RingKind::kReceive
+                                                      : shm::RingKind::kCompletion;
   d.toward_vm = true;
   d.nqe = nqe;
   PlanDelivery(d, plan);
@@ -1092,80 +1092,24 @@ bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, uint8_t nsm_id, std::vector<De
 // ---------------------------------------------------------------------------
 
 bool CoreEngineShard::BuildErrorCompletion(const Nqe& orig, Delivery* out) {
-  NqeOp completion_op = NqeOp::kInvalid;
-  bool carries_chunk = false;
-  switch (orig.Op()) {
-    case NqeOp::kSend:
-      completion_op = NqeOp::kSendResult;
-      carries_chunk = true;
-      break;
-    case NqeOp::kSendZc:
-      // Zero-copy send that died inside the switch: the guest still owns the
-      // chunk and the reserved credit; both unwind via kSendZcComplete with
-      // the unconsumed flag.
-      completion_op = NqeOp::kSendZcComplete;
-      carries_chunk = true;
-      break;
-    case NqeOp::kSendTo:
-    case NqeOp::kSendToZc:
-      // A zero-copy datagram that died in the switch unwinds exactly like a
-      // copied one: kSendToResult with the unconsumed-chunk flag (reserved[0]
-      // tells GuestLib which op it retires).
-      completion_op = NqeOp::kSendToResult;
-      carries_chunk = true;
-      break;
-    case NqeOp::kConnect:
-      completion_op = NqeOp::kConnectResult;
-      break;
-    case NqeOp::kSocket:
-    case NqeOp::kSocketUdp:
-    case NqeOp::kBind:
-    case NqeOp::kBindUdp:
-    case NqeOp::kListen:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
-      completion_op = NqeOp::kOpResult;
-      break;
-    case NqeOp::kClose:
-    case NqeOp::kAccept:
-    case NqeOp::kRecvFrom:
-      // No reclaimable guest state and no guest thread waits on these; the
-      // drop counter is the whole story.
-      return false;
-    case NqeOp::kInvalid:
-    case NqeOp::kOpResult:
-    case NqeOp::kConnectResult:
-    case NqeOp::kAcceptedConn:
-    case NqeOp::kSendResult:
-    case NqeOp::kRecvData:
-    case NqeOp::kFinReceived:
-    case NqeOp::kSendToResult:
-    case NqeOp::kDgramRecv:
-    case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
-    case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
-    case NqeOp::kHeartbeat:
-      // Not guest->nsm requests: nothing a guest could be answered for.
-      return false;
-  }
-  // A non-enumerator byte off a hostile ring matches no case above and
-  // leaves completion_op untouched: fall out harmlessly, no completion.
-  if (completion_op == NqeOp::kInvalid) return false;
+  // Only guest->NSM requests carry an error completion. Close, accept and
+  // recvfrom hold no reclaimable guest state and no guest thread waits on
+  // them, so the drop counter is the whole story; a non-op byte off a
+  // hostile ring has no row at all and falls out harmlessly.
+  const shm::OpTraits* traits = shm::FindOpTraits(orig.op);
+  if (traits == nullptr || traits->error_completion == NqeOp::kInvalid) return false;
   CoreEngine::VmReg* reg = engine_->FindVm(orig.vm_id);
   if (reg == nullptr || reg->dev == nullptr) return false;
 
   // The completion mirrors a real NSM response: result code in `size`
   // (negative errno, as ServiceLib::Respond encodes it), the original op in
-  // reserved[0]. Send-family errors return the credit in op_data and flag
-  // the untouched payload chunk so GuestLib frees it.
-  Nqe resp = MakeNqe(completion_op, orig.vm_id, orig.queue_set, orig.vm_sock);
+  // reserved[0] (which tells GuestLib the op it retires). Send-family errors
+  // return the credit in op_data and flag the untouched payload chunk so
+  // GuestLib frees it.
+  Nqe resp = MakeNqe(traits->error_completion, orig.vm_id, orig.queue_set, orig.vm_sock);
   resp.size = static_cast<uint32_t>(kCeNetUnreach);
   resp.reserved[0] = orig.op;
-  if (carries_chunk) {
+  if (traits->carries_chunk) {
     resp.op_data = orig.size;  // send credit to return
     resp.data_ptr = orig.data_ptr;
     resp.reserved[1] = shm::kNqeFlagChunkUnconsumed;
@@ -1347,15 +1291,11 @@ bool CoreEngineShard::TryDeliver(const Delivery& d, std::vector<shm::NkDevice*>&
   if (!d.dst->queue_set(d.qset).ring(d.ring).TryEnqueue(d.nqe)) return false;
   PerVmStats& pv = stats_.per_vm[d.nqe.vm_id];
   ++pv.switched;
-  // Only data-carrying ops count as payload: kFinReceived also rides the
+  // Only chunk-carrying ops count as payload: kFinReceived also rides the
   // receive ring but encodes a negative errno in `size`, which would add
   // ~4 GB of phantom bytes per error FIN.
-  NqeOp op = d.nqe.Op();
-  if (op == NqeOp::kSend || op == NqeOp::kSendZc || op == NqeOp::kSendTo ||
-      op == NqeOp::kSendToZc || op == NqeOp::kRecvData || op == NqeOp::kDgramRecv ||
-      op == NqeOp::kDgramRecvZc) {
-    pv.bytes += d.nqe.size;
-  }
+  const shm::OpTraits* traits = shm::FindOpTraits(d.nqe.op);
+  if (traits != nullptr && traits->carries_chunk) pv.bytes += d.nqe.size;
   if (std::find(to_wake.begin(), to_wake.end(), d.dst) == to_wake.end()) {
     to_wake.push_back(d.dst);
   }

@@ -86,8 +86,7 @@ enum class CeOp : uint32_t {
   // so counters past 2^32 (or 4 TiB of bytes — here reported raw, not KiB)
   // stay readable where kQueryVmStats saturates.
   kQueryVmStatWide = 8,
-  // ce_data = nsm_id. Periodic NSM liveness beacon (the CeMessage twin of the
-  // reserved NqeOp::kHeartbeat wire number): refreshes the NSM's health entry
+  // ce_data = nsm_id. Periodic NSM liveness beacon: refreshes the NSM's health entry
   // so the failover controller can tell a quiet-but-alive NSM from a dead one.
   kHeartbeat = 9,
   kOk = 100,

@@ -773,8 +773,7 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
     // Socket already closed; free any referenced hugepage chunk. A datagram
     // NQE always references a chunk — even a zero-length datagram rides in a
     // minimal allocation.
-    if (nqe.Op() == NqeOp::kDgramRecv || nqe.Op() == NqeOp::kDgramRecvZc ||
-        (nqe.Op() == NqeOp::kRecvData && nqe.size > 0)) {
+    if (shm::CarriesRxChunk(nqe.Op()) && (nqe.Op() != NqeOp::kRecvData || nqe.size > 0)) {
       // The offset comes off a shared ring: free only what the pool actually
       // has allocated, or a forged completion aborts the whole guest.
       if (pool_->IsAllocated(nqe.data_ptr)) {
@@ -785,9 +784,7 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
     }
     // CoreEngine-rejected send whose socket closed meanwhile: the payload
     // chunk was never consumed and still belongs to this guest.
-    if ((nqe.Op() == NqeOp::kSendResult || nqe.Op() == NqeOp::kSendToResult ||
-         nqe.Op() == NqeOp::kSendZcComplete) &&
-        nqe.reserved[1] == shm::kNqeFlagChunkUnconsumed) {
+    if (nqe.reserved[1] == shm::kNqeFlagChunkUnconsumed && shm::IsChunkReclaim(nqe.Op())) {
       if (pool_->IsAllocated(nqe.data_ptr)) {
         pool_->Free(nqe.data_ptr);
         ++send_credit_reclaims_;
@@ -889,29 +886,10 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
       // as a routed case so a handle collision still applies it.
       OnNsmRehomed(static_cast<uint8_t>(nqe.op_data));
       break;
-    case NqeOp::kInvalid:
-    case NqeOp::kSocket:
-    case NqeOp::kBind:
-    case NqeOp::kListen:
-    case NqeOp::kConnect:
-    case NqeOp::kAccept:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
-    case NqeOp::kClose:
-    case NqeOp::kSend:
-    case NqeOp::kSocketUdp:
-    case NqeOp::kBindUdp:
-    case NqeOp::kSendTo:
-    case NqeOp::kRecvFrom:
-    case NqeOp::kSendZc:
-    case NqeOp::kSendToZc:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
-    case NqeOp::kHeartbeat:
-      // Request-direction and control ops never arrive on completion/receive
-      // rings; a buggy or hostile NSM-side writer is ignored, not UB.
+    default:
+      // Request-direction ops and non-op bytes never get past CoreEngine's
+      // NSM-direction check (guard::IsNsmToGuestOp); with the guard off, a
+      // buggy or hostile NSM-side writer is ignored, not UB.
       break;
   }
   g->ev->NotifyAll();

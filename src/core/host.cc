@@ -510,8 +510,7 @@ void Host::RunFailoverCheck() {
     }
     const int misses = ++hb_misses_[nsm->id()];
     ++failover_stats_.heartbeat_misses;
-    failover_recorder_->Record(obs::FlightEventType::kHeartbeatMiss, 0, 0,
-                               static_cast<uint8_t>(shm::NqeOp::kHeartbeat), 0,
+    failover_recorder_->Record(obs::FlightEventType::kHeartbeatMiss, 0, 0, 0, 0,
                                static_cast<uint64_t>(misses));
     if (misses < failover_config_.miss_threshold) continue;
     const uint64_t backlog = ce_->NsmBacklog(nsm->id());
@@ -519,8 +518,7 @@ void Host::RunFailoverCheck() {
       // Silent but with unconsumed ring backlog: the process is wedged
       // (stalled mid-service), not merely a quiet tenant or a dead device.
       ++failover_stats_.wedged_detections;
-      failover_recorder_->Record(obs::FlightEventType::kNsmWedged, 0, 0,
-                                 static_cast<uint8_t>(shm::NqeOp::kHeartbeat), 0, backlog);
+      failover_recorder_->Record(obs::FlightEventType::kNsmWedged, 0, 0, 0, 0, backlog);
     }
     FailoverNsm(nsm);
   }
@@ -551,8 +549,7 @@ size_t Host::FailoverNsm(Nsm* sick) {
   ++failover_stats_.nsm_failovers;
   failover_stats_.vms_rehomed += rehomed;
   blackout_us_.Record(blackout_us);
-  failover_recorder_->Record(obs::FlightEventType::kNsmFailover, 0, 0,
-                             static_cast<uint8_t>(shm::NqeOp::kHeartbeat), 0, blackout_us);
+  failover_recorder_->Record(obs::FlightEventType::kNsmFailover, 0, 0, 0, 0, blackout_us);
   hb_misses_.erase(sick->id());
   return rehomed;
 }
@@ -608,47 +605,13 @@ void Host::QuarantineVm(Vm* vm) {
     shm::Nqe nqe;
     auto sweep = [&](shm::SpscRing<shm::Nqe>& ring) {
       while (ring.TryDequeue(&nqe)) {
-        shm::NqeOp comp = shm::NqeOp::kInvalid;
-        switch (nqe.Op()) {
-          case shm::NqeOp::kSend: comp = shm::NqeOp::kSendResult; break;
-          case shm::NqeOp::kSendZc: comp = shm::NqeOp::kSendZcComplete; break;
-          case shm::NqeOp::kSendTo:
-          case shm::NqeOp::kSendToZc: comp = shm::NqeOp::kSendToResult; break;
-          case shm::NqeOp::kInvalid:
-          case shm::NqeOp::kSocket:
-          case shm::NqeOp::kBind:
-          case shm::NqeOp::kListen:
-          case shm::NqeOp::kConnect:
-          case shm::NqeOp::kAccept:
-          case shm::NqeOp::kSetsockopt:
-          case shm::NqeOp::kGetsockopt:
-          case shm::NqeOp::kIoctl:
-          case shm::NqeOp::kShutdown:
-          case shm::NqeOp::kClose:
-          case shm::NqeOp::kSocketUdp:
-          case shm::NqeOp::kBindUdp:
-          case shm::NqeOp::kRecvFrom:
-          case shm::NqeOp::kOpResult:
-          case shm::NqeOp::kConnectResult:
-          case shm::NqeOp::kAcceptedConn:
-          case shm::NqeOp::kSendResult:
-          case shm::NqeOp::kRecvData:
-          case shm::NqeOp::kFinReceived:
-          case shm::NqeOp::kSendToResult:
-          case shm::NqeOp::kDgramRecv:
-          case shm::NqeOp::kSendZcComplete:
-          case shm::NqeOp::kDgramRecvZc:
-          case shm::NqeOp::kNsmRehomed:
-          case shm::NqeOp::kRegisterDevice:
-          case shm::NqeOp::kDeregisterDevice:
-          case shm::NqeOp::kHeartbeat:
-            break;  // no chunk pinned: drains valueless
-        }
-        // Non-enumerator bytes off the hostile ring match no case and drain
-        // valueless too.
-        if (comp == shm::NqeOp::kInvalid) continue;
+        // Only a carries-chunk request pins a chunk; everything else —
+        // including any non-op byte off the hostile ring — drains valueless.
+        const shm::OpTraits* traits = shm::FindOpTraits(nqe.op);
+        if (traits == nullptr || !traits->ToNsm() || !traits->carries_chunk) continue;
         if (!vm->pool_->IsAllocated(nqe.data_ptr)) continue;
-        shm::Nqe resp = shm::MakeNqe(comp, vm_id, nqe.queue_set, nqe.vm_sock);
+        shm::Nqe resp =
+            shm::MakeNqe(traits->error_completion, vm_id, nqe.queue_set, nqe.vm_sock);
         resp.size = static_cast<uint32_t>(kCeNetUnreach);
         resp.reserved[0] = nqe.op;
         resp.reserved[1] = shm::kNqeFlagChunkUnconsumed;

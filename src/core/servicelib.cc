@@ -265,37 +265,8 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kAccept:
       DoAcceptLink(nqe);
       return;
-    case NqeOp::kBind:
-    case NqeOp::kBindUdp:
-    case NqeOp::kListen:
-    case NqeOp::kConnect:
-    case NqeOp::kSend:
-    case NqeOp::kSendZc:
-    case NqeOp::kSendTo:
-    case NqeOp::kSendToZc:
-    case NqeOp::kRecvFrom:
-    case NqeOp::kClose:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
+    default:
       break;  // per-socket verbs: resolved against the conn table below
-    case NqeOp::kInvalid:
-    case NqeOp::kOpResult:
-    case NqeOp::kConnectResult:
-    case NqeOp::kAcceptedConn:
-    case NqeOp::kSendResult:
-    case NqeOp::kRecvData:
-    case NqeOp::kFinReceived:
-    case NqeOp::kSendToResult:
-    case NqeOp::kDgramRecv:
-    case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
-    case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
-    case NqeOp::kHeartbeat:
-      return;  // excluded by the IsGuestToNsmOp prefilter above
   }
   Conn* c = FindByVm(nqe.vm_id, nqe.vm_sock);
   if (c == nullptr) {
@@ -303,11 +274,10 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     // different rings); park it until the link arrives.
     if (nqe.Op() == NqeOp::kSend || nqe.Op() == NqeOp::kSendZc) {
       orphan_sends_[VmKey(nqe.vm_id, nqe.vm_sock)].push_back(nqe);
-    }
-    // A kSendTo whose socket already closed (a kClose overtook it through the
-    // job ring): the datagram is lost — UDP loses datagrams — but its payload
-    // chunk must go back to the pool.
-    if (nqe.Op() == NqeOp::kSendTo || nqe.Op() == NqeOp::kSendToZc) {
+    } else if (guard::CarriesGuestChunk(nqe.Op())) {
+      // A datagram send whose socket already closed (a kClose overtook it
+      // through the job ring): the datagram is lost — UDP loses datagrams —
+      // but its payload chunk must go back to the pool.
       auto vit = vms_.find(nqe.vm_id);
       if (vit != vms_.end()) vit->second.pool->Free(nqe.data_ptr);
     }
@@ -350,30 +320,7 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
         DoClose(*c);
       }
       break;
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
-      Respond(*c, NqeOp::kOpResult, nqe.Op(), 0);
-      break;
-    case NqeOp::kSocket:
-    case NqeOp::kSocketUdp:
-    case NqeOp::kAccept:
-    case NqeOp::kInvalid:
-    case NqeOp::kOpResult:
-    case NqeOp::kConnectResult:
-    case NqeOp::kAcceptedConn:
-    case NqeOp::kSendResult:
-    case NqeOp::kRecvData:
-    case NqeOp::kFinReceived:
-    case NqeOp::kSendToResult:
-    case NqeOp::kDgramRecv:
-    case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
-    case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
-    case NqeOp::kHeartbeat:
+    default:
       break;  // handled or excluded before the conn lookup
   }
 }
@@ -950,11 +897,7 @@ void ServiceLib::DoSendToZc(const Nqe& nqe, Conn& c) {
 }
 
 void ServiceLib::FreeNqeChunk(const Nqe& nqe) {
-  NqeOp op = nqe.Op();
-  if (op != NqeOp::kSend && op != NqeOp::kSendZc && op != NqeOp::kSendTo &&
-      op != NqeOp::kSendToZc) {
-    return;
-  }
+  if (!guard::CarriesGuestChunk(nqe.Op())) return;
   auto vit = vms_.find(nqe.vm_id);
   if (vit != vms_.end() && vit->second.pool->IsAllocated(nqe.data_ptr)) {
     vit->second.pool->Free(nqe.data_ptr);
@@ -1119,8 +1062,7 @@ void ServiceLib::Shutdown() {
     while (q.send.TryDequeue(&nqe)) FreeNqeChunk(nqe);
     while (q.job.TryDequeue(&nqe)) FreeNqeChunk(nqe);
     while (q.receive.TryDequeue(&nqe)) {
-      if (nqe.Op() == NqeOp::kRecvData || nqe.Op() == NqeOp::kDgramRecv ||
-          nqe.Op() == NqeOp::kDgramRecvZc) {
+      if (shm::CarriesRxChunk(nqe.Op())) {
         auto vit = vms_.find(nqe.vm_id);
         if (vit != vms_.end() && vit->second.pool->IsAllocated(nqe.data_ptr)) {
           vit->second.pool->Free(nqe.data_ptr);
@@ -1213,9 +1155,7 @@ void ServiceLib::EvictVm(uint8_t vm_id) {
     sweep(q.send, [&](const Nqe& n) { FreeNqeChunk(n); });
     sweep(q.job, [&](const Nqe& n) { FreeNqeChunk(n); });
     sweep(q.receive, [&](const Nqe& n) {
-      if ((n.Op() == NqeOp::kRecvData || n.Op() == NqeOp::kDgramRecv ||
-           n.Op() == NqeOp::kDgramRecvZc) &&
-          pool->IsAllocated(n.data_ptr)) {
+      if (shm::CarriesRxChunk(n.Op()) && pool->IsAllocated(n.data_ptr)) {
         pool->Free(n.data_ptr);
       }
     });

@@ -156,43 +156,18 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
       if (peer != nullptr) PumpCopy(peer->ep_id);  // peer may have queued data
       return;
     }
-    case NqeOp::kBind:
-    case NqeOp::kBindUdp:
-    case NqeOp::kListen:
-    case NqeOp::kConnect:
-    case NqeOp::kSend:
-    case NqeOp::kSendZc:
-    case NqeOp::kSendTo:
-    case NqeOp::kSendToZc:
-    case NqeOp::kRecvFrom:
-    case NqeOp::kClose:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
+    default:
       break;  // per-socket verbs: resolved against the endpoint table below
-    case NqeOp::kInvalid:
-    case NqeOp::kOpResult:
-    case NqeOp::kConnectResult:
-    case NqeOp::kAcceptedConn:
-    case NqeOp::kSendResult:
-    case NqeOp::kRecvData:
-    case NqeOp::kFinReceived:
-    case NqeOp::kSendToResult:
-    case NqeOp::kDgramRecv:
-    case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
-    case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
-    case NqeOp::kHeartbeat:
-      return;  // excluded by the IsGuestToNsmOp prefilter above
   }
 
   Endpoint* ep = FindByVm(nqe.vm_id, nqe.vm_sock);
   if (ep == nullptr) {
     if (nqe.Op() == NqeOp::kSend || nqe.Op() == NqeOp::kSendZc) {
       orphan_sends_[VmKey(nqe.vm_id, nqe.vm_sock)].push_back(nqe);
+    } else {
+      // A datagram send naming no socket: CoreEngine forwards it here so the
+      // NSM side releases its payload chunk.
+      FreeNqeChunk(nqe);
     }
     return;
   }
@@ -229,45 +204,27 @@ void ShmServiceLib::Dispatch(const Nqe& nqe) {
       return;
     }
     case NqeOp::kSendTo:
-    case NqeOp::kSendToZc: {
+    case NqeOp::kSendToZc:
       // No datagram transport here (kSocketUdp fails), so a stray datagram
       // send cannot be delivered — but its payload chunk must not strand.
-      auto vit = vms_.find(ep->vm_id);
-      if (vit != vms_.end() && vit->second.pool->IsAllocated(nqe.data_ptr)) {
-        vit->second.pool->Free(nqe.data_ptr);
-      }
+      FreeNqeChunk(nqe);
       Respond(*ep, NqeOp::kOpResult, nqe.Op(), udp::kBadSocket);
       return;
-    }
     case NqeOp::kBindUdp:
     case NqeOp::kRecvFrom:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
-      // Setsockopt-family verbs (and dgram verbs with no transport behind
-      // them) get a benign kOpResult.
+      // Datagram verbs with no transport behind them get a benign kOpResult.
       Respond(*ep, NqeOp::kOpResult, nqe.Op(), 0);
       return;
-    case NqeOp::kSocket:
-    case NqeOp::kSocketUdp:
-    case NqeOp::kAccept:
-    case NqeOp::kInvalid:
-    case NqeOp::kOpResult:
-    case NqeOp::kConnectResult:
-    case NqeOp::kAcceptedConn:
-    case NqeOp::kSendResult:
-    case NqeOp::kRecvData:
-    case NqeOp::kFinReceived:
-    case NqeOp::kSendToResult:
-    case NqeOp::kDgramRecv:
-    case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
-    case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
-    case NqeOp::kHeartbeat:
+    default:
       return;  // handled or excluded before the endpoint lookup
+  }
+}
+
+void ShmServiceLib::FreeNqeChunk(const Nqe& nqe) {
+  if (!guard::CarriesGuestChunk(nqe.Op())) return;
+  auto vit = vms_.find(nqe.vm_id);
+  if (vit != vms_.end() && vit->second.pool->IsAllocated(nqe.data_ptr)) {
+    vit->second.pool->Free(nqe.data_ptr);
   }
 }
 
@@ -423,18 +380,10 @@ void ShmServiceLib::DetachVm(uint8_t vm_id) {
       }
       for (const Nqe& k : keep) NK_CHECK(ring.TryEnqueue(k));
     };
-    const auto free_send_chunk = [&](const Nqe& n) {
-      NqeOp op = n.Op();
-      if ((op == NqeOp::kSend || op == NqeOp::kSendZc || op == NqeOp::kSendTo ||
-           op == NqeOp::kSendToZc) &&
-          pool->IsAllocated(n.data_ptr)) {
-        pool->Free(n.data_ptr);
-      }
-    };
-    sweep(q.send, free_send_chunk);
-    sweep(q.job, free_send_chunk);
+    sweep(q.send, [&](const Nqe& n) { FreeNqeChunk(n); });
+    sweep(q.job, [&](const Nqe& n) { FreeNqeChunk(n); });
     sweep(q.receive, [&](const Nqe& n) {
-      if (n.Op() == NqeOp::kRecvData && pool->IsAllocated(n.data_ptr)) {
+      if (shm::CarriesRxChunk(n.Op()) && pool->IsAllocated(n.data_ptr)) {
         pool->Free(n.data_ptr);
       }
     });
@@ -444,9 +393,7 @@ void ShmServiceLib::DetachVm(uint8_t vm_id) {
   // 3. Orphan sends parked for an accept-link that will never arrive.
   for (auto it = orphan_sends_.begin(); it != orphan_sends_.end();) {
     if (static_cast<uint8_t>(it->first >> 32) == vm_id) {
-      for (const Nqe& orphan : it->second) {
-        if (pool->IsAllocated(orphan.data_ptr)) pool->Free(orphan.data_ptr);
-      }
+      for (const Nqe& orphan : it->second) FreeNqeChunk(orphan);
       it = orphan_sends_.erase(it);
     } else {
       ++it;

@@ -92,6 +92,9 @@ class ShmServiceLib {
   void OnDeviceWake();
   void ProcessQueueSet(int qs);
   void Dispatch(const shm::Nqe& nqe);
+  // Returns a guest request's payload chunk to its VM's pool; chunkless ops
+  // and chunks no longer allocated are left alone.
+  void FreeNqeChunk(const shm::Nqe& nqe);
   void TryConnect(uint64_t ep_id, uint64_t addr, int attempt);
   void PumpCopy(uint64_t src_ep_id);
   void MaybeFinishClose(uint64_t ep_id);

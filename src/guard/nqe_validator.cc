@@ -19,131 +19,25 @@ const char* VerdictName(Verdict v) {
   return "UNKNOWN";
 }
 
-// ---- Admission tables (mirror of the guard= annotations in nqe.h) ------
+// ---- Admission tables: reads of shm::kOpTraits ---------------------------
+// FindOpTraits has no row for kInvalid or any non-op byte, so a hostile byte
+// is admitted nowhere.
 
-bool IsSendRingOp(NqeOp op) {
-  switch (op) {
-    case NqeOp::kSend:
-    case NqeOp::kSendZc:
-    case NqeOp::kSendTo:
-    case NqeOp::kSendToZc:
-      return true;
-    case NqeOp::kInvalid:
-    case NqeOp::kSocket:
-    case NqeOp::kBind:
-    case NqeOp::kListen:
-    case NqeOp::kConnect:
-    case NqeOp::kAccept:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
-    case NqeOp::kClose:
-    case NqeOp::kSocketUdp:
-    case NqeOp::kBindUdp:
-    case NqeOp::kRecvFrom:
-    case NqeOp::kOpResult:
-    case NqeOp::kConnectResult:
-    case NqeOp::kAcceptedConn:
-    case NqeOp::kSendResult:
-    case NqeOp::kRecvData:
-    case NqeOp::kFinReceived:
-    case NqeOp::kSendToResult:
-    case NqeOp::kDgramRecv:
-    case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
-    case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
-    case NqeOp::kHeartbeat:
-      return false;
-  }
-  return false;  // non-enumerator byte off a hostile ring
-}
+bool IsSendRingOp(NqeOp op) { return shm::OpRides(op, shm::RingKind::kSend); }
 
-bool IsJobRingOp(NqeOp op) {
-  switch (op) {
-    case NqeOp::kSocket:
-    case NqeOp::kBind:
-    case NqeOp::kListen:
-    case NqeOp::kConnect:
-    case NqeOp::kAccept:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
-    case NqeOp::kClose:
-    case NqeOp::kSocketUdp:
-    case NqeOp::kBindUdp:
-    case NqeOp::kRecvFrom:
-      return true;
-    case NqeOp::kInvalid:
-    case NqeOp::kSend:
-    case NqeOp::kSendZc:
-    case NqeOp::kSendTo:
-    case NqeOp::kSendToZc:
-    case NqeOp::kOpResult:
-    case NqeOp::kConnectResult:
-    case NqeOp::kAcceptedConn:
-    case NqeOp::kSendResult:
-    case NqeOp::kRecvData:
-    case NqeOp::kFinReceived:
-    case NqeOp::kSendToResult:
-    case NqeOp::kDgramRecv:
-    case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
-    case NqeOp::kNsmRehomed:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
-    case NqeOp::kHeartbeat:
-      return false;
-  }
-  return false;  // non-enumerator byte off a hostile ring
-}
+bool IsJobRingOp(NqeOp op) { return shm::OpRides(op, shm::RingKind::kJob); }
 
 bool IsGuestToNsmOp(NqeOp op) { return IsSendRingOp(op) || IsJobRingOp(op); }
 
 bool IsNsmToGuestOp(NqeOp op) {
-  switch (op) {
-    case NqeOp::kOpResult:
-    case NqeOp::kConnectResult:
-    case NqeOp::kAcceptedConn:
-    case NqeOp::kSendResult:
-    case NqeOp::kRecvData:
-    case NqeOp::kFinReceived:
-    case NqeOp::kSendToResult:
-    case NqeOp::kDgramRecv:
-    case NqeOp::kSendZcComplete:
-    case NqeOp::kDgramRecvZc:
-    case NqeOp::kNsmRehomed:
-      return true;
-    case NqeOp::kInvalid:
-    case NqeOp::kSocket:
-    case NqeOp::kBind:
-    case NqeOp::kListen:
-    case NqeOp::kConnect:
-    case NqeOp::kAccept:
-    case NqeOp::kSetsockopt:
-    case NqeOp::kGetsockopt:
-    case NqeOp::kIoctl:
-    case NqeOp::kShutdown:
-    case NqeOp::kClose:
-    case NqeOp::kSend:
-    case NqeOp::kSocketUdp:
-    case NqeOp::kBindUdp:
-    case NqeOp::kSendTo:
-    case NqeOp::kRecvFrom:
-    case NqeOp::kSendZc:
-    case NqeOp::kSendToZc:
-    case NqeOp::kRegisterDevice:
-    case NqeOp::kDeregisterDevice:
-    case NqeOp::kHeartbeat:
-      return false;
-  }
-  return false;  // non-enumerator byte off a hostile ring
+  const shm::OpTraits* t = shm::FindOpTraits(op);
+  return t != nullptr && !t->ToNsm();
 }
 
-bool CarriesGuestChunk(NqeOp op) { return IsSendRingOp(op); }
+bool CarriesGuestChunk(NqeOp op) {
+  const shm::OpTraits* t = shm::FindOpTraits(op);
+  return t != nullptr && t->ToNsm() && t->carries_chunk;
+}
 
 // ------------------------------------------------------------------------
 

@@ -10,12 +10,11 @@
 // each of those was "whatever the first switch statement happens to do".
 //
 // NqeValidator is the single audited choke point for that boundary. It is
-// invoked by CoreEngineShard at ring-consume time (PollVm, before routing)
-// and mirrors the machine-readable protocol contract annotated in
-// src/shm/nqe.h (`guard=send|job` keys); tools/nklint's guard-coverage check
-// cross-references the two so the admission tables here cannot drift from
-// the contract. ServiceLib/ShmServiceLib additionally apply the
-// IsGuestToNsmOp() prefilter on their consume path as defense in depth.
+// invoked by CoreEngineShard at ring-consume time (PollVm, before routing).
+// Its admission tables read the op contract table (shm::kOpTraits in
+// src/shm/nqe.h), so they cannot drift from it. ServiceLib/ShmServiceLib
+// additionally apply the IsGuestToNsmOp() prefilter on their consume path
+// as defense in depth.
 //
 // Checks, in order, per inbound guest NQE:
 //   identity   vm_id/queue_set must match the device+ring the NQE was
@@ -104,17 +103,16 @@ struct GuardVmStats {
 };
 
 // ---- Admission tables -------------------------------------------------
-// The machine-checked mirror of the `guard=` annotations in src/shm/nqe.h.
-// nklint's guard-coverage check requires every annotated op to appear in
-// this directory, so keep the enumerations explicit (no ranges).
+// Reads of shm::kOpTraits. A byte with no row (kInvalid, retired wire
+// numbers, holes) is admitted nowhere.
 
-// guard=send: ops a guest may legitimately place on its send ring.
+// Ops a guest may legitimately place on its send ring.
 bool IsSendRingOp(shm::NqeOp op);
-// guard=job: ops a guest may legitimately place on its job ring.
+// Ops a guest may legitimately place on its job ring.
 bool IsJobRingOp(shm::NqeOp op);
 // Union of the two: any op a guest->nsm consume path may dispatch.
 bool IsGuestToNsmOp(shm::NqeOp op);
-// dir=nsm->guest: ops an NSM may legitimately send toward a guest.
+// Ops an NSM may legitimately send toward a guest (completion/receive ring).
 bool IsNsmToGuestOp(shm::NqeOp op);
 // carries-chunk guest->nsm ops (chunk ownership crosses with the NQE).
 bool CarriesGuestChunk(shm::NqeOp op);

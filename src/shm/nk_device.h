@@ -26,11 +26,6 @@
 
 namespace netkernel::shm {
 
-// Which of a queue set's four rings an NQE travels on. CoreEngine's delivery
-// plan records the ring explicitly so parked (backpressured) deliveries retry
-// into exactly the ring they were headed for.
-enum class RingKind : uint8_t { kJob, kCompletion, kSend, kReceive };
-
 struct QueueSet {
   explicit QueueSet(size_t capacity)
       : job(capacity), completion(capacity), send(capacity), receive(capacity) {}

@@ -13,152 +13,234 @@
 // connection ID. `data_ptr` is an offset into the shared hugepage region and
 // `size` the length of the data it points at.
 //
-// ---- nklint annotation grammar (this header is the source of truth) ----
-// Every NqeOp enumerator carries a machine-readable contract annotation,
-// either trailing the enumerator or on the comment line directly above it:
-//
-//   // nklint: dir=<guest->nsm|nsm->guest|control|none> [ring=<completion|receive>]
-//   //         [guard=<send|job>] [carries-chunk] [completion=kOp] [reclaim=kOp]
-//
-//   dir            which way the op travels across the shared-memory device.
-//   ring           the guest-facing ring that delivers it (nsm->guest only):
-//                  `completion` retires a request, `receive` carries inbound
-//                  payload/events.
-//   guard          (guest->nsm only, required) the guest-writable ring that
-//                  admits the op past nkguard: `send` or `job`. The
-//                  guard-coverage check cross-references every annotated op
-//                  against the admission tables in src/guard/ so the
-//                  validator cannot silently fall out of sync with the
-//                  contract.
-//   carries-chunk  data_ptr references a hugepage chunk whose *ownership*
-//                  crosses with the NQE (send payloads, zc receives).
-//   completion     the nsm->guest op that answers this request; must exist
-//                  and ride the completion ring.
-//   reclaim        for carries-chunk requests: the completion CoreEngine
-//                  synthesizes (with kNqeFlagChunkUnconsumed) when the op
-//                  dies inside the switch, so the chunk and send credit
-//                  always find their way home. Must appear in
-//                  CoreEngineShard::BuildErrorCompletion.
-//
-// tools/nklint (ctest `nklint`, tier-1) cross-checks these annotations
-// against the actual routing, dispatch, reap, and unwinding code, so a new
-// op cannot land half-wired. Exceptions are suppressed — visibly and
-// greppably — with `// nklint-allow(<check>): reason` on or directly above
-// the flagged line. See README "Static analysis".
+// ---- The op contract: kOpTraits (this header is the source of truth) ----
+// Every NqeOp has exactly one row in kOpTraits saying which ring admits it
+// (and so which way it travels), whether a hugepage chunk crosses with it,
+// and which completion CoreEngine synthesizes when the request dies inside
+// the switch. The guard's admission tables, the error-completion unwinding,
+// the receive-ring choice, the chunk sweeps and NqeOpName all read this
+// table; the static_asserts below check its internal consistency at compile
+// time. What a compiler cannot check — that every op has a dispatch (or reap)
+// case on its receiving side — is tools/nklint's op-routing check.
 
 #ifndef SRC_SHM_NQE_H_
 #define SRC_SHM_NQE_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 namespace netkernel::shm {
 
+// Which of a queue set's four rings an NQE travels on. The job and send
+// rings carry guest->NSM requests; the completion and receive rings carry
+// NSM->guest results and events. CoreEngine's delivery plan records the ring
+// explicitly so parked (backpressured) deliveries retry into exactly the
+// ring they were headed for.
+enum class RingKind : uint8_t { kJob, kCompletion, kSend, kReceive };
+
 enum class NqeOp : uint8_t {
-  // nklint: dir=none
   kInvalid = 0,
-  // VM -> NSM socket operations (job queue unless noted).
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
+  // VM -> NSM socket operations (wire numbers 1-31).
   kSocket = 1,
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
   kBind = 2,
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
   kListen = 3,
-  // nklint: dir=guest->nsm guard=job completion=kConnectResult
   kConnect = 4,
-  // nklint: dir=guest->nsm guard=job completion=kAcceptedConn
   kAccept = 5,  // pipelined: NSM replies as connections arrive
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kSetsockopt = 6,
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kGetsockopt = 7,
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kIoctl = 8,
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kShutdown = 9,
-  // nklint: dir=guest->nsm guard=job
+  // 6-9 are retired (setsockopt/getsockopt/ioctl/shutdown were never
+  // emitted); the guard refuses those bytes like any other hole.
   kClose = 10,  // fire-and-forget: no guest thread waits on a close
-  // nklint: dir=guest->nsm guard=send carries-chunk completion=kSendResult reclaim=kSendResult
-  kSend = 11,  // send queue: data_ptr/size reference hugepage payload
+  kSend = 11,   // data_ptr/size reference hugepage payload
   // Datagram (SOCK_DGRAM) operations: connectionless, so CoreEngine routes
   // them by socket key alone — no connection-table completion handshake.
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kSocketUdp = 12,  // job: create a UDP socket in the NSM
-  // nklint: dir=guest->nsm guard=job completion=kOpResult
-  kBindUdp = 13,    // job: bind ip:port carried in op_data
-  // nklint: dir=guest->nsm guard=send carries-chunk completion=kSendToResult reclaim=kSendToResult
-  kSendTo = 14,     // send queue: op_data = packed destination, payload in hugepages
-  // nklint: dir=guest->nsm guard=job
-  kRecvFrom = 15,   // job: datagram receive credit return (op_data = bytes freed)
+  kSocketUdp = 12,  // create a UDP socket in the NSM
+  kBindUdp = 13,    // bind ip:port carried in op_data
+  kSendTo = 14,     // op_data = packed destination, payload in hugepages
+  kRecvFrom = 15,   // datagram receive credit return (op_data = bytes freed)
   // Zero-copy send (registered-buffer datapath): the guest filled the chunk
   // in place and transfers ownership. The NSM's stack transmits (and
   // retransmits) directly from the chunk and frees it into the shared pool
   // only once the byte range is ACKed, answering with kSendZcComplete.
-  // nklint: dir=guest->nsm guard=send carries-chunk completion=kSendZcComplete reclaim=kSendZcComplete
-  kSendZc = 16,  // send queue: data_ptr/size reference the loaned chunk
+  kSendZc = 16,
   // Zero-copy datagram send: like kSendTo (op_data = packed destination) but
   // the guest filled the chunk in place and transfers ownership; the NSM's
   // UDP stack builds the wire datagram straight from the chunk and frees it
   // once the skb is committed, answering with kSendToResult (orig kSendToZc).
-  // nklint: dir=guest->nsm guard=send carries-chunk completion=kSendToResult reclaim=kSendToResult
-  kSendToZc = 17,  // send queue: data_ptr/size reference the loaned chunk
-  // NSM -> VM results and events.
-  // nklint: dir=nsm->guest ring=completion
-  kOpResult = 32,       // completion queue: result of a control op
-  // nklint: dir=nsm->guest ring=completion
-  kConnectResult = 33,  // completion queue
-  // nklint: dir=nsm->guest ring=completion
-  kAcceptedConn = 34,   // completion queue: new connection, op_data = NSM conn id
-  // nklint: dir=nsm->guest ring=completion
-  kSendResult = 35,     // completion queue: buffer usage can be decreased
-  // nklint: dir=nsm->guest ring=receive carries-chunk
-  kRecvData = 36,       // receive queue: data_ptr/size reference received payload
-  // nklint: dir=nsm->guest ring=receive
-  kFinReceived = 37,    // receive queue: peer closed
-  // nklint: dir=nsm->guest ring=completion
-  kSendToResult = 38,   // completion queue: datagram sent, send credit returned
-  // nklint: dir=nsm->guest ring=receive carries-chunk
-  kDgramRecv = 39,      // receive queue: datagram payload; op_data = packed source
+  kSendToZc = 17,
+  // NSM -> VM results and events (wire numbers 32-63).
+  kOpResult = 32,       // result of a control op
+  kConnectResult = 33,
+  kAcceptedConn = 34,   // new connection, op_data = NSM conn id
+  kSendResult = 35,     // buffer usage can be decreased
+  kRecvData = 36,       // data_ptr/size reference received payload
+  kFinReceived = 37,    // peer closed
+  kSendToResult = 38,   // datagram sent, send credit returned
+  kDgramRecv = 39,      // datagram payload; op_data = packed source
   // Zero-copy send completion: the kSendZc byte range was ACKed (or failed).
   // op_data = send-credit bytes to return; size = status (0 or negative
   // errno). The chunk was freed into the shared pool by the NSM — unless
   // reserved[1] carries kNqeFlagChunkUnconsumed (a CoreEngine-synthesized
   // error), in which case the guest still owns it and must free it.
-  // nklint: dir=nsm->guest ring=completion
-  kSendZcComplete = 40,  // completion queue
+  kSendZcComplete = 40,
   // Zero-copy datagram receive: identical shape to kDgramRecv (op_data =
   // packed source, data_ptr/size = payload chunk) but the chunk was detached
   // from the UDP stack's receive queue — it never crossed a rcvbuf->hugepage
   // copy. Guests treat both alike; the distinct op keeps the fallback copy
   // path observable end to end.
-  // nklint: dir=nsm->guest ring=receive carries-chunk
-  kDgramRecvZc = 41,  // receive queue
+  kDgramRecvZc = 41,
   // Failover notification: the VM's NSM died (or was drained for a rolling
   // upgrade) and the VM was re-homed onto the standby NSM. vm_sock is 0 — the
   // event is per-VM, not per-socket. op_data carries the new NSM id. GuestLib
   // reacts by re-issuing socket/bind for every datagram socket so the standby
   // NSM rebuilds their state under the same guest handles; stream sockets were
   // already errored with FINs by the switch (see `reconnects_required`).
-  // nklint: dir=nsm->guest ring=completion
-  kNsmRehomed = 42,  // completion queue
-  // Control plane (CoreEngine registration channel, §5). These reserve the
-  // paper's wire numbers; the reproduction's control plane rides the typed
-  // CeMessage channel (CoreEngine::HandleControlMessage) instead of NQEs, so
-  // nothing routes them today.
-  // nklint-allow(op-routing): control plane rides the CeMessage channel; these reserve §5 wire numbers only.
-  // nklint: dir=control
-  kRegisterDevice = 64,
-  // nklint-allow(op-routing): control plane rides the CeMessage channel; these reserve §5 wire numbers only.
-  // nklint: dir=control
-  kDeregisterDevice = 65,
-  // NSM liveness heartbeat (§5 wire number). The reproduction's heartbeats
-  // ride the CeMessage channel (CeOp::kHeartbeat -> RecordNsmHeartbeat); the
-  // health-miss flight events stamp this op byte so a post-mortem tail names
-  // the protocol verb.
-  // nklint: dir=control
-  kHeartbeat = 66,
+  kNsmRehomed = 42,
+  // 64-66 once reserved the paper's control-plane verbs (§5); the control
+  // plane rides the typed CeMessage channel instead, so those bytes are holes.
 };
+
+struct OpTraits {
+  NqeOp op;
+  const char* name;
+  RingKind ring;  // the ring that admits the op; implies its direction
+  // data_ptr references a hugepage chunk whose *ownership* crosses with the
+  // NQE (send payloads, receives).
+  bool carries_chunk;
+  // The completion CoreEngine synthesizes (with kNqeFlagChunkUnconsumed for
+  // carries-chunk ops) when the request dies inside the switch, so the chunk,
+  // the send credit and any waiting guest thread find their way home.
+  // kInvalid: nothing to answer.
+  NqeOp error_completion;
+
+  constexpr bool ToNsm() const { return ring == RingKind::kJob || ring == RingKind::kSend; }
+};
+
+// One row per op, in wire order.
+inline constexpr OpTraits kOpTraits[] = {
+    // op                    name                ring                    chunk  error completion
+    {NqeOp::kSocket,         "socket",           RingKind::kJob,         false, NqeOp::kOpResult},
+    {NqeOp::kBind,           "bind",             RingKind::kJob,         false, NqeOp::kOpResult},
+    {NqeOp::kListen,         "listen",           RingKind::kJob,         false, NqeOp::kOpResult},
+    {NqeOp::kConnect,        "connect",          RingKind::kJob,         false, NqeOp::kConnectResult},
+    {NqeOp::kAccept,         "accept",           RingKind::kJob,         false, NqeOp::kInvalid},
+    {NqeOp::kClose,          "close",            RingKind::kJob,         false, NqeOp::kInvalid},
+    {NqeOp::kSend,           "send",             RingKind::kSend,        true,  NqeOp::kSendResult},
+    {NqeOp::kSocketUdp,      "socket_udp",       RingKind::kJob,         false, NqeOp::kOpResult},
+    {NqeOp::kBindUdp,        "bind_udp",         RingKind::kJob,         false, NqeOp::kOpResult},
+    {NqeOp::kSendTo,         "sendto",           RingKind::kSend,        true,  NqeOp::kSendToResult},
+    {NqeOp::kRecvFrom,       "recvfrom",         RingKind::kJob,         false, NqeOp::kInvalid},
+    {NqeOp::kSendZc,         "send_zc",          RingKind::kSend,        true,  NqeOp::kSendZcComplete},
+    {NqeOp::kSendToZc,       "sendto_zc",        RingKind::kSend,        true,  NqeOp::kSendToResult},
+    {NqeOp::kOpResult,       "op_result",        RingKind::kCompletion,  false, NqeOp::kInvalid},
+    {NqeOp::kConnectResult,  "connect_result",   RingKind::kCompletion,  false, NqeOp::kInvalid},
+    {NqeOp::kAcceptedConn,   "accepted_conn",    RingKind::kCompletion,  false, NqeOp::kInvalid},
+    {NqeOp::kSendResult,     "send_result",      RingKind::kCompletion,  false, NqeOp::kInvalid},
+    {NqeOp::kRecvData,       "recv_data",        RingKind::kReceive,     true,  NqeOp::kInvalid},
+    {NqeOp::kFinReceived,    "fin_received",     RingKind::kReceive,     false, NqeOp::kInvalid},
+    {NqeOp::kSendToResult,   "sendto_result",    RingKind::kCompletion,  false, NqeOp::kInvalid},
+    {NqeOp::kDgramRecv,      "dgram_recv",       RingKind::kReceive,     true,  NqeOp::kInvalid},
+    {NqeOp::kSendZcComplete, "send_zc_complete", RingKind::kCompletion,  false, NqeOp::kInvalid},
+    {NqeOp::kDgramRecvZc,    "dgram_recv_zc",    RingKind::kReceive,     true,  NqeOp::kInvalid},
+    {NqeOp::kNsmRehomed,     "nsm_rehomed",      RingKind::kCompletion,  false, NqeOp::kInvalid},
+};
+
+namespace detail {
+
+constexpr uint8_t kNoOpRow = 0xff;
+
+// Op byte -> row in kOpTraits (kNoOpRow for holes), so a lookup off a hostile
+// ring is one load, whatever the byte.
+constexpr std::array<uint8_t, 256> BuildOpRowIndex() {
+  std::array<uint8_t, 256> index{};
+  index.fill(kNoOpRow);
+  for (size_t i = 0; i < std::size(kOpTraits); ++i) {
+    index[static_cast<uint8_t>(kOpTraits[i].op)] = static_cast<uint8_t>(i);
+  }
+  return index;
+}
+
+inline constexpr std::array<uint8_t, 256> kOpRowIndex = BuildOpRowIndex();
+
+}  // namespace detail
+
+// The row for a raw op byte, or nullptr for kInvalid and every byte that is
+// not an op — the hostile-ring safety net every consumer relies on.
+constexpr const OpTraits* FindOpTraits(uint8_t byte) {
+  const uint8_t row = detail::kOpRowIndex[byte];
+  return row == detail::kNoOpRow ? nullptr : &kOpTraits[row];
+}
+constexpr const OpTraits* FindOpTraits(NqeOp op) {
+  return FindOpTraits(static_cast<uint8_t>(op));
+}
+
+// True when `op` is an op that rides `ring`.
+constexpr bool OpRides(NqeOp op, RingKind ring) {
+  const OpTraits* t = FindOpTraits(op);
+  return t != nullptr && t->ring == ring;
+}
+
+// NSM->guest ops whose data_ptr hands a received-payload chunk to the guest.
+constexpr bool CarriesRxChunk(NqeOp op) {
+  const OpTraits* t = FindOpTraits(op);
+  return t != nullptr && t->carries_chunk && !t->ToNsm();
+}
+
+// True when `op` is the error completion of a carries-chunk request: with
+// kNqeFlagChunkUnconsumed set it hands the request's chunk back to the guest.
+constexpr bool IsChunkReclaim(NqeOp op) {
+  for (const OpTraits& t : kOpTraits) {
+    if (t.carries_chunk && t.ToNsm() && t.error_completion == op) return true;
+  }
+  return false;
+}
+
+// ---- Compile-time checks over the table ----
+// Written over row indices, not FindOpTraits pointers: under
+// -fsanitize=undefined GCC will not fold an object's address against
+// nullptr inside a constant expression.
+namespace detail {
+
+constexpr bool EveryRow(bool (*pred)(size_t row)) {
+  for (size_t i = 0; i < std::size(kOpTraits); ++i) {
+    if (!pred(i)) return false;
+  }
+  return true;
+}
+
+constexpr uint8_t RowOf(NqeOp op) { return kOpRowIndex[static_cast<uint8_t>(op)]; }
+
+}  // namespace detail
+
+static_assert(detail::EveryRow([](size_t i) {
+                return kOpTraits[i].op != NqeOp::kInvalid && detail::RowOf(kOpTraits[i].op) == i;
+              }),
+              "kOpTraits: one row per op, and none for kInvalid");
+static_assert(detail::EveryRow([](size_t i) {
+                return (static_cast<uint8_t>(kOpTraits[i].op) < 32) == kOpTraits[i].ToNsm();
+              }),
+              "kOpTraits: every guest op (wire 1-31) rides a guest ring (job or send), every "
+              "NSM op (wire 32+) a guest-facing one (completion or receive)");
+static_assert(detail::EveryRow([](size_t i) {
+                const OpTraits& t = kOpTraits[i];
+                return !t.ToNsm() || t.carries_chunk == (t.ring == RingKind::kSend);
+              }),
+              "kOpTraits: a guest op carries a chunk exactly when it rides the send ring");
+static_assert(detail::EveryRow([](size_t i) {
+                const OpTraits& t = kOpTraits[i];
+                return !(t.ToNsm() && t.carries_chunk) || t.error_completion != NqeOp::kInvalid;
+              }),
+              "kOpTraits: every carries-chunk guest op needs an error completion to reclaim it");
+static_assert(detail::EveryRow([](size_t i) {
+                const OpTraits& t = kOpTraits[i];
+                const uint8_t row = detail::RowOf(t.error_completion);
+                return t.error_completion == NqeOp::kInvalid ||
+                       (t.ToNsm() && row != detail::kNoOpRow &&
+                        kOpTraits[row].ring == RingKind::kCompletion);
+              }),
+              "kOpTraits: error completions answer guest ops and are NSM->guest ops on the "
+              "completion ring");
 
 // reserved[1] flag on NSM->VM completions: the operation failed inside the
 // switch before any consumer saw it, so the payload chunk referenced by
@@ -222,7 +304,10 @@ inline Nqe MakeNqe(NqeOp op, uint8_t vm_id, uint8_t queue_set, uint32_t vm_sock,
   return n;
 }
 
-std::string NqeOpName(NqeOp op);
+inline std::string NqeOpName(NqeOp op) {
+  const OpTraits* t = FindOpTraits(op);
+  return t != nullptr ? t->name : "unknown";
+}
 
 }  // namespace netkernel::shm
 

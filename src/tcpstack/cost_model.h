@@ -10,8 +10,7 @@
 //   * kMtcpProfile    — mTCP on DPDK: no syscalls, polled RX, per-core
 //     listener tables, batched event delivery.
 // Constants are calibrated so the Baseline configuration lands in the
-// ballpark of the paper's absolute numbers (Figs 13-20); EXPERIMENTS.md
-// records the calibration targets next to each measured result.
+// ballpark of the paper's absolute numbers (Figs 13-20).
 
 #ifndef SRC_TCPSTACK_COST_MODEL_H_
 #define SRC_TCPSTACK_COST_MODEL_H_

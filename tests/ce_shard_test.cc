@@ -449,7 +449,7 @@ TEST(CeShardTest, ServiceLibCoalescesDoorbells) {
 
   constexpr int kBurst = 8;
   for (int i = 0; i < kBurst; ++i) {
-    vm_dev.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSetsockopt, 99, 0, 1));
+    vm_dev.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kBind, 99, 0, 1));
   }
   host.ce().NotifyVmOutbound(99);
   loop.Run(loop.Now() + kMillisecond);

@@ -37,11 +37,9 @@ using shm::NqeOp;
 
 TEST(NkGuard, AdmissionTablesPartitionTheOpSpace) {
   const NqeOp send_ops[] = {NqeOp::kSend, NqeOp::kSendZc, NqeOp::kSendTo, NqeOp::kSendToZc};
-  const NqeOp job_ops[] = {NqeOp::kSocket,  NqeOp::kBind,       NqeOp::kListen,
-                           NqeOp::kConnect, NqeOp::kAccept,     NqeOp::kSetsockopt,
-                           NqeOp::kGetsockopt, NqeOp::kIoctl,   NqeOp::kShutdown,
-                           NqeOp::kClose,   NqeOp::kSocketUdp,  NqeOp::kBindUdp,
-                           NqeOp::kRecvFrom};
+  const NqeOp job_ops[] = {NqeOp::kSocket,    NqeOp::kBind,    NqeOp::kListen,
+                           NqeOp::kConnect,   NqeOp::kAccept,  NqeOp::kClose,
+                           NqeOp::kSocketUdp, NqeOp::kBindUdp, NqeOp::kRecvFrom};
   const NqeOp nsm_ops[] = {NqeOp::kOpResult,     NqeOp::kConnectResult, NqeOp::kAcceptedConn,
                            NqeOp::kSendResult,   NqeOp::kRecvData,      NqeOp::kFinReceived,
                            NqeOp::kSendToResult, NqeOp::kDgramRecv,     NqeOp::kSendZcComplete,
@@ -62,20 +60,39 @@ TEST(NkGuard, AdmissionTablesPartitionTheOpSpace) {
     EXPECT_TRUE(guard::IsNsmToGuestOp(op));
     EXPECT_FALSE(guard::IsGuestToNsmOp(op));
   }
-  // Control-plane ops ride the 8-byte control channel, never a guest ring.
-  for (NqeOp op : {NqeOp::kRegisterDevice, NqeOp::kDeregisterDevice, NqeOp::kHeartbeat}) {
-    EXPECT_FALSE(guard::IsGuestToNsmOp(op));
-    EXPECT_FALSE(guard::IsNsmToGuestOp(op));
-  }
-  // Non-enumerator bytes (holes in the wire numbering) are admitted nowhere.
-  for (uint8_t hole : {0, 18, 29, 31, 43, 55, 63, 67, 130, 255}) {
-    const NqeOp op = static_cast<NqeOp>(hole);
-    if (op == NqeOp::kInvalid || guard::IsGuestToNsmOp(op)) {
-      EXPECT_EQ(hole, 0u);  // only kInvalid may collide with this list
+  EXPECT_EQ(std::size(send_ops) + std::size(job_ops) + std::size(nsm_ops),
+            std::size(shm::kOpTraits));
+
+  // All 256 op bytes: a byte with a kOpTraits row is admitted exactly on its
+  // own ring; every other byte — kInvalid, the retired 6-9 and 64-66, every
+  // hole — has no row and is refused on both guest rings and the NSM side.
+  NqeValidator v;
+  for (int b = 0; b < 256; ++b) {
+    SCOPED_TRACE(::testing::Message() << "op byte " << b);
+    const uint8_t byte = static_cast<uint8_t>(b);
+    const NqeOp op = static_cast<NqeOp>(byte);
+    const shm::OpTraits* t = shm::FindOpTraits(byte);
+    const bool send_ring = t != nullptr && t->ring == shm::RingKind::kSend;
+    const bool job_ring = t != nullptr && t->ring == shm::RingKind::kJob;
+    const bool to_guest = t != nullptr && !t->ToNsm();
+    EXPECT_EQ(guard::IsSendRingOp(op), send_ring);
+    EXPECT_EQ(guard::IsJobRingOp(op), job_ring);
+    EXPECT_EQ(guard::IsNsmToGuestOp(op), to_guest);
+    EXPECT_EQ(guard::CarriesGuestChunk(op), send_ring);
+    for (bool from_send_ring : {false, true}) {
+      Nqe nqe = MakeNqe(op, 1, 0, 7);
+      const bool admitted = from_send_ring ? send_ring : job_ring;
+      EXPECT_EQ(v.ValidateGuestNqe(&nqe, from_send_ring, 1, 0),
+                admitted ? Verdict::kOk : Verdict::kBadOp);
     }
-    EXPECT_FALSE(guard::IsSendRingOp(op));
-    EXPECT_FALSE(guard::IsJobRingOp(op));
-    EXPECT_FALSE(guard::IsNsmToGuestOp(op));
+    EXPECT_EQ(v.ValidateNsmNqe(MakeNqe(op, 1, 0, 7)), to_guest);
+    if (t != nullptr) {
+      EXPECT_EQ(t->op, op);
+      EXPECT_NE(shm::NqeOpName(op), "unknown");
+    }
+  }
+  for (uint8_t retired : {0, 6, 7, 8, 9, 64, 65, 66}) {
+    EXPECT_EQ(shm::FindOpTraits(retired), nullptr) << int{retired};
   }
 }
 
@@ -83,7 +100,7 @@ TEST(NkGuard, AdmissionTablesPartitionTheOpSpace) {
 
 TEST(NkGuard, ScrubZeroesGuestWrittenFlagBytesButKeepsTraceId) {
   NqeValidator v;
-  Nqe nqe = MakeNqe(NqeOp::kGetsockopt, 1, 0, 7);
+  Nqe nqe = MakeNqe(NqeOp::kRecvFrom, 1, 0, 7);
   nqe.reserved[0] = 0xaa;  // orig-op echo: infrastructure-owned
   nqe.reserved[1] = 0xbb;  // unconsumed-chunk flag: infrastructure-owned
   nqe.reserved[2] = 0xcc;  // NSM processing qset: infrastructure-owned

@@ -1,18 +1,20 @@
-// Fixture: minimal NqeOp contract mirroring the real src/shm/nqe.h layout.
+// Fixture: kConnect has a kOpTraits row but no dispatch case in ServiceLib.
 // Not compiled — consumed only by tools/nklint via tests/nklint_test.cc.
 enum class NqeOp : uint8_t {
-  // nklint: dir=none
   kInvalid = 0,
-  // nklint: dir=guest->nsm carries-chunk completion=kSendResult reclaim=kSendResult
   kSend = 1,
-  // nklint: dir=guest->nsm completion=kOpResult
   kBind = 2,
-  // nklint: dir=guest->nsm completion=kOpResult
   kConnect = 3,
-  // nklint: dir=nsm->guest ring=completion
   kOpResult = 32,
-  // nklint: dir=nsm->guest ring=completion
   kSendResult = 33,
-  // nklint: dir=nsm->guest ring=receive carries-chunk
   kRecvData = 34,
+};
+
+inline constexpr OpTraits kOpTraits[] = {
+    {NqeOp::kSend,       "send",        RingKind::kSend,       true,  NqeOp::kSendResult},
+    {NqeOp::kBind,       "bind",        RingKind::kJob,        false, NqeOp::kOpResult},
+    {NqeOp::kConnect,    "connect",     RingKind::kJob,        false, NqeOp::kConnectResult},
+    {NqeOp::kOpResult,   "op_result",   RingKind::kCompletion, false, NqeOp::kInvalid},
+    {NqeOp::kSendResult, "send_result", RingKind::kCompletion, false, NqeOp::kInvalid},
+    {NqeOp::kRecvData,   "recv_data",   RingKind::kReceive,    true,  NqeOp::kInvalid},
 };

@@ -184,6 +184,24 @@ TEST_F(ShmNsmTest, BackpressureBoundsInFlightBytes) {
   EXPECT_GT(pushed, 1 * kMiB);
 }
 
+TEST_F(ShmNsmTest, DatagramSendToUnknownSocketReturnsItsChunk) {
+  // CoreEngine forwards a datagram send that names no socket statelessly to
+  // the VM's NSM, whose job is then to release the payload chunk.
+  shm::HugepagePool* pool = a_->pool();
+  for (shm::NqeOp op : {shm::NqeOp::kSendTo, shm::NqeOp::kSendToZc}) {
+    SCOPED_TRACE(shm::NqeOpName(op));
+    const uint64_t chunk = pool->Alloc(512);
+    ASSERT_NE(chunk, shm::HugepagePool::kInvalidOffset);
+    ASSERT_TRUE(a_->dev()->queue_set(0).send.TryEnqueue(shm::MakeNqe(
+        op, a_->id(), 0, /*vm_sock=*/4242, shm::PackAddr(b_->ip(), 9000), chunk, 512)));
+    host_.ce().NotifyVmOutbound(a_->id(), 0);
+    Run(10 * kMillisecond);
+    EXPECT_EQ(host_.ce().validator().stats().rejects, 0u);
+    EXPECT_EQ(pool->bytes_in_use(), 0u);
+    EXPECT_EQ(pool->frees(), pool->allocs());
+  }
+}
+
 TEST_F(ShmNsmTest, ThroughputBeatsTcpForLargeMessages) {
   // The §6.4 headline: colocated traffic through the shm NSM outruns the
   // same VMs talking TCP through the vSwitch.

@@ -56,7 +56,27 @@ TEST(Nqe, AddrPacking) {
 TEST(Nqe, OpNamesAreDistinct) {
   EXPECT_EQ(NqeOpName(NqeOp::kSend), "send");
   EXPECT_EQ(NqeOpName(NqeOp::kRecvData), "recv_data");
-  EXPECT_EQ(NqeOpName(NqeOp::kRegisterDevice), "register_device");
+  EXPECT_EQ(NqeOpName(NqeOp::kNsmRehomed), "nsm_rehomed");
+  EXPECT_EQ(NqeOpName(static_cast<NqeOp>(64)), "unknown");  // retired wire number
+}
+
+// The request -> error-completion mapping CoreEngine, Host::QuarantineVm and
+// the chunk sweeps all read from kOpTraits.
+TEST(Nqe, ErrorCompletionsFollowTheWireContract) {
+  const std::pair<NqeOp, NqeOp> expected[] = {
+      {NqeOp::kSend, NqeOp::kSendResult},         {NqeOp::kSendZc, NqeOp::kSendZcComplete},
+      {NqeOp::kSendTo, NqeOp::kSendToResult},     {NqeOp::kSendToZc, NqeOp::kSendToResult},
+      {NqeOp::kConnect, NqeOp::kConnectResult},   {NqeOp::kSocket, NqeOp::kOpResult},
+      {NqeOp::kSocketUdp, NqeOp::kOpResult},      {NqeOp::kBind, NqeOp::kOpResult},
+      {NqeOp::kBindUdp, NqeOp::kOpResult},        {NqeOp::kListen, NqeOp::kOpResult},
+      {NqeOp::kAccept, NqeOp::kInvalid},          {NqeOp::kClose, NqeOp::kInvalid},
+      {NqeOp::kRecvFrom, NqeOp::kInvalid},
+  };
+  for (const auto& [op, completion] : expected) {
+    const shm::OpTraits* t = shm::FindOpTraits(op);
+    ASSERT_NE(t, nullptr) << NqeOpName(op);
+    EXPECT_EQ(t->error_completion, completion) << NqeOpName(op);
+  }
 }
 
 // ---------------------------------------------------------------------------

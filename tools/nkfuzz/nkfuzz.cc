@@ -145,7 +145,8 @@ void InjectMutation(Host& host, Vm* nk, uint64_t mseed, int k, FuzzResult* res) 
     return;
   }
 
-  Nqe nqe = shm::MakeNqe(NqeOp::kGetsockopt, nk->id(), qsi, sock);
+  // Carrier: a benign job op (a zero-byte datagram credit return).
+  Nqe nqe = shm::MakeNqe(NqeOp::kRecvFrom, nk->id(), qsi, sock, /*op_data=*/0);
   bool to_send_ring = false;
   bool invalid = true;
   // Rejected zc-send forgeries draw synthesized completions the guest counts
@@ -162,10 +163,11 @@ void InjectMutation(Host& host, Vm* nk, uint64_t mseed, int k, FuzzResult* res) 
       nqe.SetOp(Pick(r, kWrongWay));
       break;
     }
-    case 1: {  // control/job op on the send ring
-      static constexpr NqeOp kNotSends[] = {NqeOp::kSocket, NqeOp::kClose, NqeOp::kConnect,
-                                            NqeOp::kHeartbeat, NqeOp::kDeregisterDevice};
-      nqe.SetOp(Pick(r, kNotSends));
+    case 1: {  // job op (or retired control-plane byte) on the send ring
+      static constexpr uint8_t kNotSends[] = {static_cast<uint8_t>(NqeOp::kSocket),
+                                              static_cast<uint8_t>(NqeOp::kClose),
+                                              static_cast<uint8_t>(NqeOp::kConnect), 66, 65};
+      nqe.op = kNotSends[r.NextBounded(sizeof(kNotSends))];
       to_send_ring = true;
       break;
     }

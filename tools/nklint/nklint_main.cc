@@ -16,9 +16,10 @@ void Usage(const char* argv0) {
   std::printf(
       "usage: %s [--root <dir>] [--github]\n"
       "\n"
-      "Statically checks the NQE protocol contract (annotations in\n"
-      "src/shm/nqe.h) against the tree under <dir>/src. Exits 1 when any\n"
-      "check fails; diagnostics are `file:line: check: message`.\n"
+      "Statically checks what the compiler cannot in the NQE protocol\n"
+      "contract (op-routing, stats-drift, flight-coverage) over the tree\n"
+      "under <dir>/src. Exits 1 when any check fails; diagnostics are\n"
+      "`file:line: check: message`.\n"
       "\n"
       "  --root <dir>  tree to lint (must contain src/); default: .\n"
       "  --github      additionally emit ::error workflow commands so the\n"
