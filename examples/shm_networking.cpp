@@ -69,7 +69,7 @@ int main() {
   std::printf("colocated VM -> VM over the shared-memory NSM (8KB messages):\n");
   std::printf("  transferred %.1f MB, goodput %.1f Gbps\n", received / 1e6, gbps);
   std::printf("  chunks copied by the NSM: %.1f MB (zero TCP segments on any wire)\n",
-              shm_nsm->shm_servicelib()->bytes_copied() / 1e6);
+              shm_nsm->servicelib()->bytes_copied() / 1e6);
   std::printf("\npaper Fig 10: ~100 Gbps with 7 cores total, ~2x TCP Cubic Baseline\n");
   return 0;
 }

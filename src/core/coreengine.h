@@ -375,6 +375,7 @@ class CoreEngine {
   // stream connections that were errored with FINs toward their guests —
   // the failover controller's `reconnects_required` surface.
   size_t DeregisterNsmDevice(uint8_t nsm_id);
+  bool HasNsm(uint8_t nsm_id) const { return nsms_.count(nsm_id) != 0; }
   // Maps a VM to an NSM. May be called again later ("switch NSM on the fly"):
   // established connections stay on their old NSM via the connection table;
   // new sockets go to the new NSM.
@@ -540,22 +541,16 @@ class CoreEngine {
   std::unordered_map<uint8_t, NsmHealth> nsm_health_;
 };
 
-// Coalesces an NSM's CoreEngine doorbells: all NQEs an NSM-side library
-// enqueues within one event-loop instant — a batched dispatch round, across
-// queue sets and across the VMs multiplexed onto the NSM — ride a single
-// NotifyNsmOutbound instead of one per NQE (ROADMAP item 2, Fig 8/Table 4).
-// Shared by ServiceLib and ShmServiceLib.
+// Coalesces an NSM's CoreEngine doorbells: all NQEs ServiceLib enqueues
+// within one event-loop instant — a batched dispatch round, across queue sets
+// and across the VMs multiplexed onto the NSM — ride a single
+// NotifyNsmOutbound instead of one per NQE (Fig 8/Table 4).
 class DoorbellCoalescer {
  public:
-  DoorbellCoalescer(sim::EventLoop* loop, CoreEngine* ce, uint8_t nsm_id, bool coalesce)
-      : loop_(loop), ce_(ce), nsm_id_(nsm_id), coalesce_(coalesce) {}
+  DoorbellCoalescer(sim::EventLoop* loop, CoreEngine* ce, uint8_t nsm_id)
+      : loop_(loop), ce_(ce), nsm_id_(nsm_id) {}
 
   void Ring() {
-    if (!coalesce_) {
-      ++doorbells_;
-      ce_->NotifyNsmOutbound(nsm_id_);
-      return;
-    }
     if (pending_) {
       ++coalesced_;
       return;
@@ -575,7 +570,6 @@ class DoorbellCoalescer {
   sim::EventLoop* loop_;
   CoreEngine* ce_;
   uint8_t nsm_id_;
-  bool coalesce_;
   bool pending_ = false;
   uint64_t doorbells_ = 0;
   uint64_t coalesced_ = 0;

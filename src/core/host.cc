@@ -60,47 +60,46 @@ Nsm* Host::CreateNsm(const std::string& name, int vcpus, NsmKind kind,
   std::vector<sim::CpuCore*> core_ptrs;
   for (auto& c : nsm->cores_) core_ptrs.push_back(c.get());
 
+  // The NSM kind picks the transport; everything else is the same driver.
+  std::unique_ptr<ServiceLib::Transport> transport;
   if (kind == NsmKind::kShm) {
     // No network stack at all: pure hugepage-to-hugepage copying.
-    nsm->shm_slib_ = std::make_unique<ShmServiceLib>(loop_, nsm->id_, ce_.get(),
-                                                     nsm->dev_.get(), core_ptrs);
-    nsms_.push_back(std::move(nsm));
-    return nsms_.back().get();
+    transport = ServiceLib::PoolCopy();
+  } else {
+    stack_config.name = name + ".stack";
+    if (kind == NsmKind::kFairShare) {
+      stack_config.ecn = true;  // VM-level window uses DCTCP-style marking
+    }
+    if (kind == NsmKind::kMtcp) {
+      stack_config.profile = tcp::MtcpProfile();
+      stack_config.per_core_tables = true;
+    } else if (stack_config.profile.syscall == 0) {
+      stack_config.profile = tcp::KernelProfile();
+    }
+    netsim::IpAddr nsm_ip = AllocIp();
+    netsim::HostPort port = fabric_->AddHost(name + ".vnic", nsm_ip, options_.port);
+    nsm->vnic_ = port.nic;
+    nsm->down_link_ = port.down;
+    if (kind == NsmKind::kFairShare) {
+      // The NSM schedules its VMs' aggregates onto the vNIC with per-VM DRR
+      // (it owns the last hop, so VM-level fairness is directly enforceable).
+      port.nic->EnableFairEgress(loop_, options_.port.bandwidth);
+    }
+    udp::UdpStackConfig udp_config;
+    udp_config.name = name + ".udp";
+    udp_config.profile = stack_config.profile;
+    nsm->stack_ =
+        std::make_unique<tcp::TcpStack>(loop_, port.nic, core_ptrs, std::move(stack_config));
+    nsm->udp_stack_ =
+        std::make_unique<udp::UdpStack>(loop_, port.nic, core_ptrs, std::move(udp_config));
+    // The TCP stack owns the vNIC softirq; it demuxes UDP packets over.
+    udp::UdpStack* udp_raw = nsm->udp_stack_.get();
+    nsm->stack_->SetRawPacketHandler(
+        [udp_raw](netsim::Packet pkt) { udp_raw->OnPacket(std::move(pkt)); });
+    transport = ServiceLib::StackBacked(nsm->stack_.get(), nsm->udp_stack_.get());
   }
-
-  stack_config.name = name + ".stack";
-  if (kind == NsmKind::kFairShare) {
-    stack_config.ecn = true;  // VM-level window uses DCTCP-style marking
-  }
-  if (kind == NsmKind::kMtcp) {
-    stack_config.profile = tcp::MtcpProfile();
-    stack_config.per_core_tables = true;
-  } else if (stack_config.profile.syscall == 0) {
-    stack_config.profile = tcp::KernelProfile();
-  }
-  netsim::IpAddr nsm_ip = AllocIp();
-  netsim::HostPort port = fabric_->AddHost(name + ".vnic", nsm_ip, options_.port);
-  nsm->vnic_ = port.nic;
-  nsm->down_link_ = port.down;
-  if (kind == NsmKind::kFairShare) {
-    // The NSM schedules its VMs' aggregates onto the vNIC with per-VM DRR
-    // (it owns the last hop, so VM-level fairness is directly enforceable).
-    port.nic->EnableFairEgress(loop_, options_.port.bandwidth);
-  }
-  udp::UdpStackConfig udp_config;
-  udp_config.name = name + ".udp";
-  udp_config.profile = stack_config.profile;
-  nsm->stack_ =
-      std::make_unique<tcp::TcpStack>(loop_, port.nic, core_ptrs, std::move(stack_config));
-  nsm->udp_stack_ =
-      std::make_unique<udp::UdpStack>(loop_, port.nic, core_ptrs, std::move(udp_config));
-  // The TCP stack owns the vNIC softirq; it demuxes UDP packets over.
-  udp::UdpStack* udp_raw = nsm->udp_stack_.get();
-  nsm->stack_->SetRawPacketHandler(
-      [udp_raw](netsim::Packet pkt) { udp_raw->OnPacket(std::move(pkt)); });
   nsm->slib_ = std::make_unique<ServiceLib>(loop_, nsm->id_, ce_.get(), nsm->dev_.get(),
-                                            nsm->stack_.get(), nsm->udp_stack_.get(),
-                                            options_.servicelib);
+                                            core_ptrs, std::move(transport), options_.servicelib);
   nsm->slib_->SetTracer(tracer_.get());
   nsms_.push_back(std::move(nsm));
   return nsms_.back().get();
@@ -132,34 +131,14 @@ Vm* Host::CreateNetkernelVm(const std::string& name, int vcpus, Nsm* nsm,
                                              vm->pool_.get(), core_ptrs, options_.guestlib);
   vm->guestlib_->SetTracer(tracer_.get());
 
-  uint8_t vm_id = vm->id_;
-  vm->attached_nsms_.push_back(nsm);
-  vm->ip_per_nsm_[nsm] = vm->ip_;
-  if (nsm->kind_ == NsmKind::kShm) {
-    nsm->shm_servicelib()->AttachVm(vm_id, vm->pool_.get(), vm->ip_);
-  } else {
-    nsm->servicelib()->AttachVm(vm_id, vm->pool_.get(), vm->ip_);
-    // Packets for this VM's address terminate at the NSM's vNIC.
-    fabric_->AddRoute(vm->ip_, nsm->down_link_);
-    if (nsm->kind_ == NsmKind::kFairShare) {
-      auto group = std::make_shared<tcp::SharedWindowGroup>();
-      nsm->groups_[vm_id] = group;
-      nsm->servicelib()->SetVmCcFactory(
-          vm_id, [group] { return std::make_unique<tcp::SharedWindowCc>(group); });
-    }
-  }
+  AttachVm(vm.get(), nsm, vm->ip_);
   // Receive credits fan out to every NSM this VM has attached to (a credit
   // for an unknown connection is a no-op), so switching NSMs mid-flight
   // cannot strand in-flight receive windows.
   Vm* vm_ptr = vm.get();
+  const uint8_t vm_id = vm->id_;
   vm->guestlib_->SetRecvCreditCallback([vm_ptr, vm_id](uint32_t sock, uint32_t bytes) {
-    for (Nsm* n : vm_ptr->attached_nsms_) {
-      if (n->kind() == NsmKind::kShm) {
-        n->shm_servicelib()->OnRecvCredit(vm_id, sock, bytes);
-      } else {
-        n->servicelib()->OnRecvCredit(vm_id, sock, bytes);
-      }
-    }
+    for (Nsm* n : vm_ptr->attached_nsms_) n->slib_->OnRecvCredit(vm_id, sock, bytes);
   });
 
   vms_.push_back(std::move(vm));
@@ -321,44 +300,27 @@ void Host::BuildMetricsRegistry(obs::MetricsRegistry* registry) const {
       registry->RegisterCounter(up + "rx_pool_fallbacks",
                                 [u] { return double(u->rx_pool_fallbacks); });
     }
-    if (nsm->slib_ != nullptr) {
-      const ServiceLib* sl = nsm->slib_.get();
-      const std::string sp = np + "svc.";
-      registry->RegisterCounter(sp + "nqes_processed", [sl] { return double(sl->nqes_processed()); });
-      registry->RegisterCounter(sp + "nqes_dropped", [sl] { return double(sl->nqes_dropped()); });
-      registry->RegisterCounter(sp + "rx_zc_ships", [sl] { return double(sl->rx_zc_ships()); });
-      registry->RegisterCounter(sp + "rx_copy_ships", [sl] { return double(sl->rx_copy_ships()); });
-      registry->RegisterCounter(sp + "dgram_zc_ships",
-                                [sl] { return double(sl->dgram_zc_ships()); });
-      registry->RegisterCounter(sp + "dgram_copy_ships",
-                                [sl] { return double(sl->dgram_copy_ships()); });
-      registry->RegisterCounter(sp + "doorbells", [sl] { return double(sl->doorbells()); });
-      registry->RegisterCounter(sp + "doorbells_coalesced",
-                                [sl] { return double(sl->doorbells_coalesced()); });
-      registry->RegisterCounter(sp + "heartbeats_sent",
-                                [sl] { return double(sl->heartbeats_sent()); },
-                                "liveness beacons this NSM sent to CoreEngine");
-      registry->RegisterCounter(sp + "flight_events",
-                                [sl] { return double(sl->recorder().total_recorded()); });
-      registry->RegisterCounter(sp + "guard_drops", [sl] { return double(sl->guard_drops()); },
-                                "NQEs refused by the NSM-side guard prefilter or evictions");
-    }
-    // Shared-memory NSMs (pure pool-to-pool copying) carry their own, smaller
-    // counter set; before this block their drops and doorbells were invisible
-    // to every metrics dump.
-    if (nsm->shm_slib_ != nullptr) {
-      const ShmServiceLib* sh = nsm->shm_slib_.get();
-      const std::string sp = np + "svc.";
-      registry->RegisterCounter(sp + "bytes_copied", [sh] { return double(sh->bytes_copied()); },
-                                "hugepage-to-hugepage payload bytes copied");
-      registry->RegisterCounter(sp + "nqes_dropped", [sh] { return double(sh->nqes_dropped()); },
-                                "NSM->VM NQEs lost to a full NSM-side ring");
-      registry->RegisterCounter(sp + "doorbells", [sh] { return double(sh->doorbells()); });
-      registry->RegisterCounter(sp + "doorbells_coalesced",
-                                [sh] { return double(sh->doorbells_coalesced()); });
-      registry->RegisterCounter(sp + "guard_drops", [sh] { return double(sh->guard_drops()); },
-                                "NQEs refused by the NSM-side guard prefilter or detaches");
-    }
+    const ServiceLib* sl = nsm->slib_.get();
+    const std::string sp = np + "svc.";
+    registry->RegisterCounter(sp + "nqes_processed", [sl] { return double(sl->nqes_processed()); });
+    registry->RegisterCounter(sp + "nqes_dropped", [sl] { return double(sl->nqes_dropped()); },
+                              "NSM->VM NQEs lost to a full NSM-side ring");
+    registry->RegisterCounter(sp + "rx_zc_ships", [sl] { return double(sl->rx_zc_ships()); });
+    registry->RegisterCounter(sp + "rx_copy_ships", [sl] { return double(sl->rx_copy_ships()); });
+    registry->RegisterCounter(sp + "dgram_zc_ships", [sl] { return double(sl->dgram_zc_ships()); });
+    registry->RegisterCounter(sp + "dgram_copy_ships",
+                              [sl] { return double(sl->dgram_copy_ships()); });
+    registry->RegisterCounter(sp + "bytes_copied", [sl] { return double(sl->bytes_copied()); },
+                              "hugepage-to-hugepage payload bytes copied");
+    registry->RegisterCounter(sp + "doorbells", [sl] { return double(sl->doorbells()); });
+    registry->RegisterCounter(sp + "doorbells_coalesced",
+                              [sl] { return double(sl->doorbells_coalesced()); });
+    registry->RegisterCounter(sp + "heartbeats_sent", [sl] { return double(sl->heartbeats_sent()); },
+                              "liveness beacons this NSM sent to CoreEngine");
+    registry->RegisterCounter(sp + "flight_events",
+                              [sl] { return double(sl->recorder().total_recorded()); });
+    registry->RegisterCounter(sp + "guard_drops", [sl] { return double(sl->guard_drops()); },
+                              "NQEs refused by the NSM-side guard prefilter or evictions");
   }
   // nkguard validator surface (guard.* namespace, aggregate over all VMs).
   const guard::GuardStats* gs = &ce_->validator().stats();
@@ -420,9 +382,7 @@ std::string Host::DumpMetricsJson() const {
 
 std::string Host::DumpFlightRecorder(size_t last_k) const {
   std::vector<const obs::FlightRecorder*> recorders = ce_->FlightRecorders();
-  for (const auto& nsm : nsms_) {
-    if (nsm->slib_ != nullptr) recorders.push_back(&nsm->slib_->recorder());
-  }
+  for (const auto& nsm : nsms_) recorders.push_back(&nsm->slib_->recorder());
   recorders.push_back(failover_recorder_.get());
   return obs::FlightRecorder::DumpMerged(recorders, last_k);
 }
@@ -437,44 +397,46 @@ PerVmStats Host::VmNkStats(const Vm* vm) const { return ce_->VmStats(vm->id()); 
 void Host::SwitchNsm(Vm* vm, Nsm* nsm) {
   NK_CHECK(vm->netkernel_mode());
   ce_->AssignVmToNsm(vm->id(), nsm->id());
-  uint8_t vm_id = vm->id();
-  auto known = vm->ip_per_nsm_.find(nsm);
-  if (known != vm->ip_per_nsm_.end()) {
-    return void(vm->nsm_ = nsm);  // already attached; just re-map new sockets
+  if (vm->ip_per_nsm_.count(nsm) == 0) {  // else attached: re-map new sockets only
+    // An alias address per vNIC-backed NSM keeps return traffic routable:
+    // connections created while assigned to this NSM bind the alias, and the
+    // fabric steers the alias to this NSM's vNIC.
+    AttachVm(vm, nsm, nsm->down_link_ != nullptr ? AllocIp() : vm->ip_);
   }
-  if (nsm->kind() == NsmKind::kShm) {
-    nsm->shm_servicelib()->AttachVm(vm_id, vm->pool_.get(), vm->ip());
-    vm->ip_per_nsm_[nsm] = vm->ip_;
-  } else {
-    // An alias address per NSM keeps return traffic routable: connections
-    // created while assigned to this NSM bind the alias, and the fabric
-    // steers the alias to this NSM's vNIC.
-    netsim::IpAddr alias = AllocIp();
-    nsm->servicelib()->AttachVm(vm_id, vm->pool_.get(), alias);
-    fabric_->AddRoute(alias, nsm->down_link());
-    vm->ip_per_nsm_[nsm] = alias;
-  }
-  vm->attached_nsms_.push_back(nsm);
   vm->nsm_ = nsm;
+}
+
+void Host::AttachVm(Vm* vm, Nsm* nsm, netsim::IpAddr ip) {
+  const uint8_t vm_id = vm->id_;
+  nsm->slib_->AttachVm(vm_id, vm->pool_.get(), ip);
+  // Packets for this address terminate at the NSM's vNIC (AddRoute
+  // overwrites a previous NSM's route).
+  if (nsm->down_link_ != nullptr) fabric_->AddRoute(ip, nsm->down_link_);
+  if (nsm->kind_ == NsmKind::kFairShare) {
+    std::shared_ptr<tcp::SharedWindowGroup>& group = nsm->groups_[vm_id];
+    if (group == nullptr) group = std::make_shared<tcp::SharedWindowGroup>();
+    nsm->slib_->SetVmCcFactory(
+        vm_id, [group = group] { return std::make_unique<tcp::SharedWindowCc>(group); });
+  }
+  vm->ip_per_nsm_[nsm] = ip;
+  if (std::find(vm->attached_nsms_.begin(), vm->attached_nsms_.end(), nsm) ==
+      vm->attached_nsms_.end()) {
+    vm->attached_nsms_.push_back(nsm);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // NSM failover controller & rolling live upgrade
 // ---------------------------------------------------------------------------
 
-void Host::SetStandbyNsm(Nsm* nsm) {
-  NK_CHECK(nsm == nullptr || nsm->kind() != NsmKind::kShm);
-  standby_ = nsm;
-}
+void Host::SetStandbyNsm(Nsm* nsm) { standby_ = nsm; }
 
 void Host::StartFailoverController(FailoverConfig config) {
   NK_CHECK(config.heartbeat_period > 0 && config.check_period > 0);
   NK_CHECK(config.miss_threshold >= 1);
   failover_config_ = config;
   failover_running_ = true;
-  for (auto& nsm : nsms_) {
-    if (nsm->slib_ != nullptr) nsm->slib_->StartHeartbeat(config.heartbeat_period);
-  }
+  for (auto& nsm : nsms_) nsm->slib_->StartHeartbeat(config.heartbeat_period);
   failover_timer_.Cancel();
   ScheduleFailoverCheck();
 }
@@ -482,9 +444,7 @@ void Host::StartFailoverController(FailoverConfig config) {
 void Host::StopFailoverController() {
   failover_running_ = false;
   failover_timer_.Cancel();
-  for (auto& nsm : nsms_) {
-    if (nsm->slib_ != nullptr) nsm->slib_->StopHeartbeat();
-  }
+  for (auto& nsm : nsms_) nsm->slib_->StopHeartbeat();
 }
 
 void Host::ScheduleFailoverCheck() {
@@ -500,8 +460,7 @@ void Host::RunFailoverCheck() {
   const SimTime window = failover_config_.heartbeat_period + failover_config_.grace;
   for (auto& owned : nsms_) {
     Nsm* nsm = owned.get();
-    // The spare idles by design; shm NSMs have no heartbeat source yet.
-    if (nsm == standby_ || nsm->slib_ == nullptr) continue;
+    if (nsm == standby_) continue;  // the spare idles by design
     const SimTime last = ce_->NsmLastActivity(nsm->id());
     if (last == 0) continue;  // not registered (already failed over)
     if (now <= last + window) {
@@ -526,7 +485,12 @@ void Host::RunFailoverCheck() {
 
 size_t Host::FailoverNsm(Nsm* sick) {
   NK_CHECK(sick != nullptr);
-  if (standby_ == nullptr || standby_ == sick) return 0;  // nowhere to re-home
+  // Nowhere to re-home: no standby, or one whose transport cannot carry the
+  // sick NSM's VMs (stack-backed vs pool-copy).
+  if (standby_ == nullptr || standby_ == sick ||
+      (standby_->stack_ == nullptr) != (sick->stack_ == nullptr)) {
+    return 0;
+  }
   Nsm* to = standby_;
   standby_ = nullptr;  // consumed: the spare is promoted to active duty
   const SimTime now = loop_->Now();
@@ -538,12 +502,16 @@ size_t Host::FailoverNsm(Nsm* sick) {
   // guest — each one a reconnect the application owes (counted below).
   const size_t errored = ce_->DeregisterNsmDevice(sick->id());
   failover_stats_.reconnects_required += errored;
-  if (sick->slib_ != nullptr) sick->slib_->Shutdown();
+  sick->slib_->Shutdown();
 
   size_t rehomed = 0;
   for (auto& vm : vms_) {
     if (!vm->netkernel_mode() || vm->nsm_ != sick) continue;
-    RehomeVm(vm.get(), to);
+    if (vm->quarantined_) {
+      vm->nsm_ = to;  // its device is out of the switch: UnquarantineVm attaches
+    } else {
+      RehomeVm(vm.get(), to);
+    }
     ++rehomed;
   }
   ++failover_stats_.nsm_failovers;
@@ -555,29 +523,12 @@ size_t Host::FailoverNsm(Nsm* sick) {
 }
 
 void Host::RehomeVm(Vm* vm, Nsm* to) {
-  const uint8_t vm_id = vm->id();
-  ce_->AssignVmToNsm(vm_id, to->id());
+  ce_->AssignVmToNsm(vm->id(), to->id());
   // Unlike SwitchNsm's alias addressing, failover keeps the VM's original
   // address: the standby's vNIC starts answering for it and the fabric
-  // re-points the route (AddRoute overwrites). Peers keep talking to the
-  // same ip:port across the replacement.
-  if (to->kind() == NsmKind::kShm) {
-    to->shm_servicelib()->AttachVm(vm_id, vm->pool_.get(), vm->ip());
-  } else {
-    to->servicelib()->AttachVm(vm_id, vm->pool_.get(), vm->ip());
-    fabric_->AddRoute(vm->ip(), to->down_link());
-    if (to->kind() == NsmKind::kFairShare && to->groups_.count(vm_id) == 0) {
-      auto group = std::make_shared<tcp::SharedWindowGroup>();
-      to->groups_[vm_id] = group;
-      to->servicelib()->SetVmCcFactory(
-          vm_id, [group] { return std::make_unique<tcp::SharedWindowCc>(group); });
-    }
-  }
-  vm->ip_per_nsm_[to] = vm->ip_;
-  if (std::find(vm->attached_nsms_.begin(), vm->attached_nsms_.end(), to) ==
-      vm->attached_nsms_.end()) {
-    vm->attached_nsms_.push_back(to);
-  }
+  // re-points the route. Peers keep talking to the same ip:port across the
+  // replacement.
+  AttachVm(vm, to, vm->ip_);
   vm->nsm_ = to;
   EmitRehomeNqe(vm, to->id());
 }
@@ -626,13 +577,7 @@ void Host::QuarantineVm(Vm* vm) {
   vm->dev_->Wake();
   // Every NSM the VM ever attached to evicts its state; in-flight chunks
   // return to the VM's pool, which the VM keeps through the quarantine.
-  for (Nsm* n : vm->attached_nsms_) {
-    if (n->kind() == NsmKind::kShm) {
-      if (n->shm_servicelib() != nullptr) n->shm_servicelib()->DetachVm(vm_id);
-    } else {
-      if (n->servicelib() != nullptr) n->servicelib()->EvictVm(vm_id);
-    }
-  }
+  for (Nsm* n : vm->attached_nsms_) n->slib_->EvictVm(vm_id);
   failover_recorder_->Record(obs::FlightEventType::kVmQuarantined, vm_id, 0, 0, 0,
                              ce_->validator().VmStats(vm_id).rejects);
 }
@@ -648,7 +593,10 @@ void Host::UnquarantineVm(Vm* vm) {
   // replay ledger stays — generations only move forward) and re-admit.
   ce_->validator().SetQuarantined(vm_id, false);
   ce_->RegisterVmDevice(vm_id, vm->dev_.get());
-  ce_->AssignVmToNsm(vm_id, nsm->id());
+  // An NSM killed during the quarantine with no failover leaves nothing to
+  // re-attach to: the VM returns NSM-less, like the co-tenants that NSM
+  // stranded, and its new operations fail until it is switched elsewhere.
+  if (!ce_->HasNsm(nsm->id())) return;
   // Re-attach exactly like a failover re-home: same address, fresh NSM-side
   // state, and a kNsmRehomed nudge so the guest replays its datagram
   // sockets. Stream connections died with the eviction and surface to the

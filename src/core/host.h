@@ -16,7 +16,6 @@
 #include "src/core/coreengine.h"
 #include "src/core/guestlib.h"
 #include "src/core/servicelib.h"
-#include "src/core/shm_nsm.h"
 #include "src/netsim/fabric.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
@@ -43,8 +42,10 @@ class Nsm {
   NsmKind kind() const { return kind_; }
   tcp::TcpStack* stack() { return stack_.get(); }
   udp::UdpStack* udp_stack() { return udp_stack_.get(); }
+  // The NSM's NQE driver; every NSM kind has one.
   ServiceLib* servicelib() { return slib_.get(); }
-  ShmServiceLib* shm_servicelib() { return shm_slib_.get(); }
+  // The same driver, for pool-copy (shared-memory) NSMs only.
+  ShmServiceLib* shm_servicelib() { return kind_ == NsmKind::kShm ? slib_.get() : nullptr; }
   sim::CpuCore* vcpu(int i) { return cores_[i].get(); }
   int num_vcpus() const { return static_cast<int>(cores_.size()); }
   netsim::Link* down_link() { return down_link_; }
@@ -74,8 +75,7 @@ class Nsm {
   std::unique_ptr<tcp::TcpStack> stack_;
   std::unique_ptr<udp::UdpStack> udp_stack_;
   std::unique_ptr<ServiceLib> slib_;
-  std::unique_ptr<ShmServiceLib> shm_slib_;
-  netsim::Nic* vnic_ = nullptr;
+  netsim::Nic* vnic_ = nullptr;  // null for a pool-copy NSM
   netsim::Link* down_link_ = nullptr;
   // FairShare NSM: one shared window group per VM.
   std::unordered_map<uint8_t, std::shared_ptr<tcp::SharedWindowGroup>> groups_;
@@ -201,12 +201,12 @@ class Host {
 
   // Pre-registers the spare NSM failovers re-home onto. Consumed (promoted
   // to active duty) by the first failover; re-arm with a fresh spare for the
-  // next rolling-upgrade step. Shared-memory NSMs cannot stand by for
-  // stack-backed ones.
+  // next rolling-upgrade step. The spare must use the same transport as the
+  // NSM it replaces (a shared-memory NSM stands by for shared-memory NSMs).
   void SetStandbyNsm(Nsm* nsm);
   Nsm* standby_nsm() { return standby_; }
 
-  // Starts heartbeats on every stack-backed NSM and polls their health every
+  // Starts heartbeats on every NSM and polls their health every
   // check_period: an NSM silent (no beacon, no doorbell) for longer than
   // heartbeat_period + grace accrues a miss; miss_threshold consecutive
   // misses trigger FailoverNsm. Silent-with-backlog is flagged as wedged
@@ -220,7 +220,7 @@ class Host {
   // Deregisters the sick NSM (erroring its stream connections with FINs),
   // shuts its ServiceLib down, re-homes every VM it served, and notifies
   // each guest with kNsmRehomed. Returns the number of VMs re-homed; no-op
-  // (returns 0) without a standby.
+  // (returns 0) without a standby, or with one of the other transport.
   size_t FailoverNsm(Nsm* sick);
 
   // ---- nkguard quarantine ----
@@ -280,6 +280,10 @@ class Host {
  private:
   void ScheduleFailoverCheck();
   void RunFailoverCheck();
+  // The one attach path: `nsm`'s driver serves `vm` under `ip`, a vNIC-backed
+  // NSM gets the fabric route for `ip`, and a FairShare NSM the VM's shared
+  // window group.
+  void AttachVm(Vm* vm, Nsm* nsm, netsim::IpAddr ip);
   // Attaches the VM to `to` under its ORIGINAL address (no alias), re-points
   // the fabric route, and notifies the guest with kNsmRehomed.
   void RehomeVm(Vm* vm, Nsm* to);

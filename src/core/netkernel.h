@@ -24,7 +24,6 @@
 #include "src/core/guestlib.h"
 #include "src/core/host.h"
 #include "src/core/servicelib.h"
-#include "src/core/shm_nsm.h"
 #include "src/core/socket_api.h"
 #include "src/netsim/fabric.h"
 #include "src/shm/hugepage_pool.h"

@@ -1,11 +1,21 @@
 // Copyright (c) NetKernel reproduction authors.
 // ServiceLib: the NSM-side half of the socket semantics channel (paper §4.5).
 //
-// Consumes job/send NQEs from the NK device, invokes the NSM's network stack
-// (kernel-profile or mTCP-profile TcpStack) and streams results/data back as
-// completion/receive NQEs. Runs in the same space as the stack (kernel-space
-// ServiceLib for the kernel NSM; the per-core mTCP application thread for the
-// mTCP NSM), so stack calls are direct function calls.
+// One NQE driver serves every NSM kind. It consumes job/send NQEs from the
+// NSM's NK device, applies the guard prefilter and the eviction gate,
+// dispatches each request verb, and streams completions and receive events
+// back as NQEs behind coalesced CoreEngine doorbells. It also owns what every
+// NSM needs whatever moves its bytes: orphan-send parking, the liveness
+// heartbeat and Wedge, per-VM teardown (Shutdown, EvictVm), the T2/T3
+// lifecycle-tracer stamps and the flight recorder.
+//
+// What differs between NSM kinds sits behind ServiceLib::Transport:
+//   StackBacked  the kernel, mTCP and FairShare NSMs: a TcpStack (plus an
+//                optional UdpStack) in the same space as ServiceLib (the
+//                kernel-space ServiceLib, or the per-core mTCP thread), so
+//                stack calls are direct function calls.
+//   PoolCopy     the shared-memory NSM (§6.4): colocated VMs exchange data
+//                hugepage to hugepage with no network stack at all.
 //
 // One ServiceLib serves many VMs (multiplexing, §6.1): each VM attaches with
 // its own hugepage pool and IP address, and the FairShare NSM (§6.2) installs
@@ -14,7 +24,6 @@
 #ifndef SRC_CORE_SERVICELIB_H_
 #define SRC_CORE_SERVICELIB_H_
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -33,50 +42,62 @@ class ServiceLib {
     tcp::NetkernelCosts costs;
     // Per-connection cap on bytes shipped to the VM but not yet consumed.
     uint64_t rx_outstanding_cap = 1 * kMiB;
-    // Coalesce CoreEngine doorbells: ring notifications for NSM->VM NQEs
-    // produced within one dispatch round — across queue sets and across all
-    // VMs multiplexed onto this NSM — collapse into a single wakeup instead
-    // of one per NQE (ROADMAP item 2, paper Fig 8/Table 4).
-    bool coalesce_wakeups = true;
-    // RX zero-copy: land inbound payload directly in the VM's hugepage pool
-    // and ship detached chunks (no rcvbuf->hugepage copy). Off = the pre-zc
-    // staging-copy receive path — the Table 6 RX baseline.
+    // RX zero-copy (stack-backed NSMs): land inbound payload directly in the
+    // VM's hugepage pool and ship detached chunks (no rcvbuf->hugepage copy).
+    // Off = the pre-zc staging-copy receive path — the Table 6 RX baseline.
     bool rx_zerocopy = true;
   };
 
-  // `udp_stack` may be null: SOCK_DGRAM NQEs then fail with an error result.
+  // A guest socket as the driver sees it. Each transport derives its own
+  // connection state from this and owns it; the driver indexes linked
+  // connections by (vm_id, vm_sock).
+  struct Conn {
+    uint8_t vm_id = 0;
+    uint8_t vm_qset = 0;
+    uint32_t vm_sock = 0;
+    uint8_t nsm_qset = 0;  // NSM device queue set serving this connection
+    bool linked = false;   // guest handle known (post-accept link)
+    bool fin_sent_to_vm = false;
+    bool close_pending = false;
+    uint64_t rx_outstanding = 0;  // shipped to the guest, not yet credited
+  };
+
+  class Transport;
+  // The stack-backed transport. `udp_stack` may be null: SOCK_DGRAM NQEs then
+  // fail with an error result.
+  static std::unique_ptr<Transport> StackBacked(tcp::TcpStack* stack, udp::UdpStack* udp_stack);
+  // The pool-copy transport of the shared-memory NSM.
+  static std::unique_ptr<Transport> PoolCopy();
+
+  // `cores` are the NSM's vCPUs: queue set qs's dispatch rounds run on
+  // cores[qs % size] (for a stack-backed NSM, the cores its stacks run on).
   ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
-             tcp::TcpStack* stack, udp::UdpStack* udp_stack, Config config);
-  ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm::NkDevice* dev,
-             tcp::TcpStack* stack, udp::UdpStack* udp_stack = nullptr);
+             std::vector<sim::CpuCore*> cores, std::unique_ptr<Transport> transport,
+             Config config);
   ~ServiceLib();
 
   // Registers a VM served by this NSM. `pool` is the hugepage region shared
   // with that VM; `vm_ip` is the address its connections use.
   void AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr vm_ip);
-  void DetachVm(uint8_t vm_id);
 
-  // Per-VM mirror of Shutdown() for nkguard quarantine: tears down exactly
-  // one VM's NSM-side state — its stream connections aborted (zc frees
-  // fire), dgram sockets closed, its NQEs swept out of the device rings with
-  // payload chunks returned to its pool, orphan sends freed — while every
-  // co-tenant's connections and ring entries stay untouched. The VmInfo
-  // entry is kept (marked evicted) so stragglers already charged to a stack
-  // core unwind their chunks into the pool instead of leaking; a later
-  // AttachVm reinstates the VM cleanly.
+  // nkguard quarantine: tears down exactly one VM's NSM-side state — its
+  // connections (stream connections aborted so zc frees fire, dgram sockets
+  // closed, shared-memory peers reset), its NQEs swept out of the device
+  // rings with payload chunks returned to its pool, its orphan sends freed —
+  // while every co-tenant's connections and ring entries stay untouched. The
+  // VM entry is kept (marked evicted) so stragglers already charged to an NSM
+  // core unwind their chunks into the pool instead of leaking or building new
+  // state; a later AttachVm reinstates the VM cleanly.
   void EvictVm(uint8_t vm_id);
 
   // Kills this NSM with recoverable accounting: call after the device was
-  // deregistered from CoreEngine. Every connection is aborted (firing the
-  // exactly-once free callbacks of zc chunks still queued in the stack),
-  // datagram sockets close (freeing pool-landed datagrams), queued NQEs in
-  // the now-unreachable device rings are drained and their payload chunks
-  // returned to the owning VM pools. After Shutdown, every hugepage chunk
-  // this NSM ever touched is either back in its pool or owned by the guest —
-  // nothing strands in dead rings. Idempotent, and safe to race with an
-  // in-flight dispatch round: NQEs already charged to a stack core when the
-  // teardown runs are unwound (chunks freed) instead of dispatched against
-  // dead connection state.
+  // deregistered from CoreEngine. Runs EvictVm's teardown over every VM at
+  // once and drains the now-unreachable rings completely. After Shutdown,
+  // every hugepage chunk this NSM ever touched is either back in its pool or
+  // owned by the guest — nothing strands in dead rings. Idempotent, and safe
+  // to race with an in-flight dispatch round: NQEs already charged to an NSM
+  // core when the teardown runs are unwound (chunks freed) instead of
+  // dispatched against dead connection state.
   void Shutdown();
 
   // ---- Liveness (failover detection inputs) ----
@@ -97,11 +118,9 @@ class ServiceLib {
   void OnRecvCredit(uint8_t vm_id, uint32_t vm_sock, uint32_t bytes);
 
   // Overrides congestion control for all (future) connections of a VM —
-  // the hook the FairShare NSM uses (§6.2).
+  // the hook the FairShare NSM uses (§6.2). Stack-backed NSMs only.
   void SetVmCcFactory(uint8_t vm_id, tcp::CcFactory factory);
 
-  tcp::TcpStack* stack() { return stack_; }
-  udp::UdpStack* udp_stack() { return udp_stack_; }
   uint8_t nsm_id() const { return nsm_id_; }
   uint64_t nqes_processed() const { return nqes_processed_; }
   // NSM->VM NQEs lost to a full NSM-side ring (severe overload).
@@ -110,15 +129,17 @@ class ServiceLib {
   // behind nkguard — nonzero means something got past the CoreEngine) or
   // unwound because their VM was evicted mid-flight.
   uint64_t guard_drops() const { return guard_drops_; }
-  // RX zero-copy accounting: kRecvData ships that detached the stack's own
-  // pool chunk (no rcvbuf->hugepage copy) vs ships that had to copy because
-  // the pool was exhausted when the segment landed (heap fallback chunk) or
-  // the front chunk was partially consumed.
+  // RX zero-copy accounting (stack-backed NSMs): kRecvData ships that
+  // detached the stack's own pool chunk (no rcvbuf->hugepage copy) vs ships
+  // that had to copy because the pool was exhausted when the segment landed
+  // (heap fallback chunk) or the front chunk was partially consumed.
   uint64_t rx_zc_ships() const { return rx_zc_ships_; }
   uint64_t rx_copy_ships() const { return rx_copy_ships_; }
   // Same split for datagrams (kDgramRecvZc vs copied kDgramRecv).
   uint64_t dgram_zc_ships() const { return dgram_zc_ships_; }
   uint64_t dgram_copy_ships() const { return dgram_copy_ships_; }
+  // Payload bytes copied hugepage to hugepage (pool-copy NSMs).
+  uint64_t bytes_copied() const { return bytes_copied_; }
   // Wakeup coalescing: CoreEngine doorbells actually rung, and enqueues that
   // piggybacked on an already-pending doorbell (the saved wakeups).
   uint64_t doorbells() const { return doorbell_.doorbells(); }
@@ -134,122 +155,67 @@ class ServiceLib {
   const obs::FlightRecorder& recorder() const { return recorder_; }
 
  private:
+  class StackTransport;
+  class PoolCopyTransport;
+
   struct VmInfo {
     shm::HugepagePool* pool = nullptr;
     netsim::IpAddr ip = 0;
     // Quarantined (EvictVm'd) VM: the entry stays so in-flight dispatch
     // stragglers can still unwind chunks into the pool, but no new state is
-    // built and the rx allocator refuses new landings.
+    // built.
     bool evicted = false;
     tcp::CcFactory cc_factory;  // optional override
-    // Chunk allocator handed to the stacks so inbound bytes land directly in
-    // this VM's hugepage pool (the RX zero-copy datapath). Shared by every
-    // socket of the VM; guarded by alive_ against stack-teardown-after-death.
-    std::shared_ptr<tcp::ChunkAllocator> rx_allocator;
   };
-  struct PendingTx {
-    uint64_t ptr = 0;
-    uint32_t size = 0;
-    uint32_t consumed = 0;
-    // Zero-copy chunk: handed to the stack by reference (all-or-nothing) and
-    // freed only when the byte range is ACKed (kSendZcComplete).
-    bool zc = false;
-  };
-  struct Conn {
-    tcp::SocketId sid = tcp::kInvalidSocket;
-    // Datagram sockets live in the UDP stack; sid stays invalid for them.
-    bool dgram = false;
-    udp::SocketId usid = udp::kInvalidSocket;
-    uint8_t vm_id = 0;
-    uint8_t vm_qset = 0;
-    uint32_t vm_sock = 0;
-    uint8_t nsm_qset = 0;  // NSM device queue set serving this connection
-    bool linked = false;    // guest handle known (post-accept link)
-    bool listener = false;
-    bool fin_sent_to_vm = false;
-    bool ship_pending = false;
-    bool close_pending = false;
-    int sends_in_flight = 0;  // kSend copies charged but not yet queued
-    uint64_t rx_outstanding = 0;
-    std::deque<PendingTx> pending_tx;
-    bool tx_drain_pending = false;
-  };
+  // EvictVm/Shutdown scope: one VM id, or every VM.
+  static constexpr int kAllVms = -1;
 
   static uint64_t VmKey(uint8_t vm_id, uint32_t vm_sock) {
     return (static_cast<uint64_t>(vm_id) << 32) | vm_sock;
   }
+  // The routing identity of the guest that sent `nqe`, for replies to a
+  // request that has (or builds) no connection.
+  static Conn Requester(const shm::Nqe& nqe);
 
+  VmInfo* FindVm(uint8_t vm_id);
   Conn* FindByVm(uint8_t vm_id, uint32_t vm_sock);
-  Conn* FindBySid(tcp::SocketId sid);
-  Conn* FindByUsid(udp::SocketId usid);
-  Conn& NewConn(uint8_t vm_id, uint8_t vm_qset, uint32_t vm_sock);
-  void InstallDataCallbacks(Conn& c);
+  // Marks `c` linked and indexes it under its guest handle; Unlink drops the
+  // index entry (the transport still owns the connection).
+  void Link(Conn& c);
+  void Unlink(const Conn& c);
 
-  // NQE dispatch.
+  // NSM -> VM NQE emission, routed by `c`'s guest identity. EnqueueToVm
+  // returns false when the destination ring is full: the NQE is dropped
+  // (counted and flight-recorded) and the caller owns any referenced chunk.
+  bool EnqueueToVm(const Conn& c, shm::Nqe nqe, bool receive_ring);
+  void Respond(const Conn& c, shm::NqeOp op, shm::NqeOp orig, int32_t result,
+               uint64_t op_data = 0);
+  // The one way a kFinReceived (EOF when `err` is 0) reaches a guest: at most
+  // once per connection, retried until the receive ring has room.
+  void DeliverFin(Conn& c, int32_t err);
+  // Replays kSend NQEs that overtook `c`'s accept link.
+  void ReplayOrphanSends(Conn& c);
+  void Credit(Conn& c, uint64_t bytes);
+
   void OnDeviceWake();
   void ProcessQueueSet(int qs);
   void ScheduleHeartbeat();
   void Dispatch(const shm::Nqe& nqe);
-  void DoSocket(const shm::Nqe& nqe);
-  void DoBind(const shm::Nqe& nqe, Conn& c);
-  void DoListen(const shm::Nqe& nqe, Conn& c);
-  void DoConnect(const shm::Nqe& nqe, Conn& c);
-  void DoAcceptLink(const shm::Nqe& nqe);
-  void DoSend(const shm::Nqe& nqe, Conn& c);
-  void DoSendZc(const shm::Nqe& nqe, Conn& c);
-  void DoClose(Conn& c);
-  void MaybeFinishClose(tcp::SocketId sid);
-  void DrainPendingTx(Conn& c);
-  // Builds the on-ACK free callback for a zero-copy chunk: frees it into the
-  // VM's pool and returns the send credit via kSendZcComplete. Safe to fire
-  // from TcpStack teardown after this ServiceLib or the VM is gone.
-  std::function<void()> MakeZcFreeCallback(const Conn& c, uint64_t ptr, uint32_t size);
-  // A zero-copy chunk that can no longer reach the stack: free it and return
-  // the credit with an error status.
-  void FailZcTx(const Conn& c, uint64_t ptr, uint32_t size);
-  // Returns the payload chunk of a data-carrying VM->NSM NQE to the owning
-  // VM's pool (shutdown unwinding).
+  // Returns the payload chunk of a data-carrying guest request to its VM's
+  // pool (teardown and eviction unwinding).
   void FreeNqeChunk(const shm::Nqe& nqe);
-
-  // Datagram (SOCK_DGRAM) handlers.
-  void DoSocketUdp(const shm::Nqe& nqe);
-  void DoBindUdp(const shm::Nqe& nqe, Conn& c);
-  void DoSendTo(const shm::Nqe& nqe, Conn& c);
-  void DoSendToZc(const shm::Nqe& nqe, Conn& c);
-  void DoCloseDgram(Conn& c);
-  void MaybeFinishCloseDgram(udp::SocketId usid);
-  // Datagram receive shipping (udp stack -> hugepages -> kDgramRecv NQEs).
-  void ShipDgrams(udp::SocketId usid);
-  // On-commit free callback for a zero-copy datagram chunk: frees it into the
-  // VM's pool and returns the send credit via kSendToResult (orig kSendToZc).
-  std::function<void()> MakeDgramZcFreeCallback(const Conn& c, uint64_t ptr, uint32_t size);
-
-  // NSM -> VM NQEs. EnqueueToVm returns false when the destination ring is
-  // full and the NQE was dropped (the caller owns any referenced chunk).
-  void Respond(const Conn& c, shm::NqeOp op, shm::NqeOp orig, int32_t result,
-               uint64_t op_data = 0);
-  bool EnqueueToVm(const Conn& c, shm::Nqe nqe, bool receive_ring);
-
-  // Receive shipping (stack -> hugepages -> kRecvData NQEs).
-  void ShipRecv(tcp::SocketId sid);
-  // A kRecvData died at a full ring after its bytes left the stack: the
-  // stream is broken — error the connection (retries until the FIN fits).
-  void DeliverErrorFin(tcp::SocketId sid);
-  void AutoAccept(tcp::SocketId listener_sid);
+  // The per-VM teardown behind EvictVm and Shutdown (vm = kAllVms).
+  void Teardown(int vm);
 
   sim::EventLoop* loop_;
   uint8_t nsm_id_;
   CoreEngine* ce_;
   shm::NkDevice* dev_;
-  tcp::TcpStack* stack_;
-  udp::UdpStack* udp_stack_;
+  std::vector<sim::CpuCore*> cores_;
   Config config_;
 
   std::unordered_map<uint8_t, VmInfo> vms_;
-  std::unordered_map<tcp::SocketId, std::unique_ptr<Conn>> by_sid_;  // owner
-  std::unordered_map<udp::SocketId, std::unique_ptr<Conn>> by_usid_;  // owner (dgram)
   std::unordered_map<uint64_t, Conn*> by_vm_;
-  std::unique_ptr<Conn> pending_owner_;  // freshly built Conn awaiting indexing
   // kSend NQEs that arrived before their connection's accept-link NQE.
   std::unordered_map<uint64_t, std::vector<shm::Nqe>> orphan_sends_;
   std::vector<bool> drain_scheduled_;
@@ -263,16 +229,56 @@ class ServiceLib {
   uint64_t rx_copy_ships_ = 0;
   uint64_t dgram_zc_ships_ = 0;
   uint64_t dgram_copy_ships_ = 0;
+  uint64_t bytes_copied_ = 0;
   bool shutdown_ = false;
   bool wedged_ = false;
   SimTime heartbeat_period_ = 0;  // 0 = heartbeat not running
   sim::EventHandle heartbeat_timer_;
   uint64_t heartbeats_sent_ = 0;
-  // Liveness token captured by zero-copy free callbacks held inside TcpStack
-  // send buffers: the stack outlives this ServiceLib in the owning Nsm, so a
-  // callback firing during stack teardown must become a no-op.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  // Last, so it is destroyed first: callbacks a transport left inside its
+  // stacks must go dead before any driver state does.
+  std::unique_ptr<Transport> transport_;
 };
+
+// What differs between NSM kinds: how each request verb acts on connection
+// state and how payload moves. The driver has already applied the guard
+// prefilter and the eviction gate, and resolves per-socket verbs to the Conn
+// the transport linked.
+class ServiceLib::Transport {
+ public:
+  Transport() = default;
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
+  virtual ~Transport() = default;
+
+  virtual void Socket(const shm::Nqe& nqe) = 0;
+  virtual void SocketUdp(const shm::Nqe& nqe) = 0;
+  // kAccept: links the accepted connection op_data names to its guest handle
+  // (and replays the orphan sends that overtook the link).
+  virtual void AcceptLink(const shm::Nqe& nqe) = 0;
+  virtual void Bind(const shm::Nqe& nqe, Conn& c) = 0;
+  virtual void BindUdp(const shm::Nqe& nqe, Conn& c) = 0;
+  virtual void Listen(const shm::Nqe& nqe, Conn& c) = 0;
+  virtual void Connect(const shm::Nqe& nqe, Conn& c) = 0;
+  virtual void Send(const shm::Nqe& nqe, Conn& c) = 0;    // kSend, kSendZc
+  virtual void SendTo(const shm::Nqe& nqe, Conn& c) = 0;  // kSendTo, kSendToZc
+  virtual void Close(Conn& c) = 0;
+  // The guest returned receive credit on `c`: resume shipping to it.
+  virtual void ResumeRecv(Conn& c) = 0;
+  // Tears down the connections of VM `vm` (every VM for kAllVms), unlinking
+  // them; returns how many went.
+  virtual size_t DropConns(int vm) = 0;
+
+ protected:
+  ServiceLib* slib_ = nullptr;  // the driver that adopted this transport
+
+ private:
+  friend class ServiceLib;
+};
+
+// The driver as Nsm::shm_servicelib() returns it: non-null exactly for
+// pool-copy (shared-memory) NSMs.
+using ShmServiceLib = ServiceLib;
 
 }  // namespace netkernel::core
 

@@ -12,9 +12,9 @@
 // NqeValidator is the single audited choke point for that boundary. It is
 // invoked by CoreEngineShard at ring-consume time (PollVm, before routing).
 // Its admission tables read the op contract table (shm::kOpTraits in
-// src/shm/nqe.h), so they cannot drift from it. ServiceLib/ShmServiceLib
-// additionally apply the IsGuestToNsmOp() prefilter on their consume path
-// as defense in depth.
+// src/shm/nqe.h), so they cannot drift from it. ServiceLib, the
+// NSM-side driver of every NSM kind, additionally applies the
+// IsGuestToNsmOp() prefilter on its consume path as defense in depth.
 //
 // Checks, in order, per inbound guest NQE:
 //   identity   vm_id/queue_set must match the device+ring the NQE was

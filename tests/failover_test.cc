@@ -36,6 +36,39 @@ struct Topo {
   }
 };
 
+// Two colocated VMs on a shared-memory NSM: the pool-copy transport under
+// the same driver, heartbeat and failover machinery as the stack NSMs.
+struct ShmTopo {
+  sim::EventLoop loop;
+  netsim::Fabric fabric;
+  Host host;
+  Nsm* nsm = nullptr;
+  Vm* a = nullptr;
+  Vm* b = nullptr;
+
+  ShmTopo() : fabric(&loop), host(&loop, &fabric, "host") {
+    Host::ResetIpAllocator();
+    nsm = host.CreateNsm("shm", 2, NsmKind::kShm);
+    a = host.CreateNetkernelVm("a", 2, nsm);
+    b = host.CreateNetkernelVm("b", 2, nsm);
+  }
+};
+
+// Accepts one connection and reads it until EOF or error, then closes.
+sim::Task<void> StreamDrain(Vm* vm, uint16_t port) {
+  SocketApi& api = vm->api();
+  sim::CpuCore* cpu = vm->vcpu(vm->num_vcpus() - 1);
+  int lfd = co_await api.Socket(cpu);
+  if (0 != co_await api.Bind(cpu, lfd, 0, port)) co_return;
+  if (0 != co_await api.Listen(cpu, lfd, 4, false)) co_return;
+  int fd = co_await api.Accept(cpu, lfd);
+  std::vector<uint8_t> buf(64 * 1024);
+  while (fd >= 0 && co_await api.Recv(cpu, fd, buf.data(), buf.size()) > 0) {
+  }
+  if (fd >= 0) co_await api.Close(cpu, fd);
+  co_await api.Close(cpu, lfd);
+}
+
 // Sends forever until the socket errors or `*stop` is set; the outcome tells
 // apart a survivor, an errored FIN, and a silent stall (neither flag set).
 sim::Task<void> StreamPump(Vm* vm, netsim::IpAddr dst, uint16_t port,
@@ -300,6 +333,119 @@ TEST(Failover, ControllerDetectsWedgedNsmAndFailsOver) {
   EXPECT_EQ(fs.reconnects_required, 1u) << "host FIN count pairs with guest count";
   EXPECT_EQ(t.nk->pool()->bytes_in_use(), 0u);
   EXPECT_EQ(t.nk->pool()->allocs(), t.nk->pool()->frees());
+}
+
+// ---------------------------------------------------------------------------
+// Shared-memory NSMs: same heartbeat, standby and failover path
+// ---------------------------------------------------------------------------
+
+TEST(Failover, ShmNsmHeartbeatsReachCoreEngine) {
+  ShmTopo t;
+  t.host.StartFailoverController(Host::FailoverConfig());
+  t.loop.Run(t.loop.Now() + 5 * kMillisecond);
+  t.host.StopFailoverController();
+
+  EXPECT_GT(t.host.ce().NsmHeartbeats(t.nsm->id()), 100u);
+  EXPECT_GT(t.nsm->servicelib()->heartbeats_sent(), 100u);
+  EXPECT_EQ(t.host.failover_stats().heartbeat_misses, 0u);
+  EXPECT_EQ(t.host.failover_stats().nsm_failovers, 0u);
+}
+
+TEST(Failover, StandbyMustShareTheSickNsmsTransport) {
+  // A pool-copy NSM cannot carry a stack NSM's VMs (no vNIC, no stack) and
+  // vice versa: FailoverNsm refuses the mismatch like a missing standby.
+  Topo t;
+  Nsm* shm_spare = t.host_a.CreateNsm("shm_spare", 1, NsmKind::kShm);
+  t.host_a.SetStandbyNsm(shm_spare);
+  EXPECT_EQ(t.host_a.FailoverNsm(t.nsm), 0u);
+  EXPECT_EQ(t.nk->nsm(), t.nsm);
+
+  Nsm* shm_sick = t.host_a.CreateNsm("shm_sick", 1, NsmKind::kShm);
+  Nsm* kernel_spare = t.host_a.CreateNsm("kernel_spare", 1, NsmKind::kKernel);
+  t.host_a.SetStandbyNsm(kernel_spare);
+  EXPECT_EQ(t.host_a.FailoverNsm(shm_sick), 0u);
+  EXPECT_EQ(t.host_a.failover_stats().nsm_failovers, 0u);
+  EXPECT_EQ(t.host_a.standby_nsm(), kernel_spare) << "a refused failover keeps the standby";
+}
+
+TEST(Failover, ControllerFailsAWedgedShmNsmOverOntoAShmStandby) {
+  ShmTopo t;
+  sim::Spawn(StreamDrain(t.b, 9000));
+  t.loop.Run(t.loop.Now() + kMillisecond);  // listening before the connect
+  auto stop = std::make_shared<bool>(false);
+  bool errored = false, returned = false;
+  sim::Spawn(StreamPump(t.a, t.b->ip(), 9000, stop, &errored, &returned));
+
+  Nsm* spare = t.host.CreateNsm("spare", 2, NsmKind::kShm);
+  t.host.SetStandbyNsm(spare);
+  Host::FailoverConfig cfg;
+  t.host.StartFailoverController(cfg);
+  t.loop.Run(t.loop.Now() + 5 * kMillisecond);
+  EXPECT_EQ(t.host.failover_stats().nsm_failovers, 0u);
+  EXPECT_GT(t.nsm->servicelib()->bytes_copied(), 0u) << "the stream flows before the wedge";
+
+  t.nsm->servicelib()->Wedge();
+  t.loop.Run(t.loop.Now() + 5 * kMillisecond);
+  t.host.StopFailoverController();
+
+  const Host::FailoverStats& fs = t.host.failover_stats();
+  EXPECT_EQ(fs.nsm_failovers, 1u);
+  EXPECT_EQ(fs.wedged_detections, 1u) << "silent shm NSM with backlog must be flagged wedged";
+  EXPECT_EQ(fs.vms_rehomed, 2u);
+  EXPECT_EQ(t.a->nsm(), spare);
+  EXPECT_EQ(t.b->nsm(), spare);
+  EXPECT_LT(t.host.blackout_histogram().MaxValue(), 1000u);
+
+  *stop = true;
+  t.loop.Run(t.loop.Now() + 50 * kMillisecond);
+  EXPECT_TRUE(returned);
+  EXPECT_TRUE(errored) << "the sender's stream dies with the wedged NSM";
+  // Both ends of the colocated stream owe a reconnect (vmB's listener too),
+  // and the host's FIN count pairs with the guests' own counters.
+  EXPECT_EQ(t.a->guestlib()->reconnects_required(), 1u);
+  EXPECT_GE(t.b->guestlib()->reconnects_required(), 1u);
+  EXPECT_EQ(fs.reconnects_required, t.a->guestlib()->reconnects_required() +
+                                        t.b->guestlib()->reconnects_required());
+  for (Vm* vm : {t.a, t.b}) {
+    EXPECT_EQ(vm->pool()->bytes_in_use(), 0u) << vm->name();
+    EXPECT_EQ(vm->pool()->allocs(), vm->pool()->frees()) << vm->name();
+  }
+}
+
+TEST(Failover, UnquarantineAfterItsNsmDiedLeavesTheVmNsmLess) {
+  // The NSM dies with no standby while a VM sits in quarantine: unquarantine
+  // has nothing to re-attach to, so the VM comes back without an NSM and its
+  // new sockets fail (instead of the host aborting on a dead NSM id).
+  Topo t;
+  t.host_a.QuarantineVm(t.nk);
+  t.host_a.ce().DeregisterNsmDevice(t.nsm->id());
+  t.nsm->servicelib()->Shutdown();
+  t.host_a.UnquarantineVm(t.nk);
+  EXPECT_FALSE(t.nk->quarantined());
+  int fd = 0;
+  auto open = [&]() -> sim::Task<void> { fd = co_await t.nk->api().Socket(t.nk->vcpu(0)); };
+  sim::Spawn(open());
+  t.loop.Run(t.loop.Now() + kMillisecond);
+  EXPECT_LT(fd, 0);
+  EXPECT_EQ(t.nk->pool()->bytes_in_use(), 0u);
+}
+
+TEST(Failover, QuarantinedVmReHomesOntoTheStandbyWhenUnquarantined) {
+  // A failover while a VM is quarantined: its device is out of the switch,
+  // so it moves to the standby on paper and attaches there on unquarantine.
+  Topo t;
+  Nsm* spare = t.host_a.CreateNsm("spare", 2, NsmKind::kKernel);
+  t.host_a.SetStandbyNsm(spare);
+  t.host_a.QuarantineVm(t.nk);
+  EXPECT_EQ(t.host_a.FailoverNsm(t.nsm), 1u);
+  EXPECT_EQ(t.nk->nsm(), spare);
+  t.host_a.UnquarantineVm(t.nk);
+
+  sim::Spawn(DgramEcho(t.nk, 5353));
+  std::vector<SimTime> answered_at;
+  sim::Spawn(DgramPinger(t.peer, t.nk->ip(), 5353, 5, &answered_at));
+  t.loop.Run(t.loop.Now() + 10 * kMillisecond);
+  EXPECT_EQ(answered_at.size(), 5u) << "served by the standby under its original address";
 }
 
 TEST(Failover, MetricsAndFlightEventsAreEmitted) {

@@ -20,9 +20,17 @@
 //   * pool allocs() == frees(),
 //   * zc send credits pair with completions (exact when the NSM survived).
 //
+// A second topology runs two colocated VMs on a shared-memory NSM (the
+// pool-copy transport) under NSM death, wedges with the failover controller
+// and shared-memory standbys, quarantine/unquarantine mid-stream, queue-set
+// migrations and the tiny pending bound, and asserts the same conservation
+// for both VMs' pools.
+//
 // Determinism: pure DES + seeded Rng, so a failing seed replays exactly.
 // The failing seed is printed; replay one seed with NK_FAULTINJ_SEED=<n>,
-// change the count with NK_FAULTINJ_ITERS=<n>.
+// change the count with NK_FAULTINJ_ITERS=<n> (NK_FAULTINJ_SHM_ITERS=<n> for
+// the shared-memory topology, whose default 20 seeds are the tier-1 smoke
+// slice).
 
 #include <gtest/gtest.h>
 
@@ -130,6 +138,23 @@ sim::Task<void> ZcStreamSink(Vm* vm, uint16_t port, std::vector<int>* fds) {
     int64_t n = co_await api.RecvBuf(cpu, fd, &loan);
     if (n <= 0) break;
     if (0 != co_await api.ReleaseBuf(cpu, fd, loan)) break;
+  }
+}
+
+// Streams copied sends at `dst` until the byte budget or an error.
+sim::Task<void> CopyStreamSender(Vm* vm, netsim::IpAddr dst, uint16_t port, uint64_t budget,
+                                 std::vector<int>* fds) {
+  SocketApi& api = vm->api();
+  sim::CpuCore* cpu = vm->vcpu(0);
+  int fd = co_await api.Socket(cpu);
+  if (fd < 0) co_return;
+  fds->push_back(fd);
+  if (0 != co_await api.Connect(cpu, fd, dst, port)) co_return;
+  std::vector<uint8_t> msg(8192, 0x3c);
+  for (uint64_t sent = 0; sent < budget;) {
+    int64_t n = co_await api.Send(cpu, fd, msg.data(), msg.size());
+    if (n <= 0) break;
+    sent += static_cast<uint64_t>(n);
   }
 }
 
@@ -468,6 +493,224 @@ TEST(FaultInjection, ZcOwnershipConservesAcrossSeededChaos) {
               static_cast<unsigned long long>(total_failovers),
               static_cast<unsigned long long>(total_zc_sends),
               static_cast<unsigned long long>(total_dgram_zc));
+}
+
+// ---------------------------------------------------------------------------
+// Shared-memory NSM topology
+// ---------------------------------------------------------------------------
+
+struct ShmFaultPlan {
+  bool tiny_pending_bound = false;
+  bool kill_nsm = false;  // deregister + Shutdown the VMs' current NSM
+  SimTime kill_at = 0;
+  // The quarantined VM may see its NSM fail over (it re-homes on
+  // unquarantine) or die outright (it comes back NSM-less).
+  bool quarantine = false;
+  bool quarantine_a = false;  // else vmB
+  SimTime quarantine_at = 0;
+  SimTime unquarantine_at = 0;
+  std::vector<SimTime> migrate_at;
+  bool controller = false;  // failover controller with two shm standbys
+  std::vector<SimTime> wedge_at;
+};
+
+ShmFaultPlan MakeShmPlan(Rng& rng) {
+  ShmFaultPlan p;
+  p.tiny_pending_bound = rng.NextBool(0.3);
+  p.kill_nsm = rng.NextBool(0.3);
+  p.kill_at = (8 + rng.NextBounded(25)) * kMillisecond;
+  p.quarantine = rng.NextBool(0.5);
+  p.quarantine_a = rng.NextBool(0.5);
+  p.quarantine_at = (5 + rng.NextBounded(20)) * kMillisecond;
+  p.unquarantine_at = p.quarantine_at + (1 + rng.NextBounded(8)) * kMillisecond;
+  const uint64_t migrations = rng.NextBounded(3);
+  for (uint64_t i = 0; i < migrations; ++i) {
+    p.migrate_at.push_back((5 + rng.NextBounded(30)) * kMillisecond);
+  }
+  p.controller = rng.NextBool(0.5);
+  if (p.controller) {
+    const uint64_t wedges = rng.NextBounded(4);  // 0..3
+    for (uint64_t i = 0; i < wedges; ++i) {
+      p.wedge_at.push_back((8 + rng.NextBounded(25)) * kMillisecond);
+    }
+  }
+  return p;
+}
+
+struct ShmIterationResult {
+  std::string flight_tail;
+  bool disturbed = false;  // NSM killed/wedged, VM quarantined or ring chaos
+  bool controller_on = false;
+  bool nsm_killed = false;
+  bool nsm_wedged = false;
+  bool quarantined = false;
+  uint64_t failovers = 0;
+  uint64_t vms_rehomed = 0;
+  uint64_t bytes_copied = 0;
+  uint64_t pool_in_use[2] = {};
+  uint64_t pool_allocs[2] = {};
+  uint64_t pool_frees[2] = {};
+  uint64_t zc_sends = 0;
+  uint64_t zc_completions = 0;
+};
+
+ShmIterationResult RunShmIteration(uint64_t seed) {
+  Rng rng(seed);
+  ShmFaultPlan plan = MakeShmPlan(rng);
+
+  Host::ResetIpAllocator();
+  sim::EventLoop loop;
+  netsim::Fabric fabric(&loop);
+  Host::Options opts;
+  opts.ce.shards = 2;
+  if (plan.tiny_pending_bound) opts.ce.pending_bound = 8 + rng.NextBounded(8);
+  Host host(&loop, &fabric, "host", opts);
+  Nsm* nsm = host.CreateNsm("shm", 2, NsmKind::kShm);
+  Vm* a = host.CreateNetkernelVm("a", 2, nsm);
+  Vm* b = host.CreateNetkernelVm("b", 2, nsm);
+
+  std::vector<Nsm*> spares;
+  if (plan.controller) {
+    spares.push_back(host.CreateNsm("spare1", 2, NsmKind::kShm));
+    host.SetStandbyNsm(host.CreateNsm("spare0", 2, NsmKind::kShm));
+    host.StartFailoverController(Host::FailoverConfig());
+  }
+
+  // Zero-copy loans a -> b, copied sends b -> a; both ends read with loans.
+  auto fds_a = std::make_shared<std::vector<int>>();
+  auto fds_b = std::make_shared<std::vector<int>>();
+  sim::Spawn(ZcStreamSink(b, 9000, fds_b.get()));
+  sim::Spawn(ZcStreamSink(a, 9001, fds_a.get()));
+  sim::Spawn(ZcStreamSender(a, b->ip(), 9000, 32 * kMiB, fds_a.get()));
+  sim::Spawn(CopyStreamSender(b, a->ip(), 9001, 4 * kMiB, fds_b.get()));
+
+  ShmIterationResult res;
+  res.controller_on = plan.controller;
+  res.quarantined = plan.quarantine;
+  if (plan.kill_nsm) {
+    loop.Schedule(plan.kill_at, [&] {
+      Nsm* cur = a->nsm();
+      host.ce().DeregisterNsmDevice(cur->id());
+      cur->servicelib()->Shutdown();
+      res.nsm_killed = true;
+    });
+  }
+  if (plan.quarantine) {
+    Vm* victim = plan.quarantine_a ? a : b;
+    loop.Schedule(plan.quarantine_at, [&host, victim] { host.QuarantineVm(victim); });
+    loop.Schedule(plan.unquarantine_at, [&host, victim] { host.UnquarantineVm(victim); });
+  }
+  for (SimTime t : plan.migrate_at) {
+    loop.Schedule(t, [&, seed, t] {
+      Rng r2(seed ^ 0x5a17u ^ static_cast<uint64_t>(t));
+      Vm* vm = r2.NextBool(0.5) ? a : b;
+      host.ce().AssignQueueSetToShard(vm->id(), static_cast<uint8_t>(r2.NextBounded(2)),
+                                      static_cast<int>(r2.NextBounded(2)));
+    });
+  }
+  for (SimTime t : plan.wedge_at) {
+    loop.Schedule(t, [&] {
+      if (host.standby_nsm() == nullptr && !spares.empty()) {
+        host.SetStandbyNsm(spares.back());
+        spares.pop_back();
+      }
+      a->nsm()->servicelib()->Wedge();
+      res.nsm_wedged = true;
+    });
+  }
+
+  loop.Run(loop.Now() + 40 * kMillisecond);
+  if (plan.controller) {
+    host.StopFailoverController();
+    res.failovers = host.failover_stats().nsm_failovers;
+    res.vms_rehomed = host.failover_stats().vms_rehomed;
+    // Operator cleanup of a wedge that found no standby left (see the
+    // kernel topology above).
+    Nsm* cur = a->nsm();
+    if (cur->servicelib()->wedged()) {
+      host.ce().DeregisterNsmDevice(cur->id());
+      cur->servicelib()->Shutdown();
+    }
+  }
+  sim::Spawn(CloseAll(a, fds_a.get()));
+  sim::Spawn(CloseAll(b, fds_b.get()));
+  loop.Run(loop.Now() + 150 * kMillisecond);
+
+  res.disturbed = plan.tiny_pending_bound || res.nsm_killed || res.nsm_wedged || plan.quarantine;
+  res.bytes_copied = nsm->servicelib()->bytes_copied();
+  for (int i = 0; i < 2; ++i) {
+    shm::HugepagePool* pool = (i == 0 ? a : b)->pool();
+    res.pool_in_use[i] = pool->bytes_in_use();
+    res.pool_allocs[i] = pool->allocs();
+    res.pool_frees[i] = pool->frees();
+  }
+  res.zc_sends = a->guestlib()->zc_sends();
+  res.zc_completions = a->guestlib()->zc_completions();
+  res.flight_tail = host.DumpFlightRecorder(32);
+  return res;
+}
+
+TEST(FaultInjection, ShmNsmConservesAcrossSeededChaos) {
+  uint64_t iters = 20;
+  uint64_t only_seed = 0;
+  bool single = false;
+  if (const char* s = std::getenv("NK_FAULTINJ_SHM_ITERS")) iters = std::strtoull(s, nullptr, 0);
+  if (const char* s = std::getenv("NK_FAULTINJ_SEED")) {
+    only_seed = std::strtoull(s, nullptr, 0);
+    single = true;
+    iters = 1;
+  }
+  uint64_t kills = 0, wedges = 0, quarantines = 0, failovers = 0, copied = 0;
+  for (uint64_t i = 0; i < iters; ++i) {
+    const uint64_t seed = single ? only_seed : kBaseSeed + i;
+    SCOPED_TRACE(::testing::Message() << "replay with NK_FAULTINJ_SEED=" << seed);
+    const int parts_before = CurrentFailureParts();
+    ShmIterationResult r = RunShmIteration(seed);
+    kills += r.nsm_killed ? 1 : 0;
+    wedges += r.nsm_wedged ? 1 : 0;
+    quarantines += r.quarantined ? 1 : 0;
+    failovers += r.failovers;
+    copied += r.bytes_copied;
+
+    for (int v = 0; v < 2; ++v) {
+      const char* name = v == 0 ? "vmA" : "vmB";
+      EXPECT_EQ(r.pool_in_use[v], 0u) << name << " leaked chunks, seed " << seed;
+      EXPECT_EQ(r.pool_allocs[v], r.pool_frees[v])
+          << name << " alloc/free imbalance, seed " << seed;
+    }
+    // Every zc loan vmA sent is answered exactly once while its NSM serves
+    // undisturbed; teardowns and ring-full drops only ever lose answers.
+    if (!r.disturbed) {
+      EXPECT_EQ(r.zc_sends, r.zc_completions) << "zc credit imbalance, seed " << seed;
+    } else {
+      EXPECT_LE(r.zc_completions, r.zc_sends) << "phantom completions, seed " << seed;
+    }
+    if (r.controller_on && !r.nsm_wedged && !r.nsm_killed) {
+      EXPECT_EQ(r.failovers, 0u) << "spurious failover, seed " << seed;
+    }
+    // A failover moves both colocated VMs.
+    EXPECT_EQ(r.vms_rehomed, 2 * r.failovers) << "seed " << seed;
+
+    if (CurrentFailureParts() > parts_before) {
+      std::fprintf(stderr,
+                   "faultinj(shm): seed %llu FAILED; datapath flight-recorder tail:\n%s\n",
+                   static_cast<unsigned long long>(seed), r.flight_tail.c_str());
+    }
+  }
+  if (!single && iters >= 20) {
+    EXPECT_GT(copied, 0u);
+    EXPECT_GT(kills, 0u);
+    EXPECT_GT(wedges, 0u);
+    EXPECT_GT(quarantines, 0u);
+    EXPECT_GT(failovers, 0u) << "controller chaos never produced a failover";
+  }
+  std::printf("faultinj(shm): %llu iterations, %llu NSM kills, %llu wedge runs, "
+              "%llu quarantine runs, %llu failovers, %llu bytes copied\n",
+              static_cast<unsigned long long>(iters), static_cast<unsigned long long>(kills),
+              static_cast<unsigned long long>(wedges),
+              static_cast<unsigned long long>(quarantines),
+              static_cast<unsigned long long>(failovers),
+              static_cast<unsigned long long>(copied));
 }
 
 }  // namespace

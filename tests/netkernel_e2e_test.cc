@@ -264,6 +264,33 @@ TEST_F(NetkernelE2eTest, SwitchNsmOnTheFly) {
   EXPECT_EQ(kernel_nsm->stack()->stats().conns_established, kernel_conns);
 }
 
+TEST_F(NetkernelE2eTest, SwitchNsmOntoFairShareInstallsTheVmWindowGroup) {
+  // Every attach path (create, switch, failover re-home) wires the same
+  // per-NSM state: switching onto a FairShare NSM gives the VM its shared
+  // congestion window, and its new connections run under it.
+  Nsm* kernel_nsm = HostA().CreateNsm("kernel", 1, NsmKind::kKernel);
+  Nsm* fair_nsm = HostA().CreateNsm("fair", 1, NsmKind::kFairShare);
+  Vm* nk = HostA().CreateNetkernelVm("nk", 1, kernel_nsm);
+  Vm* base = HostB().CreateBaselineVm("base", 1);
+  EXPECT_EQ(fair_nsm->shared_window_group(nk->id()), nullptr);
+
+  HostA().SwitchNsm(nk, fair_nsm);
+  std::shared_ptr<tcp::SharedWindowGroup> group = fair_nsm->shared_window_group(nk->id());
+  ASSERT_NE(group, nullptr);
+  int handled = 0;
+  bool ok = false;
+  sim::Spawn(EchoNServer(base, 7000, 1, &handled));
+  sim::Spawn(OneEcho(nk, base->ip(), 7000, 128 * 1024, 8, &ok));
+  Run(3 * kSecond);
+  EXPECT_TRUE(ok);
+  EXPECT_GT(fair_nsm->stack()->stats().conns_established, 0u);
+  EXPECT_NE(group->cwnd(), tcp::SharedWindowGroup().cwnd()) << "the echo ran under the group";
+  // Switching back and forth keeps the one group rather than minting another.
+  HostA().SwitchNsm(nk, kernel_nsm);
+  HostA().SwitchNsm(nk, fair_nsm);
+  EXPECT_EQ(fair_nsm->shared_window_group(nk->id()), group);
+}
+
 TEST_F(NetkernelE2eTest, ManyVmsMultiplexOntoOneNsm) {
   // Use case 1 (§6.1): several VMs served by one NSM concurrently.
   Nsm* nsm = HostA().CreateNsm("nsm", 2, NsmKind::kKernel);

@@ -490,6 +490,48 @@ TEST_F(ObsHostTest, HostMetricsCoverEveryComponent) {
   EXPECT_NE(json.find("\"ce.shard0.nqes_switched\""), std::string::npos);
 }
 
+TEST_F(ObsHostTest, ShmNsmSharesTheDriversMetricsTraceAndFlightRecorder) {
+  // The shared-memory NSM rides the same ServiceLib driver as the stack
+  // NSMs: it registers the same svc.* counters, stamps T2/T3, and its flight
+  // recorder joins the merged dump through the same code.
+  Host& h = TheHost();
+  h.SetTraceSampling(1);
+  Nsm* nsm = h.CreateNsm("shm", 2, NsmKind::kShm);
+  Vm* server = h.CreateNetkernelVm("server", 1, nsm);
+  Vm* client = h.CreateNetkernelVm("client", 1, nsm);
+  h.StartFailoverController();
+  bool ok = false;
+  sim::Spawn(ObsEchoServer(server, 7000, 1));
+  sim::Spawn(ObsEchoClient(client, server->ip(), 7000, 64 * 1024, &ok));
+  Run(50 * kMillisecond);
+  h.StopFailoverController();
+  ASSERT_TRUE(ok);
+
+  MetricsRegistry reg;
+  h.BuildMetricsRegistry(&reg);
+  EXPECT_GT(reg.Value("nsm1.svc.nqes_processed"), 0.0);
+  EXPECT_EQ(reg.Value("nsm1.svc.nqes_processed"), double(nsm->servicelib()->nqes_processed()));
+  EXPECT_GT(reg.Value("nsm1.svc.heartbeats_sent"), 0.0);
+  EXPECT_GT(reg.Value("nsm1.svc.bytes_copied"), 0.0);
+  EXPECT_TRUE(reg.Has("nsm1.svc.flight_events"));
+  EXPECT_TRUE(reg.Has("nsm1.svc.guard_drops"));
+  EXPECT_FALSE(reg.Has("nsm1.tcp.segments_sent")) << "no stack behind a shm NSM";
+
+  // T2 (NSM dispatch) and T3 (completion enqueue) stamps: requests traced
+  // through the shm NSM complete their whole journey.
+  uint64_t served = 0;
+  for (uint8_t vm : h.tracer().TracedVms()) {
+    served += h.tracer().VmDelta(vm, TraceDelta::kStackService).Count();
+  }
+  EXPECT_GT(served, 0u);
+  EXPECT_GT(h.tracer().samples_completed(), 0u);
+
+  // Quarantine runs the driver's per-VM teardown, which the NSM's own
+  // recorder logs into the merged dump.
+  h.QuarantineVm(client);
+  EXPECT_NE(h.DumpFlightRecorder(64).find("nsm1.svc"), std::string::npos);
+}
+
 TEST_F(ObsHostTest, QueryVmStatWideSurvivesPast32Bits) {
   Host& h = TheHost();
   Nsm* nsm = h.CreateNsm("nsm", 1, NsmKind::kKernel);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/core/netkernel.h"
 
@@ -82,6 +84,14 @@ TEST_F(ShmNsmTest, EchoDataIntegrity) {
   EXPECT_TRUE(ok);
   // Every byte crossed the NSM twice (there and back).
   EXPECT_GE(nsm_->shm_servicelib()->bytes_copied(), 600000u);
+}
+
+TEST_F(ShmNsmTest, ShmServiceLibIsThePoolCopyNsmsDriver) {
+  // One driver for every NSM kind; the historical shared-memory name is
+  // non-null exactly for pool-copy NSMs and keeps its config defaults.
+  EXPECT_EQ(nsm_->shm_servicelib(), nsm_->servicelib());
+  EXPECT_EQ(host_.CreateNsm("kernel", 1, NsmKind::kKernel)->shm_servicelib(), nullptr);
+  EXPECT_EQ(core::ShmServiceLib::Config{}.rx_outstanding_cap, 1 * kMiB);
 }
 
 TEST_F(ShmNsmTest, ConnectBeforeListenRetries) {
@@ -218,6 +228,159 @@ TEST_F(ShmNsmTest, ThroughputBeatsTcpForLargeMessages) {
   Run(100 * kMillisecond);
   double shm_gbps = RateOf(shm_rx.bytes_received - b0, 100 * kMillisecond) / kGbps;
   EXPECT_GT(shm_gbps, 60.0);  // paper: ~100G with 2 NSM cores
+}
+
+// ---------------------------------------------------------------------------
+// The NQE driver on its own: a bare ServiceLib over the pool-copy transport on
+// a small device no CoreEngine drains. The test plays CoreEngine's part —
+// writing requests into the job/send rings and reading what comes back.
+// ---------------------------------------------------------------------------
+
+class ShmDriverTest : public ::testing::Test {
+ protected:
+  static constexpr uint8_t kA = 1;
+  static constexpr uint8_t kB = 2;
+  static constexpr netsim::IpAddr kIpB = 0x0a000002;
+
+  ShmDriverTest()
+      : ce_core_(&loop_, "ce"),
+        nsm_core_(&loop_, "nsm"),
+        ce_(&loop_, &ce_core_),
+        dev_("drv", 1, /*capacity=*/8),
+        pool_a_(kMiB),
+        pool_b_(kMiB),
+        slib_(&loop_, /*nsm_id=*/1, &ce_, &dev_, {&nsm_core_}, core::ServiceLib::PoolCopy(),
+              core::ServiceLib::Config{}) {
+    slib_.AttachVm(kA, &pool_a_, 0x0a000001);
+    slib_.AttachVm(kB, &pool_b_, kIpB);
+  }
+
+  shm::QueueSet& q() { return dev_.queue_set(0); }
+
+  // Hands `nqe` to the driver the way CoreEngine delivers it.
+  void Deliver(const shm::Nqe& nqe) {
+    shm::SpscRing<shm::Nqe>& ring = guard::IsSendRingOp(nqe.Op()) ? q().send : q().job;
+    ASSERT_TRUE(ring.TryEnqueue(nqe));
+    dev_.Wake();
+  }
+  void Run(SimTime d = kMillisecond) { loop_.Run(loop_.Now() + d); }
+
+  // Drains the completion ring; returns the op_data of the last completion
+  // of `op` (the NSM-side id a kOpResult or kAcceptedConn carries).
+  uint64_t DrainCompletions(shm::NqeOp op = shm::NqeOp::kInvalid) {
+    uint64_t last = 0;
+    shm::Nqe nqe;
+    while (q().completion.TryDequeue(&nqe)) {
+      if (nqe.Op() == op) last = nqe.op_data;
+    }
+    return last;
+  }
+
+  // vmA socket 1 connected to vmB's accepted socket 2 (listener: socket 1).
+  void Connect() {
+    Deliver(shm::MakeNqe(shm::NqeOp::kSocket, kB, 0, 1));
+    Deliver(shm::MakeNqe(shm::NqeOp::kBind, kB, 0, 1, shm::PackAddr(kIpB, 9000)));
+    Deliver(shm::MakeNqe(shm::NqeOp::kListen, kB, 0, 1, 16));
+    Deliver(shm::MakeNqe(shm::NqeOp::kSocket, kA, 0, 1));
+    Run();
+    DrainCompletions();
+    Deliver(shm::MakeNqe(shm::NqeOp::kConnect, kA, 0, 1, shm::PackAddr(kIpB, 9000)));
+    Run();
+    const uint64_t child = DrainCompletions(shm::NqeOp::kAcceptedConn);
+    ASSERT_NE(child, 0u);
+    Deliver(shm::MakeNqe(shm::NqeOp::kAccept, kB, 0, 2, child));
+    Run();
+    DrainCompletions();
+  }
+
+  // vmA sends `size` bytes on socket 1.
+  void SendFromA(uint32_t size) {
+    const uint64_t chunk = pool_a_.Alloc(size);
+    ASSERT_NE(chunk, shm::HugepagePool::kInvalidOffset);
+    Deliver(shm::MakeNqe(shm::NqeOp::kSend, kA, 0, 1, 0, chunk, size));
+  }
+
+  sim::EventLoop loop_;
+  sim::CpuCore ce_core_;
+  sim::CpuCore nsm_core_;
+  core::CoreEngine ce_;
+  shm::NkDevice dev_;
+  shm::HugepagePool pool_a_;
+  shm::HugepagePool pool_b_;
+  core::ServiceLib slib_;
+};
+
+TEST_F(ShmDriverTest, FullReceiveRingBreaksTheStreamWithoutStrandingChunks) {
+  // Nobody drains the receive ring: once it fills, a copied chunk cannot be
+  // shipped. The landing chunk must go back to the receiver's pool, the
+  // stream must break with an error FIN (retried until the ring has room),
+  // and the chunks still queued must not land in a broken stream.
+  Connect();
+  const size_t room = q().receive.capacity();
+  for (int i = 0; i < 12; ++i) {
+    SendFromA(100);
+    Run();
+    DrainCompletions();
+  }
+  Deliver(shm::MakeNqe(shm::NqeOp::kClose, kA, 0, 1));
+  Run();
+  DrainCompletions();
+
+  EXPECT_GT(slib_.nqes_dropped(), 0u);
+  EXPECT_EQ(pool_a_.bytes_in_use(), 0u) << "every sent chunk freed or copied";
+  ASSERT_EQ(q().receive.Size(), room);
+  // Every landing chunk still allocated is one a queued kRecvData owns.
+  std::vector<shm::Nqe> shipped;
+  shm::Nqe nqe;
+  while (q().receive.TryDequeue(&nqe)) shipped.push_back(nqe);
+  uint64_t shipped_bytes = 0;
+  for (const shm::Nqe& r : shipped) {
+    ASSERT_EQ(r.Op(), shm::NqeOp::kRecvData);
+    shipped_bytes += pool_b_.ChunkCapacity(r.data_ptr);
+    pool_b_.Free(r.data_ptr);  // the guest consumed it
+  }
+  EXPECT_EQ(pool_b_.bytes_in_use(), 0u) << "landing chunks stranded";
+  EXPECT_GT(shipped_bytes, 0u);
+
+  // With room again, the error FIN lands: exactly one, with an error status.
+  Run();
+  ASSERT_EQ(q().receive.Size(), 1u);
+  ASSERT_TRUE(q().receive.TryDequeue(&nqe));
+  EXPECT_EQ(nqe.Op(), shm::NqeOp::kFinReceived);
+  EXPECT_EQ(nqe.vm_id, kB);
+  EXPECT_EQ(nqe.vm_sock, 2u);
+  EXPECT_EQ(static_cast<int32_t>(nqe.size), tcp::kConnReset);
+  Run(10 * kMillisecond);
+  EXPECT_TRUE(q().receive.Empty());
+  EXPECT_EQ(pool_a_.allocs(), pool_a_.frees());
+  EXPECT_EQ(pool_b_.allocs(), pool_b_.frees());
+}
+
+TEST_F(ShmDriverTest, EvictionUnwindsABatchAlreadyChargedToTheNsmCore) {
+  // Quarantine lands while a batch holding a kSend and a kSocket of the
+  // evicted VM sits charged on the NSM core. When it runs, the send's chunk
+  // must return to the pool (not park as an orphan) and the socket must not
+  // be built or answered.
+  Deliver(shm::MakeNqe(shm::NqeOp::kSocket, kA, 0, 1));
+  Run();
+  DrainCompletions();
+  const uint64_t chunk = pool_a_.Alloc(128);
+  ASSERT_NE(chunk, shm::HugepagePool::kInvalidOffset);
+  ASSERT_TRUE(q().send.TryEnqueue(shm::MakeNqe(shm::NqeOp::kSend, kA, 0, 1, 0, chunk, 128)));
+  ASSERT_TRUE(q().job.TryEnqueue(shm::MakeNqe(shm::NqeOp::kSocket, kA, 0, 2)));
+  dev_.Wake();  // dequeued and charged, not yet dispatched
+  ASSERT_TRUE(q().send.Empty());
+  slib_.EvictVm(kA);
+  Run();
+  EXPECT_EQ(slib_.guard_drops(), 2u);
+  EXPECT_TRUE(q().completion.Empty()) << "no completion for the evicted VM's socket";
+  EXPECT_EQ(pool_a_.bytes_in_use(), 0u);
+
+  // Re-attached, the VM starts clean: nothing parked comes back to life.
+  slib_.AttachVm(kA, &pool_a_, 0x0a000001);
+  Run(100 * kMillisecond);
+  EXPECT_EQ(pool_a_.bytes_in_use(), 0u);
+  EXPECT_EQ(pool_a_.allocs(), pool_a_.frees());
 }
 
 }  // namespace

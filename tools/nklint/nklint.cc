@@ -22,7 +22,7 @@ namespace {
 // lint root. Fixture trees (tests/nklint_fixtures/*) mirror this layout.
 constexpr const char* kNqeHeader = "src/shm/nqe.h";
 constexpr const char* kGuestLib = "src/core/guestlib.cc";
-constexpr const char* kDispatchFiles[] = {"src/core/servicelib.cc", "src/core/shm_nsm.cc"};
+constexpr const char* kDispatchFile = "src/core/servicelib.cc";  // ServiceLib::Dispatch
 constexpr const char* kFlightHeader = "src/obs/flight_recorder.h";
 constexpr const char* kFlightNames = "src/obs/flight_recorder.cc";
 
@@ -322,13 +322,9 @@ std::vector<Diagnostic> Run(const std::string& root) {
     if (rows.empty()) {
       diags.push_back({nqe_h->rel, 1, "op-routing", "no kOpTraits rows found"});
     }
-    std::set<std::string> dispatch_cases;
-    for (const char* rel : kDispatchFiles) {
-      if (const SourceFile* f = file(rel)) {
-        const std::set<std::string> c = CaseLabelsOf(*f, "NqeOp");
-        dispatch_cases.insert(c.begin(), c.end());
-      }
-    }
+    const SourceFile* df = file(kDispatchFile);
+    const std::set<std::string> dispatch_cases =
+        df != nullptr ? CaseLabelsOf(*df, "NqeOp") : std::set<std::string>{};
     const SourceFile* gl = file(kGuestLib);
     const std::set<std::string> reap_cases =
         gl != nullptr ? CaseLabelsOf(*gl, "NqeOp") : std::set<std::string>{};
@@ -336,8 +332,7 @@ std::vector<Diagnostic> Run(const std::string& root) {
       if (op.to_nsm && dispatch_cases.count(op.name) == 0) {
         diags.push_back({nqe_h->rel, op.line, "op-routing",
                          op.name + " (guest->nsm) has no dispatch case in " +
-                             std::string(kDispatchFiles[0]) + " or " +
-                             std::string(kDispatchFiles[1])});
+                             std::string(kDispatchFile)});
       } else if (!op.to_nsm && reap_cases.count(op.name) == 0) {
         diags.push_back({nqe_h->rel, op.line, "op-routing",
                          op.name + " (nsm->guest) has no reap case in " + std::string(kGuestLib)});

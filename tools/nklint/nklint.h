@@ -9,10 +9,11 @@
 //
 // Checks:
 //   op-routing       every kOpTraits row riding a guest ring (job/send) has a
-//                    dispatch case in ServiceLib or ShmServiceLib; every row
-//                    riding a guest-facing ring (completion/receive) has a
-//                    reap case in GuestLib. Those switches end in `default:`,
-//                    so -Wswitch cannot flag a missing op.
+//                    dispatch case in ServiceLib's driver (the one NSM-side
+//                    switch, whatever the NSM's transport); every row riding
+//                    a guest-facing ring (completion/receive) has a reap case
+//                    in GuestLib. Those switches end in `default:`, so
+//                    -Wswitch cannot flag a missing op.
 //   stats-drift      every uint64_t field of a `// nklint: stats` struct is
 //                    registered under a dotted name in some Register* call
 //   flight-coverage  every FlightEventType has a name string and is emitted
