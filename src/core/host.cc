@@ -401,7 +401,7 @@ void Host::SwitchNsm(Vm* vm, Nsm* nsm) {
     // An alias address per vNIC-backed NSM keeps return traffic routable:
     // connections created while assigned to this NSM bind the alias, and the
     // fabric steers the alias to this NSM's vNIC.
-    AttachVm(vm, nsm, nsm->down_link_ != nullptr ? AllocIp() : vm->ip_);
+    AttachVm(vm, nsm, nsm->pool_copy() ? vm->ip_ : AllocIp());
   }
   vm->nsm_ = nsm;
 }
@@ -411,7 +411,7 @@ void Host::AttachVm(Vm* vm, Nsm* nsm, netsim::IpAddr ip) {
   nsm->slib_->AttachVm(vm_id, vm->pool_.get(), ip);
   // Packets for this address terminate at the NSM's vNIC (AddRoute
   // overwrites a previous NSM's route).
-  if (nsm->down_link_ != nullptr) fabric_->AddRoute(ip, nsm->down_link_);
+  if (!nsm->pool_copy()) fabric_->AddRoute(ip, nsm->down_link_);
   if (nsm->kind_ == NsmKind::kFairShare) {
     std::shared_ptr<tcp::SharedWindowGroup>& group = nsm->groups_[vm_id];
     if (group == nullptr) group = std::make_shared<tcp::SharedWindowGroup>();
@@ -487,8 +487,7 @@ size_t Host::FailoverNsm(Nsm* sick) {
   NK_CHECK(sick != nullptr);
   // Nowhere to re-home: no standby, or one whose transport cannot carry the
   // sick NSM's VMs (stack-backed vs pool-copy).
-  if (standby_ == nullptr || standby_ == sick ||
-      (standby_->stack_ == nullptr) != (sick->stack_ == nullptr)) {
+  if (standby_ == nullptr || standby_ == sick || standby_->pool_copy() != sick->pool_copy()) {
     return 0;
   }
   Nsm* to = standby_;

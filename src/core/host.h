@@ -42,10 +42,13 @@ class Nsm {
   NsmKind kind() const { return kind_; }
   tcp::TcpStack* stack() { return stack_.get(); }
   udp::UdpStack* udp_stack() { return udp_stack_.get(); }
+  // A pool-copy (shared-memory) NSM has no vNIC and no network stack: its
+  // driver copies between colocated VMs' pools.
+  bool pool_copy() const { return vnic_ == nullptr; }
   // The NSM's NQE driver; every NSM kind has one.
   ServiceLib* servicelib() { return slib_.get(); }
-  // The same driver, for pool-copy (shared-memory) NSMs only.
-  ShmServiceLib* shm_servicelib() { return kind_ == NsmKind::kShm ? slib_.get() : nullptr; }
+  // The same driver, for pool-copy NSMs only.
+  ShmServiceLib* shm_servicelib() { return pool_copy() ? slib_.get() : nullptr; }
   sim::CpuCore* vcpu(int i) { return cores_[i].get(); }
   int num_vcpus() const { return static_cast<int>(cores_.size()); }
   netsim::Link* down_link() { return down_link_; }

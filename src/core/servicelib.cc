@@ -199,7 +199,7 @@ void ServiceLib::ProcessQueueSet(int qs) {
         // it mid-batch): the NQEs were already pulled off the rings, so the
         // ring drain missed them — unwind their chunks instead of
         // dispatching against cleared connection state.
-        FreeNqeChunk(nqe);
+        DrainNqeChunk(nqe);
         continue;
       }
       nqe.reserved[2] = static_cast<uint8_t>(qs);  // processing queue set
@@ -234,7 +234,7 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
   const VmInfo* vm = FindVm(nqe.vm_id);
   if (vm != nullptr && vm->evicted) {
     ++guard_drops_;
-    FreeNqeChunk(nqe);
+    DrainNqeChunk(nqe);
     return;
   }
   switch (nqe.Op()) {
@@ -324,14 +324,18 @@ void ServiceLib::OnRecvCredit(uint8_t vm_id, uint32_t vm_sock, uint32_t bytes) {
   if (Conn* c = FindByVm(vm_id, vm_sock)) Credit(*c, bytes);
 }
 
-void ServiceLib::FreeNqeChunk(const Nqe& nqe) {
-  if (!guard::CarriesGuestChunk(nqe.Op())) return;
+bool ServiceLib::FreeNqeChunk(const Nqe& nqe) {
+  if (!guard::CarriesGuestChunk(nqe.Op())) return false;
   const VmInfo* vm = FindVm(nqe.vm_id);
-  if (vm != nullptr && vm->pool->IsAllocated(nqe.data_ptr)) {
-    vm->pool->Free(nqe.data_ptr);
-    recorder_.Record(obs::FlightEventType::kShutdownDrain, nqe.vm_id, nqe.queue_set,
-                     nqe.op, nqe.vm_sock, nqe.size);
-  }
+  if (vm == nullptr || !vm->pool->IsAllocated(nqe.data_ptr)) return false;
+  vm->pool->Free(nqe.data_ptr);
+  return true;
+}
+
+void ServiceLib::DrainNqeChunk(const Nqe& nqe) {
+  if (!FreeNqeChunk(nqe)) return;
+  recorder_.Record(obs::FlightEventType::kShutdownDrain, nqe.vm_id, nqe.queue_set, nqe.op,
+                   nqe.vm_sock, nqe.size);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +361,7 @@ void ServiceLib::Teardown(int vm) {
     const VmInfo* owner = FindVm(n.vm_id);
     if (owner != nullptr && owner->pool->IsAllocated(n.data_ptr)) owner->pool->Free(n.data_ptr);
   };
-  const auto free_request = [this](const Nqe& n) { FreeNqeChunk(n); };
+  const auto free_request = [this](const Nqe& n) { DrainNqeChunk(n); };
   Nqe nqe;
   for (int qs = 0; qs < dev_->num_queue_sets(); ++qs) {
     shm::QueueSet& q = dev_->queue_set(qs);
@@ -381,7 +385,7 @@ void ServiceLib::Teardown(int vm) {
   // 3. Orphan sends parked for an accept-link that will never arrive.
   for (auto it = orphan_sends_.begin(); it != orphan_sends_.end();) {
     if (vm == kAllVms || static_cast<uint8_t>(it->first >> 32) == vm) {
-      for (const Nqe& orphan : it->second) FreeNqeChunk(orphan);
+      for (const Nqe& orphan : it->second) DrainNqeChunk(orphan);
       it = orphan_sends_.erase(it);
     } else {
       ++it;

@@ -10,10 +10,10 @@
 // lifecycle-tracer stamps and the flight recorder.
 //
 // What differs between NSM kinds sits behind ServiceLib::Transport:
-//   StackBacked  the kernel, mTCP and FairShare NSMs: a TcpStack (plus an
-//                optional UdpStack) in the same space as ServiceLib (the
-//                kernel-space ServiceLib, or the per-core mTCP thread), so
-//                stack calls are direct function calls.
+//   StackBacked  the kernel, mTCP and FairShare NSMs: a TcpStack and a
+//                UdpStack in the same space as ServiceLib (the kernel-space
+//                ServiceLib, or the per-core mTCP thread), so stack calls are
+//                direct function calls.
 //   PoolCopy     the shared-memory NSM (§6.4): colocated VMs exchange data
 //                hugepage to hugepage with no network stack at all.
 //
@@ -63,8 +63,7 @@ class ServiceLib {
   };
 
   class Transport;
-  // The stack-backed transport. `udp_stack` may be null: SOCK_DGRAM NQEs then
-  // fail with an error result.
+  // The stack-backed transport: streams on `stack`, datagrams on `udp_stack`.
   static std::unique_ptr<Transport> StackBacked(tcp::TcpStack* stack, udp::UdpStack* udp_stack);
   // The pool-copy transport of the shared-memory NSM.
   static std::unique_ptr<Transport> PoolCopy();
@@ -202,8 +201,11 @@ class ServiceLib {
   void ScheduleHeartbeat();
   void Dispatch(const shm::Nqe& nqe);
   // Returns the payload chunk of a data-carrying guest request to its VM's
-  // pool (teardown and eviction unwinding).
-  void FreeNqeChunk(const shm::Nqe& nqe);
+  // pool; true if one was still allocated there.
+  bool FreeNqeChunk(const shm::Nqe& nqe);
+  // FreeNqeChunk for teardown and eviction unwinding, which the flight
+  // recorder logs as a shutdown drain.
+  void DrainNqeChunk(const shm::Nqe& nqe);
   // The per-VM teardown behind EvictVm and Shutdown (vm = kAllVms).
   void Teardown(int vm);
 

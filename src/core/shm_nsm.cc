@@ -44,6 +44,7 @@ class ServiceLib::PoolCopyTransport final : public ServiceLib::Transport {
   struct Endpoint : Conn {
     uint64_t ep_id = 0;
     uint64_t peer = 0;  // peer ep id (0 = none, or gone)
+    int32_t peer_err = 0;  // why the peer went (0 = closed), for the link-time FIN
     netsim::IpAddr bound_ip = 0;
     uint16_t bound_port = 0;
     bool listening = false;
@@ -162,7 +163,7 @@ void ServiceLib::PoolCopyTransport::AcceptLink(const Nqe& nqe) {
   slib_->ReplayOrphanSends(*child);
   if (child->peer == 0) {
     // The connecting side went away before the guest accepted.
-    slib_->DeliverFin(*child, 0);
+    slib_->DeliverFin(*child, child->peer_err);
     return;
   }
   PumpCopy(child->peer);  // the peer may have queued data
@@ -283,6 +284,7 @@ void ServiceLib::PoolCopyTransport::PeerGone(uint64_t ep_id, int32_t err) {
   Endpoint* ep = FindByEp(ep_id);
   if (ep == nullptr) return;
   ep->peer = 0;
+  ep->peer_err = err;
   if (ep->linked) slib_->DeliverFin(*ep, err);  // else: on the accept link
   PumpCopy(ep_id);
 }

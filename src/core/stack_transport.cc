@@ -8,6 +8,7 @@
 #include <deque>
 #include <functional>
 
+#include "src/common/check.h"
 #include "src/core/servicelib.h"
 
 namespace netkernel::core {
@@ -99,6 +100,7 @@ class ServiceLib::StackTransport final : public ServiceLib::Transport {
 
 std::unique_ptr<ServiceLib::Transport> ServiceLib::StackBacked(tcp::TcpStack* stack,
                                                                udp::UdpStack* udp_stack) {
+  NK_CHECK(stack != nullptr && udp_stack != nullptr);
   return std::make_unique<StackTransport>(stack, udp_stack);
 }
 
@@ -532,10 +534,6 @@ void ServiceLib::StackTransport::MaybeFinishClose(tcp::SocketId sid) {
 void ServiceLib::StackTransport::SocketUdp(const Nqe& nqe) {
   const VmInfo* vm = slib_->FindVm(nqe.vm_id);
   if (vm == nullptr) return;
-  if (udp_stack_ == nullptr) {
-    slib_->Respond(Requester(nqe), NqeOp::kOpResult, NqeOp::kSocketUdp, udp::kBadSocket);
-    return;
-  }
   udp::SocketId usid = udp_stack_->CreateSocket();
   // Datagrams of this VM use the VM's address; bind an ephemeral port now so
   // an unbound sendto already carries a routable source.
@@ -558,14 +556,14 @@ void ServiceLib::StackTransport::SocketUdp(const Nqe& nqe) {
 
 void ServiceLib::StackTransport::BindUdp(const Nqe& nqe, Conn& c) {
   const VmInfo* vm = slib_->FindVm(c.vm_id);
-  if (vm == nullptr || udp_stack_ == nullptr) return;
+  if (vm == nullptr) return;
   int r = udp_stack_->Bind(Of(c).usid, vm->ip, shm::AddrPort(nqe.op_data));
   slib_->Respond(c, NqeOp::kOpResult, NqeOp::kBindUdp, r);
 }
 
 void ServiceLib::StackTransport::SendTo(const Nqe& nqe, Conn& c) {
   const VmInfo* vm = slib_->FindVm(c.vm_id);
-  if (vm == nullptr || udp_stack_ == nullptr) return;
+  if (vm == nullptr) return;
   shm::HugepagePool* pool = vm->pool;
   udp::SocketId usid = Of(c).usid;
   uint64_t ptr = nqe.data_ptr;
@@ -623,7 +621,7 @@ void ServiceLib::StackTransport::SendTo(const Nqe& nqe, Conn& c) {
 
 void ServiceLib::StackTransport::ShipDgrams(udp::SocketId usid) {
   StackConn* c = FindByUsid(usid);
-  if (c == nullptr || c->ship_pending || udp_stack_ == nullptr) return;
+  if (c == nullptr || c->ship_pending) return;
   if (c->close_pending) {
     // Stop delivering to a closing guest socket; let the close complete.
     MaybeFinishCloseDgram(usid);
@@ -713,7 +711,7 @@ void ServiceLib::StackTransport::MaybeFinishCloseDgram(udp::SocketId usid) {
   if (c == nullptr || !c->close_pending) return;
   if (c->sends_in_flight > 0 || c->ship_pending) return;
   slib_->Unlink(*c);
-  if (udp_stack_ != nullptr) udp_stack_->Close(usid);
+  udp_stack_->Close(usid);
   by_usid_.erase(usid);
 }
 
@@ -762,7 +760,7 @@ size_t ServiceLib::StackTransport::DropConns(int vm) {
   for (udp::SocketId usid : usids) {
     StackConn* c = FindByUsid(usid);
     if (c == nullptr) continue;
-    if (udp_stack_ != nullptr) udp_stack_->Close(usid);
+    udp_stack_->Close(usid);
     slib_->Unlink(*c);
     by_usid_.erase(usid);
   }

@@ -28,9 +28,8 @@
 //
 // Determinism: pure DES + seeded Rng, so a failing seed replays exactly.
 // The failing seed is printed; replay one seed with NK_FAULTINJ_SEED=<n>,
-// change the count with NK_FAULTINJ_ITERS=<n> (NK_FAULTINJ_SHM_ITERS=<n> for
-// the shared-memory topology, whose default 20 seeds are the tier-1 smoke
-// slice).
+// change the count of either topology with NK_FAULTINJ_ITERS=<n> (defaults:
+// 200 kernel-NSM seeds, and 20 shared-memory seeds, the tier-1 smoke slice).
 
 #include <gtest/gtest.h>
 
@@ -654,7 +653,7 @@ TEST(FaultInjection, ShmNsmConservesAcrossSeededChaos) {
   uint64_t iters = 20;
   uint64_t only_seed = 0;
   bool single = false;
-  if (const char* s = std::getenv("NK_FAULTINJ_SHM_ITERS")) iters = std::strtoull(s, nullptr, 0);
+  if (const char* s = std::getenv("NK_FAULTINJ_ITERS")) iters = std::strtoull(s, nullptr, 0);
   if (const char* s = std::getenv("NK_FAULTINJ_SEED")) {
     only_seed = std::strtoull(s, nullptr, 0);
     single = true;

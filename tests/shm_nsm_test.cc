@@ -210,6 +210,8 @@ TEST_F(ShmNsmTest, DatagramSendToUnknownSocketReturnsItsChunk) {
     EXPECT_EQ(pool->bytes_in_use(), 0u);
     EXPECT_EQ(pool->frees(), pool->allocs());
   }
+  // An ordinary datagram loss, not a teardown: no shutdown-drain events.
+  EXPECT_EQ(nsm_->servicelib()->recorder().total_recorded(), 0u);
 }
 
 TEST_F(ShmNsmTest, ThroughputBeatsTcpForLargeMessages) {
@@ -276,8 +278,9 @@ class ShmDriverTest : public ::testing::Test {
     return last;
   }
 
-  // vmA socket 1 connected to vmB's accepted socket 2 (listener: socket 1).
-  void Connect() {
+  // vmA socket 1 connects to vmB's listener (socket 1). Returns the NSM id of
+  // the connection vmB is offered (0 if none), not yet accepted.
+  uint64_t ConnectUnaccepted() {
     Deliver(shm::MakeNqe(shm::NqeOp::kSocket, kB, 0, 1));
     Deliver(shm::MakeNqe(shm::NqeOp::kBind, kB, 0, 1, shm::PackAddr(kIpB, 9000)));
     Deliver(shm::MakeNqe(shm::NqeOp::kListen, kB, 0, 1, 16));
@@ -286,7 +289,12 @@ class ShmDriverTest : public ::testing::Test {
     DrainCompletions();
     Deliver(shm::MakeNqe(shm::NqeOp::kConnect, kA, 0, 1, shm::PackAddr(kIpB, 9000)));
     Run();
-    const uint64_t child = DrainCompletions(shm::NqeOp::kAcceptedConn);
+    return DrainCompletions(shm::NqeOp::kAcceptedConn);
+  }
+
+  // ...and vmB accepts it as socket 2.
+  void Connect() {
+    const uint64_t child = ConnectUnaccepted();
     ASSERT_NE(child, 0u);
     Deliver(shm::MakeNqe(shm::NqeOp::kAccept, kB, 0, 2, child));
     Run();
@@ -381,6 +389,24 @@ TEST_F(ShmDriverTest, EvictionUnwindsABatchAlreadyChargedToTheNsmCore) {
   Run(100 * kMillisecond);
   EXPECT_EQ(pool_a_.bytes_in_use(), 0u);
   EXPECT_EQ(pool_a_.allocs(), pool_a_.frees());
+}
+
+TEST_F(ShmDriverTest, PeerEvictedBeforeTheAcceptReachesTheGuestAsAReset) {
+  // vmA is quarantined while vmB still holds its connection un-accepted. The
+  // accept link must surface the reset, as the stack-backed transport does,
+  // not a clean EOF.
+  const uint64_t child = ConnectUnaccepted();
+  ASSERT_NE(child, 0u);
+  slib_.EvictVm(kA);
+  Deliver(shm::MakeNqe(shm::NqeOp::kAccept, kB, 0, 2, child));
+  Run();
+  shm::Nqe nqe;
+  ASSERT_TRUE(q().receive.TryDequeue(&nqe));
+  EXPECT_EQ(nqe.Op(), shm::NqeOp::kFinReceived);
+  EXPECT_EQ(nqe.vm_id, kB);
+  EXPECT_EQ(nqe.vm_sock, 2u);
+  EXPECT_EQ(static_cast<int32_t>(nqe.size), tcp::kConnReset);
+  EXPECT_TRUE(q().receive.Empty());
 }
 
 }  // namespace
