@@ -37,8 +37,12 @@ ShareResult RunShare(bool netkernel, int b_conns) {
   shared10g.queue_limit_bytes = 2 * kMiB;
   netsim::Link::Config fast;
 
-  core::Host host_a(&loop, &fabric, "A", {netkernel ? shared10g : fast, {}});
-  core::Host host_b(&loop, &fabric, "B", {netkernel ? fast : shared10g, {}});
+  core::Host::Options options_a;
+  options_a.port = netkernel ? shared10g : fast;
+  core::Host::Options options_b;
+  options_b.port = netkernel ? fast : shared10g;
+  core::Host host_a(&loop, &fabric, "A", options_a);
+  core::Host host_b(&loop, &fabric, "B", options_b);
 
   core::Vm *vm_a, *vm_b;
   if (netkernel) {

@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
                      "paper Fig 21 (caps enforced; VM3 work-conserving)");
   sim::EventLoop loop;
   netsim::Fabric fabric(&loop);
-  netsim::Link::Config nsm_port;  // the NSM's 10G VF
-  nsm_port.bandwidth = 10 * kGbps;
-  core::Host host_a(&loop, &fabric, "A", {nsm_port, {}});
-  core::Host host_b(&loop, &fabric, "B", {{}, {}});
+  core::Host::Options options_a;
+  options_a.port.bandwidth = 10 * kGbps;  // the NSM's 10G VF
+  core::Host host_a(&loop, &fabric, "A", options_a);
+  core::Host host_b(&loop, &fabric, "B");
 
   core::Nsm* nsm = host_a.CreateNsm("nsm", 1, core::NsmKind::kKernel);
   core::Vm* vm1 = host_a.CreateNetkernelVm("vm1", 1, nsm);
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   }
 
   // The switch's own view of the same run: per-VM service, policing, and
-  // loss accounting from CoreEngineStats::per_vm (nothing is eyeballed).
+  // loss accounting from CoreEngine::VmStats (nothing is eyeballed).
   std::printf("\nCoreEngine per-VM stats:\n");
   std::printf("%6s %12s %14s %12s %12s %12s\n", "VM", "switched", "bytes", "throttled",
               "deferred", "dropped");

@@ -15,9 +15,9 @@ using namespace netkernel;
 int main() {
   sim::EventLoop loop;
   netsim::Fabric fabric(&loop);
-  netsim::Link::Config port10g;
-  port10g.bandwidth = 10 * kGbps;
-  core::Host host(&loop, &fabric, "host", {port10g, {}});
+  core::Host::Options options;
+  options.port.bandwidth = 10 * kGbps;
+  core::Host host(&loop, &fabric, "host", options);
   core::Host peer_host(&loop, &fabric, "peer");
 
   core::Nsm* nsm = host.CreateNsm("fairshare", 2, core::NsmKind::kFairShare);

@@ -152,19 +152,6 @@ sim::Task<int> BaselineSocketApi::Accept(sim::CpuCore* core, int fd) {
   }
 }
 
-// Legacy copy shims: one gather/scatter element through the vectored path.
-sim::Task<int64_t> BaselineSocketApi::Send(sim::CpuCore* core, int fd, const uint8_t* data,
-                                           uint64_t len) {
-  NkConstIoVec iov{data, len};
-  co_return co_await Sendv(core, fd, &iov, 1);
-}
-
-sim::Task<int64_t> BaselineSocketApi::Recv(sim::CpuCore* core, int fd, uint8_t* out,
-                                           uint64_t max) {
-  NkIoVec iov{out, max};
-  co_return co_await Recvv(core, fd, &iov, 1);
-}
-
 sim::Task<int64_t> BaselineSocketApi::Sendv(sim::CpuCore* core, int fd, const NkConstIoVec* iov,
                                             int iovcnt) {
   const tcp::CostProfile& p = stack_->config().profile;

@@ -34,8 +34,6 @@ class BaselineSocketApi : public SocketApi {
   sim::Task<int> Listen(sim::CpuCore* core, int fd, int backlog, bool reuseport) override;
   sim::Task<int> Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, uint16_t port) override;
   sim::Task<int> Accept(sim::CpuCore* core, int fd) override;
-  sim::Task<int64_t> Send(sim::CpuCore* core, int fd, const uint8_t* data, uint64_t len) override;
-  sim::Task<int64_t> Recv(sim::CpuCore* core, int fd, uint8_t* out, uint64_t max) override;
   sim::Task<int> Close(sim::CpuCore* core, int fd) override;
 
   // Zero-copy loaning surface over a heap arena (API transparency: the same

@@ -3,6 +3,7 @@
 #include "src/core/coreengine.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/check.h"
 
@@ -61,7 +62,7 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
     case CeOp::kQueryVmStats: {
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t field = static_cast<uint8_t>(req.ce_data & 0xff);
-      if (field > static_cast<uint8_t>(VmStatField::kDeferred)) {
+      if (field >= std::size(kPerVmCounters)) {
         return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
       }
       uint64_t v = QueryVmStat(vm, static_cast<VmStatField>(field));
@@ -83,7 +84,7 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 16);
       uint8_t field = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t word = static_cast<uint8_t>(req.ce_data & 0xff);
-      if (field > static_cast<uint8_t>(VmStatField::kDeferred) || word > 1) {
+      if (field >= std::size(kPerVmCounters) || word > 1) {
         return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
       }
       uint64_t v = QueryVmStatRaw(vm, static_cast<VmStatField>(field));
@@ -187,59 +188,27 @@ bool CoreEngine::AssignQueueSetToShard(uint8_t vm_id, uint8_t qset, int shard) {
   return true;
 }
 
+namespace {
+
+uint64_t PerVmStats::*VmStatCounter(VmStatField field) {
+  const size_t row = static_cast<size_t>(field);
+  NK_CHECK(row < std::size(kPerVmCounters));
+  return kPerVmCounters[row].field;
+}
+
+}  // namespace
+
 uint64_t CoreEngine::QueryVmStat(uint8_t vm_id, VmStatField field) const {
-  PerVmStats s = VmStats(vm_id);
-  switch (field) {
-    case VmStatField::kSwitched:
-      return s.switched;
-    case VmStatField::kDropped:
-      return s.dropped;
-    case VmStatField::kThrottled:
-      return s.throttled;
-    case VmStatField::kBytesKiB:
-      return s.bytes >> 10;
-    case VmStatField::kDeferred:
-      return s.deferred;
-  }
-  return 0;
+  const uint64_t v = QueryVmStatRaw(vm_id, field);
+  return field == VmStatField::kBytesKiB ? v >> 10 : v;
 }
 
 uint64_t CoreEngine::QueryVmStatRaw(uint8_t vm_id, VmStatField field) const {
-  PerVmStats s = VmStats(vm_id);
-  switch (field) {
-    case VmStatField::kSwitched:
-      return s.switched;
-    case VmStatField::kDropped:
-      return s.dropped;
-    case VmStatField::kThrottled:
-      return s.throttled;
-    case VmStatField::kBytesKiB:
-      return s.bytes;  // raw bytes: the wide path has the range for it
-    case VmStatField::kDeferred:
-      return s.deferred;
-  }
-  return 0;
+  return VmStats(vm_id).*VmStatCounter(field);
 }
 
 void CoreEngine::AddVmStatForTest(uint8_t vm_id, VmStatField field, uint64_t delta) {
-  PerVmStats& pv = shards_[0]->stats_.per_vm[vm_id];
-  switch (field) {
-    case VmStatField::kSwitched:
-      pv.switched += delta;
-      break;
-    case VmStatField::kDropped:
-      pv.dropped += delta;
-      break;
-    case VmStatField::kThrottled:
-      pv.throttled += delta;
-      break;
-    case VmStatField::kBytesKiB:
-      pv.bytes += delta;
-      break;
-    case VmStatField::kDeferred:
-      pv.deferred += delta;
-      break;
-  }
+  shards_[0]->per_vm_[vm_id].*VmStatCounter(field) += delta;
 }
 
 std::vector<const obs::FlightRecorder*> CoreEngine::FlightRecorders() const {
@@ -345,39 +314,15 @@ uint64_t CoreEngine::NsmBacklog(uint8_t nsm_id) const {
 
 CoreEngineStats CoreEngine::stats() const {
   CoreEngineStats agg;
-  for (const auto& s : shards_) {
-    const CoreEngineStats& st = s->stats_;
-    agg.nqes_switched += st.nqes_switched;
-    agg.rounds += st.rounds;
-    agg.table_inserts += st.table_inserts;
-    agg.throttled_nqes += st.throttled_nqes;
-    agg.send_bytes_switched += st.send_bytes_switched;
-    agg.dgram_nqes_switched += st.dgram_nqes_switched;
-    agg.nqes_dropped += st.nqes_dropped;
-    agg.deliveries_deferred += st.deliveries_deferred;
-    agg.qset_migrations += st.qset_migrations;
-    for (const auto& [vm, pv] : st.per_vm) {
-      PerVmStats& a = agg.per_vm[vm];
-      a.switched += pv.switched;
-      a.dropped += pv.dropped;
-      a.throttled += pv.throttled;
-      a.bytes += pv.bytes;
-      a.deferred += pv.deferred;
-    }
-  }
+  for (const auto& s : shards_) AddCounters(kCoreEngineCounters, s->stats_, &agg);
   return agg;
 }
 
 PerVmStats CoreEngine::VmStats(uint8_t vm_id) const {
   PerVmStats out;
   for (const auto& s : shards_) {
-    auto it = s->stats_.per_vm.find(vm_id);
-    if (it == s->stats_.per_vm.end()) continue;
-    out.switched += it->second.switched;
-    out.dropped += it->second.dropped;
-    out.throttled += it->second.throttled;
-    out.bytes += it->second.bytes;
-    out.deferred += it->second.deferred;
+    auto it = s->per_vm_.find(vm_id);
+    if (it != s->per_vm_.end()) AddCounters(kPerVmCounters, it->second, &out);
   }
   return out;
 }
@@ -459,8 +404,7 @@ size_t CoreEngine::DrainParked(shm::NkDevice* dev, std::vector<shm::NkDevice*>& 
       ++idle;
       continue;
     }
-    uint32_t w = VmWeightOrDefault(vm);
-    if (w < 1) w = 1;
+    const uint32_t w = VmWeightOrDefault(vm);
     if (pc.spent >= w) {  // this visit's weighted quantum is spent
       pc.shard = (pc.shard + 1) % n;
       pc.spent = 0;
@@ -475,7 +419,7 @@ size_t CoreEngine::DrainParked(shm::NkDevice* dev, std::vector<shm::NkDevice*>& 
 }
 
 void CoreEngine::MaybeRebalance(CoreEngineShard* victim) {
-  if (!config_.work_stealing || shards_.size() < 2) return;
+  if (shards_.size() < 2) return;
   ++victim->rounds_since_rebalance_;
   if (victim->rounds_since_rebalance_ < config_.steal_cooldown_rounds) return;
   if (victim->VmBacklog() < config_.steal_backlog) return;
@@ -855,7 +799,7 @@ bool CoreEngineShard::GuardAdmit(Nqe* nqe, shm::SpscRing<Nqe>* ring, bool from_s
     }
   }
   ++stats_.nqes_dropped;
-  ++stats_.per_vm[vm_id].dropped;
+  ++per_vm_[vm_id].dropped;
   if (tripped) {
     recorder_.Record(obs::FlightEventType::kVmQuarantined, vm_id, qset, nqe->op, 0,
                      validator.VmStats(vm_id).rejects);
@@ -883,7 +827,7 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
     SimTime t = reg->op_bucket.NextAvailable(now, 1.0);
     if (*retry_at == kSimTimeNever || t < *retry_at) *retry_at = t;
     ++stats_.throttled_nqes;
-    ++stats_.per_vm[nqe.vm_id].throttled;
+    ++per_vm_[nqe.vm_id].throttled;
     return false;
   }
   if (from_send_ring && nqe.size > 0 &&
@@ -891,7 +835,7 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
     SimTime t = reg->byte_bucket.NextAvailable(now, static_cast<double>(nqe.size));
     if (*retry_at == kSimTimeNever || t < *retry_at) *retry_at = t;
     ++stats_.throttled_nqes;
-    ++stats_.per_vm[nqe.vm_id].throttled;
+    ++per_vm_[nqe.vm_id].throttled;
     // The op-bucket token is intentionally kept: conservative policing.
     return false;
   }
@@ -1035,9 +979,7 @@ CoreEngineShard::DgramRoute CoreEngineShard::RouteDgramNqe(const Nqe& nqe,
   return DgramRoute::kClaimed;
 }
 
-bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, uint8_t nsm_id, std::vector<Delivery>& plan,
-                                  Cycles& cost) {
-  (void)nsm_id;
+bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, std::vector<Delivery>& plan, Cycles& cost) {
   guard::NqeValidator& validator = engine_->validator_;
   if (validator.enabled() && !validator.ValidateNsmNqe(nqe)) {
     // Defense in depth on the NSM side of the boundary: an op byte that is
@@ -1051,7 +993,7 @@ bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, uint8_t nsm_id, std::vector<De
   if (reg == nullptr || reg->dev == nullptr) {
     // VM gone: nothing to deliver to, but the loss must still be visible.
     ++stats_.nqes_dropped;
-    ++stats_.per_vm[nqe.vm_id].dropped;
+    ++per_vm_[nqe.vm_id].dropped;
     return true;  // consume it
   }
   // Backpressure toward the NSM: the VM device's pending queue is at the
@@ -1125,7 +1067,7 @@ bool CoreEngineShard::BuildErrorCompletion(const Nqe& orig, Delivery* out) {
 
 bool CoreEngineShard::FailVmNqe(const Nqe& orig, std::vector<Delivery>& plan) {
   ++stats_.nqes_dropped;
-  ++stats_.per_vm[orig.vm_id].dropped;
+  ++per_vm_[orig.vm_id].dropped;
   recorder_.Record(obs::FlightEventType::kErrorCompletion, orig.vm_id, orig.queue_set,
                    orig.op, orig.vm_sock,
                    static_cast<uint64_t>(static_cast<uint32_t>(kCeNetUnreach)));
@@ -1159,8 +1101,7 @@ void CoreEngineShard::ProcessRound() {
   SimTime retry_at = kSimTimeNever;
   uint64_t total = 0;
   const int batch = config.batch;
-  const uint64_t base_quantum =
-      static_cast<uint64_t>(config.quantum > 0 ? config.quantum : config.batch);
+  const uint64_t base_quantum = static_cast<uint64_t>(batch);
   Nqe nqe;
 
   // Poll the owned VM queue sets with weighted deficit round robin (fair
@@ -1228,12 +1169,12 @@ void CoreEngineShard::ProcessRound() {
       shm::QueueSet& q = dev->queue_set(qsi);
       int n = 0;
       while (n < batch && q.completion.Peek(&nqe)) {
-        if (!RouteNsmNqe(nqe, nsm_id, plan, cost)) break;
+        if (!RouteNsmNqe(nqe, plan, cost)) break;
         q.completion.TryDequeue(&nqe);
         ++n;
       }
       while (n < 2 * batch && q.receive.Peek(&nqe)) {
-        if (!RouteNsmNqe(nqe, nsm_id, plan, cost)) break;
+        if (!RouteNsmNqe(nqe, plan, cost)) break;
         q.receive.TryDequeue(&nqe);
         ++n;
       }
@@ -1289,7 +1230,7 @@ void CoreEngineShard::ProcessRound() {
 
 bool CoreEngineShard::TryDeliver(const Delivery& d, std::vector<shm::NkDevice*>& to_wake) {
   if (!d.dst->queue_set(d.qset).ring(d.ring).TryEnqueue(d.nqe)) return false;
-  PerVmStats& pv = stats_.per_vm[d.nqe.vm_id];
+  PerVmStats& pv = per_vm_[d.nqe.vm_id];
   ++pv.switched;
   // Only chunk-carrying ops count as payload: kFinReceived also rides the
   // receive ring but encodes a negative errno in `size`, which would add
@@ -1304,7 +1245,7 @@ bool CoreEngineShard::TryDeliver(const Delivery& d, std::vector<shm::NkDevice*>&
 
 void CoreEngineShard::DropDelivery(const Delivery& d, std::vector<Delivery>& errors) {
   ++stats_.nqes_dropped;
-  ++stats_.per_vm[d.nqe.vm_id].dropped;
+  ++per_vm_[d.nqe.vm_id].dropped;
   recorder_.Record(obs::FlightEventType::kDrop, d.nqe.vm_id, d.nqe.queue_set, d.nqe.op,
                    d.nqe.vm_sock, d.toward_vm ? 1 : 0);
   if (d.toward_vm) return;  // nothing to unwind guest-side from here
@@ -1323,14 +1264,9 @@ void CoreEngineShard::ParkOrDrop(const Delivery& d, std::vector<Delivery>& error
   dq.push_back(d);
   ++parked_total_;
   ++stats_.deliveries_deferred;
-  ++stats_.per_vm[d.nqe.vm_id].deferred;
+  ++per_vm_[d.nqe.vm_id].deferred;
   recorder_.Record(obs::FlightEventType::kPark, d.nqe.vm_id, d.nqe.queue_set, d.nqe.op,
                    d.nqe.vm_sock, dq.size());
-}
-
-bool CoreEngineShard::HasParkedFor(shm::NkDevice* dev) const {
-  auto it = parked_.find(dev);
-  return it != parked_.end() && !it->second.empty();
 }
 
 bool CoreEngineShard::PeekParkedVm(shm::NkDevice* dev, uint8_t* vm_id) const {
@@ -1404,7 +1340,7 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
     parked_[e.dst].push_back(e);
     ++parked_total_;
     ++stats_.deliveries_deferred;
-    ++stats_.per_vm[e.nqe.vm_id].deferred;
+    ++per_vm_[e.nqe.vm_id].deferred;
     recorder_.Record(obs::FlightEventType::kDeferredDelivery, e.nqe.vm_id,
                      e.nqe.queue_set, e.nqe.op, e.nqe.vm_sock);
   }

@@ -54,6 +54,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/counters.h"
 #include "src/common/token_bucket.h"
 #include "src/guard/nqe_validator.h"
 #include "src/obs/flight_recorder.h"
@@ -98,8 +99,9 @@ constexpr uint64_t WideVmStat(uint32_t lo, uint32_t hi) {
   return (static_cast<uint64_t>(hi) << 32) | lo;
 }
 
-// Selector for kQueryVmStats. Bytes are reported in KiB so the 32-bit
-// response field covers ~4 TiB before saturating.
+// Selector for kQueryVmStats: the row of kPerVmCounters to read, so the
+// enumerators follow PerVmStats' field order. Bytes are reported in KiB so
+// the 32-bit response field covers ~4 TiB before saturating.
 enum class VmStatField : uint8_t {
   kSwitched = 0,
   kDropped = 1,
@@ -120,10 +122,10 @@ static_assert(sizeof(CeMessage) == 8, "control messages are 8 bytes (paper §5)"
 constexpr int32_t kCeNetUnreach = -101;
 
 struct CoreEngineConfig {
-  int batch = 16;  // NQEs drained per NSM ring per polling round
-  // DRR quantum: NQEs a weight-1 VM may switch per round. 0 means "use
-  // batch", so tuning batch (the ablation knob) scales both sides.
-  int quantum = 0;
+  // NQEs drained per NSM ring per polling round, and the DRR quantum (NQEs a
+  // weight-1 VM may switch per round), so tuning batch (the ablation knob)
+  // scales both sides.
+  int batch = 16;
   // Deliveries parked per destination device (per shard) before backpressure
   // reaches the source rings (routing defers, NQEs stay queued guest-side).
   // Deliveries already planned when the bound trips are dropped with error
@@ -133,11 +135,10 @@ struct CoreEngineConfig {
   // its CE core pool; when constructing CoreEngine directly, the number of
   // cores passed to the constructor wins.
   int shards = 1;
-  // Work-stealing rebalance: at a round boundary, a shard whose owned VM
-  // queue sets hold >= steal_backlog queued NQEs sheds its most backlogged
-  // queue set to a shard with no VM backlog at all. steal_cooldown_rounds
-  // throttles how often one shard may shed.
-  bool work_stealing = true;
+  // Work-stealing rebalance (with 2 or more shards): at a round boundary, a
+  // shard whose owned VM queue sets hold >= steal_backlog queued NQEs sheds
+  // its most backlogged queue set to a shard with no VM backlog at all.
+  // steal_cooldown_rounds throttles how often one shard may shed.
   uint64_t steal_backlog = 64;
   uint64_t steal_cooldown_rounds = 8;
   // nkguard: adversarial-guest NQE validation at ring-consume time (see
@@ -150,7 +151,6 @@ struct CoreEngineConfig {
 // Per-VM slice of the switch's work, keyed by VM id. `switched` counts NQEs
 // actually delivered into a destination ring (both directions), so fairness
 // tests can assert shares of real service rather than of polling attempts.
-// nklint: stats
 struct PerVmStats {
   uint64_t switched = 0;   // NQEs delivered (VM->NSM and NSM->VM)
   uint64_t dropped = 0;    // NQEs dropped (no route, or pending bound hit)
@@ -159,7 +159,28 @@ struct PerVmStats {
   uint64_t deferred = 0;   // deliveries parked on a full destination ring
 };
 
-// nklint: stats
+// Exported as ce.vm<id>.<name>. VmStatField indexes these rows.
+inline constexpr CounterRow<PerVmStats> kPerVmCounters[] = {
+    {"switched", &PerVmStats::switched},
+    {"dropped", &PerVmStats::dropped},
+    {"throttled", &PerVmStats::throttled},
+    {"bytes", &PerVmStats::bytes},
+    {"deferred", &PerVmStats::deferred},
+};
+static_assert(CoversEveryField(kPerVmCounters),
+              "kPerVmCounters must name every PerVmStats field exactly once");
+static_assert(kPerVmCounters[static_cast<size_t>(VmStatField::kSwitched)].field ==
+                      &PerVmStats::switched &&
+                  kPerVmCounters[static_cast<size_t>(VmStatField::kDropped)].field ==
+                      &PerVmStats::dropped &&
+                  kPerVmCounters[static_cast<size_t>(VmStatField::kThrottled)].field ==
+                      &PerVmStats::throttled &&
+                  kPerVmCounters[static_cast<size_t>(VmStatField::kBytesKiB)].field ==
+                      &PerVmStats::bytes &&
+                  kPerVmCounters[static_cast<size_t>(VmStatField::kDeferred)].field ==
+                      &PerVmStats::deferred,
+              "VmStatField must follow kPerVmCounters' row order");
+
 struct CoreEngineStats {
   uint64_t nqes_switched = 0;
   uint64_t rounds = 0;
@@ -170,8 +191,23 @@ struct CoreEngineStats {
   uint64_t nqes_dropped = 0;         // every drop, anywhere in the switch
   uint64_t deliveries_deferred = 0;  // parked on a full destination ring
   uint64_t qset_migrations = 0;      // queue sets handed off between shards
-  std::unordered_map<uint8_t, PerVmStats> per_vm;
 };
+
+// Exported per shard as ce.shard<i>.<name>.
+inline constexpr CounterRow<CoreEngineStats> kCoreEngineCounters[] = {
+    {"nqes_switched", &CoreEngineStats::nqes_switched, "NQEs delivered by this shard"},
+    {"rounds", &CoreEngineStats::rounds, "polling rounds executed"},
+    {"table_inserts", &CoreEngineStats::table_inserts},
+    {"throttled_nqes", &CoreEngineStats::throttled_nqes, "NQEs deferred by per-VM token buckets"},
+    {"send_bytes_switched", &CoreEngineStats::send_bytes_switched},
+    {"dgram_nqes_switched", &CoreEngineStats::dgram_nqes_switched},
+    {"nqes_dropped", &CoreEngineStats::nqes_dropped, "NQEs dropped anywhere in the switch"},
+    {"deliveries_deferred", &CoreEngineStats::deliveries_deferred,
+     "deliveries parked on a full destination ring"},
+    {"qset_migrations", &CoreEngineStats::qset_migrations, "queue sets handed off between shards"},
+};
+static_assert(CoversEveryField(kCoreEngineCounters),
+              "kCoreEngineCounters must name every CoreEngineStats field exactly once");
 
 class CoreEngine;
 
@@ -273,8 +309,7 @@ class CoreEngineShard {
                            std::vector<Delivery>& plan, Cycles& cost);
   // Routes one NSM->VM NQE; returns false if it must stay queued (the VM
   // device's pending queue is at the bound — backpressure toward the NSM).
-  bool RouteNsmNqe(const shm::Nqe& nqe, uint8_t nsm_id, std::vector<Delivery>& plan,
-                   Cycles& cost);
+  bool RouteNsmNqe(const shm::Nqe& nqe, std::vector<Delivery>& plan, Cycles& cost);
 
   // Picks the NSM queue set for a new socket: prefer a queue set of that NSM
   // owned by *this* shard, so the response path stays single-writer; fall
@@ -307,7 +342,6 @@ class CoreEngineShard {
   void ParkOrDrop(const Delivery& d, std::vector<Delivery>& errors);
   void DropDelivery(const Delivery& d, std::vector<Delivery>& errors);
   // Facade hooks for the cross-shard weighted park drain.
-  bool HasParkedFor(shm::NkDevice* dev) const;
   bool PeekParkedVm(shm::NkDevice* dev, uint8_t* vm_id) const;
   bool TryDeliverParkedFront(shm::NkDevice* dev, std::vector<shm::NkDevice*>& to_wake);
   // Discards parked deliveries destined for a deregistering device.
@@ -350,6 +384,7 @@ class CoreEngineShard {
   };
   std::vector<PendingHandoff> pending_handoffs_;
   CoreEngineStats stats_;
+  std::unordered_map<uint8_t, PerVmStats> per_vm_;  // CoreEngine::VmStats sums the shards
   obs::FlightRecorder recorder_;
 };
 

@@ -231,13 +231,6 @@ sim::Task<int> GuestLib::Accept(sim::CpuCore* core, int fd) {
   }
 }
 
-// Legacy copy shim: one gather element through the vectored path.
-sim::Task<int64_t> GuestLib::Send(sim::CpuCore* core, int fd, const uint8_t* data,
-                                  uint64_t len) {
-  NkConstIoVec iov{data, len};
-  co_return co_await Sendv(core, fd, &iov, 1);
-}
-
 sim::Task<int64_t> GuestLib::Sendv(sim::CpuCore* core, int fd, const NkConstIoVec* iov,
                                    int iovcnt) {
   co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
@@ -607,12 +600,6 @@ sim::Task<int64_t> GuestLib::RecvFromBuf(sim::CpuCore* core, int fd, NkBuf* out,
   }
 }
 
-// Legacy copy shim: one scatter element through the vectored path.
-sim::Task<int64_t> GuestLib::Recv(sim::CpuCore* core, int fd, uint8_t* out, uint64_t max) {
-  NkIoVec iov{out, max};
-  co_return co_await Recvv(core, fd, &iov, 1);
-}
-
 sim::Task<int64_t> GuestLib::Recvv(sim::CpuCore* core, int fd, const NkIoVec* iov,
                                    int iovcnt) {
   co_await core->Work(config_.syscall);
@@ -763,13 +750,10 @@ void GuestLib::ProcessInbound(int qs) {
 }
 
 void GuestLib::ApplyInbound(const Nqe& nqe) {
-  if (nqe.Op() == NqeOp::kNsmRehomed) {
-    // Per-VM notification (vm_sock = 0): handled before the socket lookup.
-    OnNsmRehomed(static_cast<uint8_t>(nqe.op_data));
-    return;
-  }
-  GSock* g = FindByHandle(nqe.vm_sock);
-  if (g == nullptr) {
+  // kNsmRehomed is a per-VM notification (vm_sock = 0): it names no socket.
+  const bool per_vm = nqe.Op() == NqeOp::kNsmRehomed;
+  GSock* g = per_vm ? nullptr : FindByHandle(nqe.vm_sock);
+  if (g == nullptr && !per_vm) {
     // Socket already closed; free any referenced hugepage chunk. A datagram
     // NQE always references a chunk — even a zero-length datagram rides in a
     // minimal allocation.
@@ -882,14 +866,26 @@ void GuestLib::ApplyInbound(const Nqe& nqe) {
       }
       break;
     case NqeOp::kNsmRehomed:
-      // Normally consumed above before the socket lookup (vm_sock = 0); kept
-      // as a routed case so a handle collision still applies it.
       OnNsmRehomed(static_cast<uint8_t>(nqe.op_data));
-      break;
-    default:
-      // Request-direction ops and non-op bytes never get past CoreEngine's
-      // NSM-direction check (guard::IsNsmToGuestOp); with the guard off, a
-      // buggy or hostile NSM-side writer is ignored, not UB.
+      return;  // no socket to wake
+    case NqeOp::kInvalid:
+    case NqeOp::kSocket:
+    case NqeOp::kBind:
+    case NqeOp::kListen:
+    case NqeOp::kConnect:
+    case NqeOp::kAccept:
+    case NqeOp::kClose:
+    case NqeOp::kSend:
+    case NqeOp::kSocketUdp:
+    case NqeOp::kBindUdp:
+    case NqeOp::kSendTo:
+    case NqeOp::kRecvFrom:
+    case NqeOp::kSendZc:
+    case NqeOp::kSendToZc:
+      // Request-direction ops (like non-op bytes, which match no case) never
+      // get past CoreEngine's NSM-direction check (guard::IsNsmToGuestOp);
+      // with the guard off, a buggy or hostile NSM-side writer is ignored,
+      // not UB.
       break;
   }
   g->ev->NotifyAll();

@@ -69,8 +69,6 @@ class GuestLib : public SocketApi {
   sim::Task<int> Listen(sim::CpuCore* core, int fd, int backlog, bool reuseport) override;
   sim::Task<int> Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, uint16_t port) override;
   sim::Task<int> Accept(sim::CpuCore* core, int fd) override;
-  sim::Task<int64_t> Send(sim::CpuCore* core, int fd, const uint8_t* data, uint64_t len) override;
-  sim::Task<int64_t> Recv(sim::CpuCore* core, int fd, uint8_t* out, uint64_t max) override;
   sim::Task<int> Close(sim::CpuCore* core, int fd) override;
 
   // Zero-copy registered-buffer datapath: TX loans are carved straight from
@@ -78,8 +76,8 @@ class GuestLib : public SocketApi {
   // userspace->hugepage copy), travel as kSendZc NQEs the NSM stack transmits
   // from directly, and free on kSendZcComplete once ACKed; RX loans hand the
   // inbound hugepage chunk to the app and return receive credit on release.
-  // The legacy Send/Recv above are thin copy shims over the same machinery
-  // (Send gathers through Sendv; Recv scatters through Recvv).
+  // SocketApi's Send/Recv copy shims gather through Sendv and scatter
+  // through Recvv, over the same machinery.
   sim::Task<int> AcquireTxBuf(sim::CpuCore* core, int fd, uint32_t len, NkBuf* out) override;
   sim::Task<int64_t> SendBuf(sim::CpuCore* core, int fd, NkBuf buf) override;
   sim::Task<int64_t> RecvBuf(sim::CpuCore* core, int fd, NkBuf* out) override;

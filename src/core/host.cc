@@ -184,27 +184,10 @@ void Host::BuildMetricsRegistry(obs::MetricsRegistry* registry) const {
   // per dump (see DumpMetrics) so VM/NSM churn can never leave stale or
   // duplicate names behind.
   for (int i = 0; i < ce_->num_shards(); ++i) {
-    const CoreEngineStats* s = &ce_->shard(i).stats();
+    const CoreEngineShard* shard = &ce_->shard(i);
     const std::string p = "ce.shard" + std::to_string(i) + ".";
-    registry->RegisterCounter(p + "nqes_switched", [s] { return double(s->nqes_switched); },
-                              "NQEs delivered by this shard");
-    registry->RegisterCounter(p + "rounds", [s] { return double(s->rounds); },
-                              "polling rounds executed");
-    registry->RegisterCounter(p + "table_inserts", [s] { return double(s->table_inserts); });
-    registry->RegisterCounter(p + "throttled_nqes", [s] { return double(s->throttled_nqes); },
-                              "NQEs deferred by per-VM token buckets");
-    registry->RegisterCounter(p + "send_bytes_switched",
-                              [s] { return double(s->send_bytes_switched); });
-    registry->RegisterCounter(p + "dgram_nqes_switched",
-                              [s] { return double(s->dgram_nqes_switched); });
-    registry->RegisterCounter(p + "nqes_dropped", [s] { return double(s->nqes_dropped); },
-                              "NQEs dropped anywhere in the switch");
-    registry->RegisterCounter(p + "deliveries_deferred",
-                              [s] { return double(s->deliveries_deferred); },
-                              "deliveries parked on a full destination ring");
-    registry->RegisterCounter(p + "qset_migrations", [s] { return double(s->qset_migrations); },
-                              "queue sets handed off between shards");
-    const obs::FlightRecorder* rec = &ce_->shard(i).recorder();
+    registry->RegisterCounters(p, kCoreEngineCounters, [shard] { return shard->stats(); });
+    const obs::FlightRecorder* rec = &shard->recorder();
     registry->RegisterCounter(p + "flight_events", [rec] { return double(rec->total_recorded()); },
                               "datapath events captured by the flight recorder");
   }
@@ -212,16 +195,8 @@ void Host::BuildMetricsRegistry(obs::MetricsRegistry* registry) const {
   for (const auto& vm : vms_) {
     if (!vm->netkernel_mode()) continue;
     const uint8_t id = vm->id_;
-    const std::string cp = "ce.vm" + std::to_string(id) + ".";
-    registry->RegisterCounter(cp + "switched",
-                              [ce, id] { return double(ce->VmStats(id).switched); });
-    registry->RegisterCounter(cp + "dropped",
-                              [ce, id] { return double(ce->VmStats(id).dropped); });
-    registry->RegisterCounter(cp + "throttled",
-                              [ce, id] { return double(ce->VmStats(id).throttled); });
-    registry->RegisterCounter(cp + "bytes", [ce, id] { return double(ce->VmStats(id).bytes); });
-    registry->RegisterCounter(cp + "deferred",
-                              [ce, id] { return double(ce->VmStats(id).deferred); });
+    registry->RegisterCounters("ce.vm" + std::to_string(id) + ".", kPerVmCounters,
+                               [ce, id] { return ce->VmStats(id); });
 
     const GuestLib* g = vm->guestlib_.get();
     const std::string gp = "vm" + std::to_string(id) + ".guest.";
@@ -245,60 +220,18 @@ void Host::BuildMetricsRegistry(obs::MetricsRegistry* registry) const {
                               "inbound chunk frees refused (bad offset or double free)");
 
     // Per-VM validator verdicts (nkguard).
-    const std::string qp = "guard.vm" + std::to_string(id) + ".";
-    registry->RegisterCounter(qp + "rejects",
-                              [ce, id] { return double(ce->validator().VmStats(id).rejects); });
-    registry->RegisterCounter(qp + "bad_op",
-                              [ce, id] { return double(ce->validator().VmStats(id).bad_op); });
-    registry->RegisterCounter(
-        qp + "bad_identity", [ce, id] { return double(ce->validator().VmStats(id).bad_identity); });
-    registry->RegisterCounter(qp + "bad_chunk",
-                              [ce, id] { return double(ce->validator().VmStats(id).bad_chunk); });
-    registry->RegisterCounter(qp + "replayed_chunk", [ce, id] {
-      return double(ce->validator().VmStats(id).replayed_chunk);
-    });
-    registry->RegisterCounter(qp + "credit_violations", [ce, id] {
-      return double(ce->validator().VmStats(id).credit_violations);
-    });
+    registry->RegisterCounters("guard.vm" + std::to_string(id) + ".", guard::kGuardVmCounters,
+                               [ce, id] { return ce->validator().VmStats(id); });
   }
   for (const auto& nsm : nsms_) {
     const std::string np = "nsm" + std::to_string(nsm->id_) + ".";
     if (nsm->stack_ != nullptr) {
-      const tcp::TcpStackStats* t = &nsm->stack_->stats();
-      const std::string tp = np + "tcp.";
-      registry->RegisterCounter(tp + "segments_sent", [t] { return double(t->segments_sent); });
-      registry->RegisterCounter(tp + "segments_received",
-                                [t] { return double(t->segments_received); });
-      registry->RegisterCounter(tp + "bytes_sent", [t] { return double(t->bytes_sent); });
-      registry->RegisterCounter(tp + "bytes_received", [t] { return double(t->bytes_received); });
-      registry->RegisterCounter(tp + "retransmits", [t] { return double(t->retransmits); });
-      registry->RegisterCounter(tp + "rto_fires", [t] { return double(t->rto_fires); });
-      registry->RegisterCounter(tp + "fast_retransmits",
-                                [t] { return double(t->fast_retransmits); });
-      registry->RegisterCounter(tp + "conns_established",
-                                [t] { return double(t->conns_established); });
-      registry->RegisterCounter(tp + "conns_closed", [t] { return double(t->conns_closed); });
-      registry->RegisterCounter(tp + "rx_ring_drops", [t] { return double(t->rx_ring_drops); });
-      registry->RegisterCounter(tp + "rsts_sent", [t] { return double(t->rsts_sent); });
+      const tcp::TcpStack* t = nsm->stack_.get();
+      registry->RegisterCounters(np + "tcp.", tcp::kTcpStackCounters, [t] { return t->stats(); });
     }
     if (nsm->udp_stack_ != nullptr) {
-      const udp::UdpStackStats* u = &nsm->udp_stack_->stats();
-      const std::string up = np + "udp.";
-      registry->RegisterCounter(up + "datagrams_sent", [u] { return double(u->datagrams_sent); });
-      registry->RegisterCounter(up + "datagrams_received",
-                                [u] { return double(u->datagrams_received); });
-      registry->RegisterCounter(up + "bytes_sent", [u] { return double(u->bytes_sent); });
-      registry->RegisterCounter(up + "bytes_received", [u] { return double(u->bytes_received); });
-      registry->RegisterCounter(up + "fragments_sent", [u] { return double(u->fragments_sent); });
-      registry->RegisterCounter(up + "fragments_received",
-                                [u] { return double(u->fragments_received); });
-      registry->RegisterCounter(up + "rx_queue_drops", [u] { return double(u->rx_queue_drops); });
-      registry->RegisterCounter(up + "no_socket_drops", [u] { return double(u->no_socket_drops); });
-      registry->RegisterCounter(up + "rx_ring_drops", [u] { return double(u->rx_ring_drops); });
-      registry->RegisterCounter(up + "zc_sends", [u] { return double(u->zc_sends); });
-      registry->RegisterCounter(up + "rx_zc_landed", [u] { return double(u->rx_zc_landed); });
-      registry->RegisterCounter(up + "rx_pool_fallbacks",
-                                [u] { return double(u->rx_pool_fallbacks); });
+      const udp::UdpStack* u = nsm->udp_stack_.get();
+      registry->RegisterCounters(np + "udp.", udp::kUdpStackCounters, [u] { return u->stats(); });
     }
     const ServiceLib* sl = nsm->slib_.get();
     const std::string sp = np + "svc.";
@@ -323,46 +256,12 @@ void Host::BuildMetricsRegistry(obs::MetricsRegistry* registry) const {
                               "NQEs refused by the NSM-side guard prefilter or evictions");
   }
   // nkguard validator surface (guard.* namespace, aggregate over all VMs).
-  const guard::GuardStats* gs = &ce_->validator().stats();
-  registry->RegisterCounter("guard.validated", [gs] { return double(gs->validated); },
-                            "guest NQEs admitted at the ring boundary");
-  registry->RegisterCounter("guard.rejects", [gs] { return double(gs->rejects); },
-                            "guest NQEs refused at the ring boundary");
-  registry->RegisterCounter("guard.bad_op", [gs] { return double(gs->bad_op); },
-                            "ops not admissible for their ring/direction");
-  registry->RegisterCounter("guard.bad_identity", [gs] { return double(gs->bad_identity); },
-                            "NQEs with a forged vm_id/queue_set (corrected in place)");
-  registry->RegisterCounter("guard.bad_chunk", [gs] { return double(gs->bad_chunk); },
-                            "chunk references outside the owning pool or unallocated");
-  registry->RegisterCounter("guard.replayed_chunk", [gs] { return double(gs->replayed_chunk); },
-                            "resubmissions of an already-consumed chunk incarnation");
-  registry->RegisterCounter("guard.credit_violations",
-                            [gs] { return double(gs->credit_violations); },
-                            "datagram receive credits claimed beyond what was delivered");
-  registry->RegisterCounter("guard.flags_scrubbed", [gs] { return double(gs->flags_scrubbed); },
-                            "guest NQEs whose reserved flag bytes were zeroed at consume");
-  registry->RegisterCounter("guard.nsm_bad_op", [gs] { return double(gs->nsm_bad_op); },
-                            "NSM-emitted NQEs with ops outside the nsm->guest contract");
-  registry->RegisterCounter("guard.quarantines", [gs] { return double(gs->quarantines); },
-                            "VMs tripped into quarantine by repeat violations");
-  registry->RegisterCounter("guard.quarantine_drops",
-                            [gs] { return double(gs->quarantine_drops); },
-                            "NQEs drained from quarantined VMs' rings");
+  const guard::NqeValidator* validator = &ce_->validator();
+  registry->RegisterCounters("guard.", guard::kGuardCounters,
+                             [validator] { return validator->stats(); });
   // Failover controller surface (ce.* namespace: failover acts on the switch).
   const FailoverStats* fs = &failover_stats_;
-  registry->RegisterCounter("ce.nsm_failovers", [fs] { return double(fs->nsm_failovers); },
-                            "NSMs drained and replaced by the failover controller");
-  registry->RegisterCounter("ce.heartbeat_misses",
-                            [fs] { return double(fs->heartbeat_misses); },
-                            "controller checks that found an NSM silent");
-  registry->RegisterCounter("ce.wedged_detections",
-                            [fs] { return double(fs->wedged_detections); },
-                            "silent NSMs that still had ring backlog (stalled, not dead)");
-  registry->RegisterCounter("ce.vms_rehomed", [fs] { return double(fs->vms_rehomed); },
-                            "VMs re-homed onto the standby NSM");
-  registry->RegisterCounter("ce.reconnects_required",
-                            [fs] { return double(fs->reconnects_required); },
-                            "stream connections errored with FINs by failovers");
+  registry->RegisterCounters("ce.", kFailoverCounters, [fs] { return *fs; });
   registry->RegisterHistogram("ce.failover_blackout_us", &blackout_us_,
                               "per-failover blackout: silent time before replacement (us)");
   tracer_->RegisterInto(registry);

@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/counters.h"
 #include "src/core/baseline_api.h"
 #include "src/core/coreengine.h"
 #include "src/core/guestlib.h"
@@ -192,8 +193,7 @@ class Host {
     SimTime grace = 50 * kMicrosecond;             // slack past one beacon period
     int miss_threshold = 3;  // consecutive silent checks before failover
   };
-  // Controller counters, registered under ce.* in BuildMetricsRegistry.
-  // nklint: stats
+  // Controller counters, exported as ce.<name> (failover acts on the switch).
   struct FailoverStats {
     uint64_t nsm_failovers = 0;       // NSMs drained and replaced
     uint64_t heartbeat_misses = 0;    // checks that found an NSM silent
@@ -201,6 +201,19 @@ class Host {
     uint64_t vms_rehomed = 0;         // VMs moved onto the standby
     uint64_t reconnects_required = 0; // stream conns errored with FINs
   };
+  static constexpr CounterRow<FailoverStats> kFailoverCounters[] = {
+      {"nsm_failovers", &FailoverStats::nsm_failovers,
+       "NSMs drained and replaced by the failover controller"},
+      {"heartbeat_misses", &FailoverStats::heartbeat_misses,
+       "controller checks that found an NSM silent"},
+      {"wedged_detections", &FailoverStats::wedged_detections,
+       "silent NSMs that still had ring backlog (stalled, not dead)"},
+      {"vms_rehomed", &FailoverStats::vms_rehomed, "VMs re-homed onto the standby NSM"},
+      {"reconnects_required", &FailoverStats::reconnects_required,
+       "stream connections errored with FINs by failovers"},
+  };
+  static_assert(CoversEveryField(kFailoverCounters),
+                "kFailoverCounters must name every FailoverStats field exactly once");
 
   // Pre-registers the spare NSM failovers re-home onto. Consumed (promoted
   // to active duty) by the first failover; re-arm with a fresh spare for the

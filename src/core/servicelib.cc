@@ -237,6 +237,8 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     DrainNqeChunk(nqe);
     return;
   }
+  // Per-socket verbs act on the connection linked under the guest handle.
+  const auto linked = [this, &nqe] { return FindByVm(nqe.vm_id, nqe.vm_sock); };
   switch (nqe.Op()) {
     case NqeOp::kSocket:
       transport_->Socket(nqe);
@@ -247,63 +249,70 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kAccept:
       transport_->AcceptLink(nqe);
       return;
-    default:
-      break;  // per-socket verbs: resolved against the conn table below
-  }
-  Conn* c = FindByVm(nqe.vm_id, nqe.vm_sock);
-  if (c == nullptr) {
-    const uint64_t key = VmKey(nqe.vm_id, nqe.vm_sock);
-    if (nqe.Op() == NqeOp::kSend || nqe.Op() == NqeOp::kSendZc) {
-      // A send can overtake its socket's accept-link NQE (they travel on
-      // different rings); park it until the link arrives.
-      orphan_sends_[key].push_back(nqe);
-    } else if (nqe.Op() == NqeOp::kClose) {
-      // The guest closed a handle this NSM never linked (say, its connection
-      // died with a failed-over NSM and a send raced the error FIN here):
-      // whatever was parked for it can never be linked now.
-      auto it = orphan_sends_.find(key);
-      if (it == orphan_sends_.end()) return;
-      for (const Nqe& orphan : it->second) FreeNqeChunk(orphan);
-      orphan_sends_.erase(it);
-    } else {
-      // A datagram send whose socket already closed (a kClose overtook it
-      // through the job ring) or never existed (CoreEngine forwards those
-      // statelessly): the datagram is lost, as UDP loses datagrams, but its
-      // payload chunk goes back to the pool.
-      FreeNqeChunk(nqe);
-    }
-    return;
-  }
-  switch (nqe.Op()) {
     case NqeOp::kBind:
-      transport_->Bind(nqe, *c);
+      if (Conn* c = linked()) transport_->Bind(nqe, *c);
       return;
     case NqeOp::kBindUdp:
-      transport_->BindUdp(nqe, *c);
+      if (Conn* c = linked()) transport_->BindUdp(nqe, *c);
       return;
     case NqeOp::kListen:
-      transport_->Listen(nqe, *c);
+      if (Conn* c = linked()) transport_->Listen(nqe, *c);
       return;
     case NqeOp::kConnect:
-      transport_->Connect(nqe, *c);
+      if (Conn* c = linked()) transport_->Connect(nqe, *c);
       return;
     case NqeOp::kSend:
     case NqeOp::kSendZc:
-      transport_->Send(nqe, *c);
+      if (Conn* c = linked()) {
+        transport_->Send(nqe, *c);
+      } else {
+        // A send can overtake its socket's accept-link NQE (they travel on
+        // different rings); park it until the link arrives.
+        orphan_sends_[VmKey(nqe.vm_id, nqe.vm_sock)].push_back(nqe);
+      }
       return;
     case NqeOp::kSendTo:
     case NqeOp::kSendToZc:
-      transport_->SendTo(nqe, *c);
+      if (Conn* c = linked()) {
+        transport_->SendTo(nqe, *c);
+      } else {
+        // A datagram send whose socket already closed (a kClose overtook it
+        // through the job ring) or never existed (CoreEngine forwards those
+        // statelessly): the datagram is lost, as UDP loses datagrams, but its
+        // payload chunk goes back to the pool.
+        FreeNqeChunk(nqe);
+      }
       return;
     case NqeOp::kRecvFrom:
       // Datagram receive credit: the guest consumed op_data bytes.
-      Credit(*c, nqe.op_data);
+      if (Conn* c = linked()) Credit(*c, nqe.op_data);
       return;
     case NqeOp::kClose:
-      transport_->Close(*c);
+      if (Conn* c = linked()) {
+        transport_->Close(*c);
+      } else {
+        // The guest closed a handle this NSM never linked (say, its
+        // connection died with a failed-over NSM and a send raced the error
+        // FIN here): whatever was parked for it can never be linked now.
+        auto it = orphan_sends_.find(VmKey(nqe.vm_id, nqe.vm_sock));
+        if (it == orphan_sends_.end()) return;
+        for (const Nqe& orphan : it->second) FreeNqeChunk(orphan);
+        orphan_sends_.erase(it);
+      }
       return;
-    default:
-      return;  // handled or excluded before the conn lookup
+    case NqeOp::kInvalid:
+    case NqeOp::kOpResult:
+    case NqeOp::kConnectResult:
+    case NqeOp::kAcceptedConn:
+    case NqeOp::kSendResult:
+    case NqeOp::kRecvData:
+    case NqeOp::kFinReceived:
+    case NqeOp::kSendToResult:
+    case NqeOp::kDgramRecv:
+    case NqeOp::kSendZcComplete:
+    case NqeOp::kDgramRecvZc:
+    case NqeOp::kNsmRehomed:
+      return;  // not guest->NSM ops: the prefilter above dropped them
   }
 }
 

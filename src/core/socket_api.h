@@ -84,11 +84,18 @@ class SocketApi {
   // Blocks until a connection is ready; returns its fd.
   virtual sim::Task<int> Accept(sim::CpuCore* core, int fd) = 0;
   // Blocks until all `len` bytes are queued; returns len or negative error.
-  virtual sim::Task<int64_t> Send(sim::CpuCore* core, int fd, const uint8_t* data,
-                                  uint64_t len) = 0;
+  // A copy shim: one gather element through Sendv.
+  sim::Task<int64_t> Send(sim::CpuCore* core, int fd, const uint8_t* data, uint64_t len) {
+    NkConstIoVec iov{data, len};
+    co_return co_await Sendv(core, fd, &iov, 1);
+  }
   // Blocks until >= 1 byte is available; returns bytes read, 0 on EOF,
-  // negative TcpError on error.
-  virtual sim::Task<int64_t> Recv(sim::CpuCore* core, int fd, uint8_t* out, uint64_t max) = 0;
+  // negative TcpError on error. A copy shim: one scatter element through
+  // Recvv.
+  sim::Task<int64_t> Recv(sim::CpuCore* core, int fd, uint8_t* out, uint64_t max) {
+    NkIoVec iov{out, max};
+    co_return co_await Recvv(core, fd, &iov, 1);
+  }
   virtual sim::Task<int> Close(sim::CpuCore* core, int fd) = 0;
 
   // ---- Zero-copy registered-buffer datapath ----

@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "src/common/counters.h"
 #include "src/shm/hugepage_pool.h"
 #include "src/shm/nqe.h"
 
@@ -75,9 +76,7 @@ struct GuardConfig {
   uint32_t quarantine_threshold = 16;
 };
 
-// Aggregate guard counters (per-VM slices carry the same field names and are
-// registered as guard.vm<N>.<field> in Host::BuildMetricsRegistry).
-// nklint: stats
+// Aggregate guard counters, exported as guard.<name>.
 struct GuardStats {
   uint64_t validated = 0;          // guest NQEs that passed every check
   uint64_t rejects = 0;            // guest NQEs refused (sum of the verdicts)
@@ -92,7 +91,30 @@ struct GuardStats {
   uint64_t quarantine_drops = 0;   // NQEs drained from quarantined VMs' rings
 };
 
-// Per-VM counter slice (field names deliberately mirror GuardStats).
+inline constexpr CounterRow<GuardStats> kGuardCounters[] = {
+    {"validated", &GuardStats::validated, "guest NQEs admitted at the ring boundary"},
+    {"rejects", &GuardStats::rejects, "guest NQEs refused at the ring boundary"},
+    {"bad_op", &GuardStats::bad_op, "ops not admissible for their ring/direction"},
+    {"bad_identity", &GuardStats::bad_identity,
+     "NQEs with a forged vm_id/queue_set (corrected in place)"},
+    {"bad_chunk", &GuardStats::bad_chunk,
+     "chunk references outside the owning pool or unallocated"},
+    {"replayed_chunk", &GuardStats::replayed_chunk,
+     "resubmissions of an already-consumed chunk incarnation"},
+    {"credit_violations", &GuardStats::credit_violations,
+     "datagram receive credits claimed beyond what was delivered"},
+    {"flags_scrubbed", &GuardStats::flags_scrubbed,
+     "guest NQEs whose reserved flag bytes were zeroed at consume"},
+    {"nsm_bad_op", &GuardStats::nsm_bad_op,
+     "NSM-emitted NQEs with ops outside the nsm->guest contract"},
+    {"quarantines", &GuardStats::quarantines, "VMs tripped into quarantine by repeat violations"},
+    {"quarantine_drops", &GuardStats::quarantine_drops, "NQEs drained from quarantined VMs' rings"},
+};
+static_assert(CoversEveryField(kGuardCounters),
+              "kGuardCounters must name every GuardStats field exactly once");
+
+// Per-VM counter slice (field names deliberately mirror GuardStats), exported
+// as guard.vm<id>.<name>.
 struct GuardVmStats {
   uint64_t rejects = 0;
   uint64_t bad_op = 0;
@@ -101,6 +123,17 @@ struct GuardVmStats {
   uint64_t replayed_chunk = 0;
   uint64_t credit_violations = 0;
 };
+
+inline constexpr CounterRow<GuardVmStats> kGuardVmCounters[] = {
+    {"rejects", &GuardVmStats::rejects},
+    {"bad_op", &GuardVmStats::bad_op},
+    {"bad_identity", &GuardVmStats::bad_identity},
+    {"bad_chunk", &GuardVmStats::bad_chunk},
+    {"replayed_chunk", &GuardVmStats::replayed_chunk},
+    {"credit_violations", &GuardVmStats::credit_violations},
+};
+static_assert(CoversEveryField(kGuardVmCounters),
+              "kGuardVmCounters must name every GuardVmStats field exactly once");
 
 // ---- Admission tables -------------------------------------------------
 // Reads of shm::kOpTraits. A byte with no row (kInvalid, retired wire

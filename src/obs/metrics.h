@@ -1,11 +1,14 @@
 // Copyright (c) NetKernel reproduction authors.
 // nkobs part 1: the unified metrics registry.
 //
-// Components keep their existing stats structs (CoreEngineStats, PerVmStats,
-// TcpStackStats, UdpStackStats, the ServiceLib/GuestLib counters); the
-// registry holds *sources* — callbacks that read those live structs at
-// collection time — under stable dotted names like `ce.shard0.nqes_switched`
-// or `nsm0.tcp.retransmits`. Nothing on the datapath touches the registry:
+// Components keep their own counters; the registry holds *sources* —
+// callbacks that read them at collection time — under stable dotted names
+// like `ce.shard0.nqes_switched` or `nsm1.tcp.retransmits`. A stats struct
+// (CoreEngineStats, PerVmStats, GuardStats, GuardVmStats, TcpStackStats,
+// UdpStackStats, Host::FailoverStats) exposes itself through the counter
+// table next to it (src/common/counters.h), which RegisterCounters turns
+// into one source per row; the ServiceLib/GuestLib accessor counters are
+// registered one by one. Nothing on the datapath touches the registry:
 // counters stay plain per-shard fields (the wait-free per-thread-slot idea of
 // Correia et al., which in a single-threaded DES degenerates to an ordinary
 // field write), and aggregation happens only when someone asks for a dump.
@@ -24,6 +27,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "src/common/counters.h"
 
 namespace netkernel::obs {
 
@@ -88,6 +93,18 @@ class MetricsRegistry {
   // same name twice is an invariant violation (it would silently shadow).
   void RegisterCounter(const std::string& name, Source src, std::string help = "");
   void RegisterGauge(const std::string& name, Source src, std::string help = "");
+
+  // One counter per row of a stats struct's counter table, named
+  // `prefix + row.name`. `get()` returns the struct; it runs at export time,
+  // so what it captures must outlive the registry.
+  template <typename Stats, size_t N, typename Get>
+  void RegisterCounters(const std::string& prefix, const CounterRow<Stats> (&rows)[N], Get get) {
+    for (const CounterRow<Stats>& row : rows) {
+      RegisterCounter(
+          prefix + row.name,
+          [get, field = row.field] { return static_cast<double>(get().*field); }, row.help);
+    }
+  }
 
   // Registers an externally-owned histogram (e.g. the Tracer's per-stage
   // latency histograms). The pointer must outlive the registry.

@@ -20,8 +20,9 @@
 // the switch. The guard's admission tables, the error-completion unwinding,
 // the receive-ring choice, the chunk sweeps and NqeOpName all read this
 // table; the static_asserts below check its internal consistency at compile
-// time. What a compiler cannot check — that every op has a dispatch (or reap)
-// case on its receiving side — is tools/nklint's op-routing check.
+// time. Each receiving side dispatches through one switch that names every
+// NqeOp and has no `default:` (ServiceLib::Dispatch, GuestLib::ApplyInbound),
+// so under -Werror=switch a row added without its case does not compile.
 
 #ifndef SRC_SHM_NQE_H_
 #define SRC_SHM_NQE_H_

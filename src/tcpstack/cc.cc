@@ -6,7 +6,7 @@
 
 namespace netkernel::tcp {
 
-void CubicCc::OnAck(uint64_t bytes_acked, SimTime rtt, bool ece) {
+void CubicCc::OnAck(uint64_t bytes_acked, SimTime rtt, bool /*ece*/) {
   virtual_clock_ += rtt > 0 ? rtt / 8 : kMicrosecond;  // monotone proxy clock
   if (cwnd_ < ssthresh_) {
     cwnd_ = std::min(cwnd_ + bytes_acked, kMaxWindow);
@@ -48,7 +48,7 @@ void CubicCc::OnTimeout() {
   epoch_start_ = -1;
 }
 
-void DctcpCc::OnAck(uint64_t bytes_acked, SimTime rtt, bool ece) {
+void DctcpCc::OnAck(uint64_t bytes_acked, SimTime /*rtt*/, bool ece) {
   acked_total_ += bytes_acked;
   if (ece) acked_ece_ += bytes_acked;
 

@@ -45,7 +45,7 @@ class RenoCc : public CongestionControl {
   std::string Name() const override { return "reno"; }
   uint64_t Window() const override { return cwnd_; }
 
-  void OnAck(uint64_t bytes_acked, SimTime rtt, bool ece) override {
+  void OnAck(uint64_t bytes_acked, SimTime /*rtt*/, bool /*ece*/) override {
     if (cwnd_ < ssthresh_) {
       cwnd_ += bytes_acked;  // slow start
     } else {
@@ -185,7 +185,7 @@ class SharedWindowCc : public CongestionControl {
 
   std::string Name() const override { return "shared-window"; }
   uint64_t Window() const override { return group_->FlowShare(); }
-  void OnAck(uint64_t bytes_acked, SimTime rtt, bool ece) override {
+  void OnAck(uint64_t bytes_acked, SimTime /*rtt*/, bool ece) override {
     group_->OnAck(bytes_acked, ece);
   }
   void OnLoss() override { group_->OnLoss(); }

@@ -682,7 +682,7 @@ void TcpStack::HandleSegment(const Segment& seg, bool ce_marked) {
   auto it = demux_.find(local_tuple);
   if (it == demux_.end()) {
     if (seg.Has(kSyn) && !seg.Has(kAck)) {
-      HandleSynAtListener(seg, ce_marked);
+      HandleSynAtListener(seg);
     } else if (!seg.Has(kRst)) {
       SendRst(local_tuple, seg.ack, seg.seq + seg.payload.size());
     }
@@ -745,7 +745,7 @@ void TcpStack::HandleSegment(const Segment& seg, bool ce_marked) {
   }
 }
 
-void TcpStack::HandleSynAtListener(const Segment& seg, bool ce_marked) {
+void TcpStack::HandleSynAtListener(const Segment& seg) {
   FourTuple local_tuple = Invert(seg.tuple);
   auto lit = listeners_.find(local_tuple.local_port);
   if (lit == listeners_.end() || lit->second.empty()) {

@@ -32,6 +32,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/counters.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/netsim/nic.h"
@@ -73,7 +74,7 @@ struct TcpStackConfig {
   uint64_t seed = 1;
 };
 
-// nklint: stats
+// Exported as nsm<id>.tcp.<name>.
 struct TcpStackStats {
   uint64_t segments_sent = 0;
   uint64_t segments_received = 0;
@@ -87,6 +88,22 @@ struct TcpStackStats {
   uint64_t rx_ring_drops = 0;
   uint64_t rsts_sent = 0;
 };
+
+inline constexpr CounterRow<TcpStackStats> kTcpStackCounters[] = {
+    {"segments_sent", &TcpStackStats::segments_sent},
+    {"segments_received", &TcpStackStats::segments_received},
+    {"bytes_sent", &TcpStackStats::bytes_sent},
+    {"bytes_received", &TcpStackStats::bytes_received},
+    {"retransmits", &TcpStackStats::retransmits},
+    {"rto_fires", &TcpStackStats::rto_fires},
+    {"fast_retransmits", &TcpStackStats::fast_retransmits},
+    {"conns_established", &TcpStackStats::conns_established},
+    {"conns_closed", &TcpStackStats::conns_closed},
+    {"rx_ring_drops", &TcpStackStats::rx_ring_drops},
+    {"rsts_sent", &TcpStackStats::rsts_sent},
+};
+static_assert(CoversEveryField(kTcpStackCounters),
+              "kTcpStackCounters must name every TcpStackStats field exactly once");
 
 class TcpStack {
  public:
@@ -230,7 +247,7 @@ class TcpStack {
   void ScheduleRxDrain(SimTime delay);
   void DrainRx();
   void HandleSegment(const Segment& seg, bool ce_marked);
-  void HandleSynAtListener(const Segment& seg, bool ce_marked);
+  void HandleSynAtListener(const Segment& seg);
   SocketId DemuxLookupAfterAck(const Segment& seg);
   void HandleEstablishedData(Sock& s, const Segment& seg, bool ce_marked);
   void HandleAck(Sock& s, const Segment& seg);

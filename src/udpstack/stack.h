@@ -31,6 +31,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/counters.h"
 #include "src/netsim/nic.h"
 #include "src/sim/cpu.h"
 #include "src/sim/event_loop.h"
@@ -55,7 +56,7 @@ struct UdpStackConfig {
   SimTime rx_backlog_cap = 3 * kMillisecond;
 };
 
-// nklint: stats
+// Exported as nsm<id>.udp.<name>.
 struct UdpStackStats {
   uint64_t datagrams_sent = 0;
   uint64_t datagrams_received = 0;  // delivered into a socket queue
@@ -70,6 +71,23 @@ struct UdpStackStats {
   uint64_t rx_zc_landed = 0;     // datagrams landed in allocator chunks
   uint64_t rx_pool_fallbacks = 0;  // allocator dry: datagram held as heap copy
 };
+
+inline constexpr CounterRow<UdpStackStats> kUdpStackCounters[] = {
+    {"datagrams_sent", &UdpStackStats::datagrams_sent},
+    {"datagrams_received", &UdpStackStats::datagrams_received},
+    {"bytes_sent", &UdpStackStats::bytes_sent},
+    {"bytes_received", &UdpStackStats::bytes_received},
+    {"fragments_sent", &UdpStackStats::fragments_sent},
+    {"fragments_received", &UdpStackStats::fragments_received},
+    {"rx_queue_drops", &UdpStackStats::rx_queue_drops},
+    {"no_socket_drops", &UdpStackStats::no_socket_drops},
+    {"rx_ring_drops", &UdpStackStats::rx_ring_drops},
+    {"zc_sends", &UdpStackStats::zc_sends},
+    {"rx_zc_landed", &UdpStackStats::rx_zc_landed},
+    {"rx_pool_fallbacks", &UdpStackStats::rx_pool_fallbacks},
+};
+static_assert(CoversEveryField(kUdpStackCounters),
+              "kUdpStackCounters must name every UdpStackStats field exactly once");
 
 class UdpStack {
  public:

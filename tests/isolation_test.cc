@@ -85,10 +85,10 @@ TEST(IsolationTest, FairShareNsmSplitsBandwidthByVm) {
   // The §6.2 headline at test scale: B opens 3x the flows but gets ~50%.
   sim::EventLoop loop;
   netsim::Fabric fabric(&loop);
-  netsim::Link::Config port10g;
-  port10g.bandwidth = 10 * kGbps;
-  core::Host host_a(&loop, &fabric, "A", {port10g, {}});
-  core::Host host_b(&loop, &fabric, "B", {{}, {}});
+  core::Host::Options options_a;
+  options_a.port.bandwidth = 10 * kGbps;
+  core::Host host_a(&loop, &fabric, "A", options_a);
+  core::Host host_b(&loop, &fabric, "B");
   core::Nsm* nsm = host_a.CreateNsm("fair", 2, NsmKind::kFairShare);
   core::Vm* vm_a = host_a.CreateNetkernelVm("vmA", 1, nsm);
   core::Vm* vm_b = host_a.CreateNetkernelVm("vmB", 1, nsm);

@@ -556,16 +556,45 @@ TEST_F(ObsHostTest, QueryVmStatWideSurvivesPast32Bits) {
   };
   EXPECT_EQ(wide_read(VmStatField::kBytesKiB), big);
 
+  auto narrow_read = [&](VmStatField f) {
+    CeMessage resp = h.ce().HandleControlMessage(
+        {static_cast<uint32_t>(CeOp::kQueryVmStats),
+         (uint32_t(id) << 8) | static_cast<uint32_t>(f)});
+    EXPECT_EQ(resp.ce_op, static_cast<uint32_t>(CeOp::kOk));
+    return resp.ce_data;
+  };
+
   // A switched-NQE counter past 2^32: the narrow op saturates, the wide op
   // returns the full value.
   const uint64_t huge = (1ull << 32) + 99;
   h.ce().AddVmStatForTest(id, VmStatField::kSwitched, huge);
-  CeMessage narrow = h.ce().HandleControlMessage(
-      {static_cast<uint32_t>(CeOp::kQueryVmStats),
-       (uint32_t(id) << 8) | static_cast<uint32_t>(VmStatField::kSwitched)});
-  EXPECT_EQ(narrow.ce_op, static_cast<uint32_t>(CeOp::kOk));
-  EXPECT_EQ(narrow.ce_data, UINT32_MAX);  // saturated, the old failure mode
+  EXPECT_EQ(narrow_read(VmStatField::kSwitched), UINT32_MAX);  // the old failure mode
   EXPECT_EQ(wide_read(VmStatField::kSwitched), huge);
+
+  // Every selector reads its own counter: the five fields hold distinct
+  // values, and each lands in its named PerVmStats member and reads back
+  // over both ops.
+  const uint64_t dropped = 7;
+  const uint64_t throttled = 3000000011ull;  // fits the narrow op
+  const uint64_t deferred = (3ull << 32) + 5;  // saturates it
+  h.ce().AddVmStatForTest(id, VmStatField::kDropped, dropped);
+  h.ce().AddVmStatForTest(id, VmStatField::kThrottled, throttled);
+  h.ce().AddVmStatForTest(id, VmStatField::kDeferred, deferred);
+  const core::PerVmStats direct = h.ce().VmStats(id);
+  EXPECT_EQ(direct.switched, huge);
+  EXPECT_EQ(direct.dropped, dropped);
+  EXPECT_EQ(direct.throttled, throttled);
+  EXPECT_EQ(direct.bytes, big);
+  EXPECT_EQ(direct.deferred, deferred);
+  EXPECT_EQ(narrow_read(VmStatField::kDropped), dropped);
+  EXPECT_EQ(narrow_read(VmStatField::kThrottled), throttled);
+  EXPECT_EQ(narrow_read(VmStatField::kBytesKiB), big >> 10);  // KiB, fits 32 bits
+  EXPECT_EQ(narrow_read(VmStatField::kDeferred), UINT32_MAX);
+  EXPECT_EQ(wide_read(VmStatField::kSwitched), huge);
+  EXPECT_EQ(wide_read(VmStatField::kDropped), dropped);
+  EXPECT_EQ(wide_read(VmStatField::kThrottled), throttled);
+  EXPECT_EQ(wide_read(VmStatField::kBytesKiB), big);  // raw bytes
+  EXPECT_EQ(wide_read(VmStatField::kDeferred), deferred);
 
   // Malformed selectors are rejected.
   CeMessage bad_field = h.ce().HandleControlMessage(

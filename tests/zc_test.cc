@@ -683,7 +683,9 @@ void RunTxLoanMisuse(bool netkernel) {
   sim::Spawn(client());
   loop.Run(loop.Now() + 3 * kSecond);
   EXPECT_TRUE(ok) << (netkernel ? "netkernel" : "baseline");
-  if (netkernel) EXPECT_EQ(vm->pool()->bytes_in_use(), 0u);
+  if (netkernel) {
+    EXPECT_EQ(vm->pool()->bytes_in_use(), 0u);
+  }
 }
 
 TEST(ZcLoanMisuse, TxLoanReuseAfterSendErrorsNetkernel) { RunTxLoanMisuse(true); }
