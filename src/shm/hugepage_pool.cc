@@ -2,6 +2,8 @@
 
 #include "src/shm/hugepage_pool.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
 
 #include "src/common/check.h"
@@ -18,15 +20,28 @@ constexpr uint8_t kStateAllocated = 0xa7;
 constexpr uint64_t kStateByte = 4;  // header layout: [int class_idx][state][gen]
 // 16-bit allocation generation at header bytes 5-6: bumped on every Alloc()
 // of the chunk so a (offset, generation) pair names one incarnation. The
-// region is zero-initialized, so fresh chunks start at generation 0 and the
-// first Alloc hands out generation 1.
+// region is demand-zero, so never-carved bytes read 0: fresh chunks start at
+// generation 0, the first Alloc hands out generation 1, and an offset past
+// the carve point reads as kStateFree.
 constexpr uint64_t kGenBytes = 5;
 }
 
 HugepagePool::HugepagePool(uint64_t region_bytes)
-    : region_(region_bytes), free_lists_(kNumClasses) {
+    : region_bytes_(region_bytes), free_lists_(kNumClasses) {
   NK_CHECK(region_bytes >= kMaxChunk + kHeader);
+  // Anonymous pages are zero-filled on first touch, and MAP_NORESERVE commits
+  // no swap for the untouched tail. Transparent hugepages are refused even
+  // where the host enables them for every mapping: each first touch would
+  // then fault in 2 MiB. (A kernel without THP fails the madvise; it has
+  // nothing to refuse.)
+  void* region = mmap(nullptr, region_bytes, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  NK_CHECK(region != MAP_FAILED);
+  madvise(region, region_bytes, MADV_NOHUGEPAGE);
+  region_ = static_cast<uint8_t*>(region);
 }
+
+HugepagePool::~HugepagePool() { munmap(region_, region_bytes_); }
 
 uint32_t HugepagePool::ClassSize(uint32_t size) {
   uint32_t c = kMinChunk;
@@ -59,7 +74,7 @@ uint64_t HugepagePool::Alloc(uint32_t size) {
     offset = free_lists_[idx].back();
     free_lists_[idx].pop_back();
   } else {
-    if (bump_ + kHeader + chunk > region_.size()) {
+    if (bump_ + kHeader + chunk > region_bytes_) {
       ++alloc_failures_;
       return kInvalidOffset;
     }
@@ -79,7 +94,7 @@ uint64_t HugepagePool::Alloc(uint32_t size) {
 }
 
 void HugepagePool::Free(uint64_t offset) {
-  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_.size());
+  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_bytes_);
   int idx;
   std::memcpy(&idx, &region_[offset - kHeader], sizeof(int));
   NK_CHECK(idx >= 0 && idx < kNumClasses);
@@ -92,19 +107,19 @@ void HugepagePool::Free(uint64_t offset) {
 }
 
 bool HugepagePool::IsAllocated(uint64_t offset) const {
-  if (offset == kInvalidOffset || offset < kHeader || offset >= region_.size()) return false;
+  if (offset == kInvalidOffset || offset < kHeader || offset >= region_bytes_) return false;
   return region_[offset - kHeader + kStateByte] == kStateAllocated;
 }
 
 uint16_t HugepagePool::Generation(uint64_t offset) const {
-  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_.size());
+  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_bytes_);
   uint16_t gen;
   std::memcpy(&gen, &region_[offset - kHeader + kGenBytes], sizeof(gen));
   return gen;
 }
 
 uint32_t HugepagePool::ChunkCapacity(uint64_t offset) const {
-  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_.size());
+  NK_CHECK(offset != kInvalidOffset && offset >= kHeader && offset < region_bytes_);
   int idx;
   std::memcpy(&idx, &region_[offset - kHeader], sizeof(int));
   NK_CHECK(idx >= 0 && idx < kNumClasses);
@@ -112,13 +127,13 @@ uint32_t HugepagePool::ChunkCapacity(uint64_t offset) const {
 }
 
 uint8_t* HugepagePool::Data(uint64_t offset) {
-  NK_CHECK(offset != kInvalidOffset && offset < region_.size());
-  return &region_[offset];
+  NK_CHECK(offset != kInvalidOffset && offset < region_bytes_);
+  return region_ + offset;
 }
 
 const uint8_t* HugepagePool::Data(uint64_t offset) const {
-  NK_CHECK(offset != kInvalidOffset && offset < region_.size());
-  return &region_[offset];
+  NK_CHECK(offset != kInvalidOffset && offset < region_bytes_);
+  return region_ + offset;
 }
 
 }  // namespace netkernel::shm

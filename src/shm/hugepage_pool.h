@@ -7,6 +7,12 @@
 // over one contiguous region (the paper uses 128 x 2 MB hugepages; the region
 // size is configurable here). Exhaustion is reported to the caller, which
 // models the finite socket-buffer backpressure of the real system.
+//
+// The region is a demand-zero anonymous mapping: a page costs memory from the
+// first write to it, and only carved chunks are written, so a pool's RSS
+// tracks its carve high-water mark, not region_bytes(). Pages never written
+// read as zero, which IsAllocated() and Generation() rely on for offsets past
+// the carve point.
 
 #ifndef SRC_SHM_HUGEPAGE_POOL_H_
 #define SRC_SHM_HUGEPAGE_POOL_H_
@@ -26,6 +32,10 @@ class HugepagePool {
   static constexpr uint32_t kMaxChunk = 64 * 1024;
 
   explicit HugepagePool(uint64_t region_bytes = kDefaultRegionBytes);
+  ~HugepagePool();
+  // The pool owns its mapping, so it is neither copyable nor movable.
+  HugepagePool(const HugepagePool&) = delete;
+  HugepagePool& operator=(const HugepagePool&) = delete;
 
   // Allocates a chunk of at least `size` bytes (size <= kMaxChunk).
   // Returns the data offset, or kInvalidOffset when the region is exhausted.
@@ -50,7 +60,7 @@ class HugepagePool {
   uint8_t* Data(uint64_t offset);
   const uint8_t* Data(uint64_t offset) const;
 
-  uint64_t region_bytes() const { return region_.size(); }
+  uint64_t region_bytes() const { return region_bytes_; }
   uint64_t bytes_in_use() const { return bytes_in_use_; }
   uint64_t chunks_in_use() const { return allocs_ - frees_; }
   uint64_t allocs() const { return allocs_; }
@@ -67,7 +77,8 @@ class HugepagePool {
 
   int ClassIndex(uint32_t size) const;
 
-  std::vector<uint8_t> region_;
+  uint8_t* region_ = nullptr;  // mmap'd, region_bytes_ long
+  uint64_t region_bytes_;
   uint64_t bump_ = 0;  // carve point for fresh blocks
   std::vector<std::vector<uint64_t>> free_lists_;
   uint64_t bytes_in_use_ = 0;

@@ -33,6 +33,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -402,6 +404,7 @@ TEST(FaultInjection, ZcOwnershipConservesAcrossSeededChaos) {
   }
   uint64_t total_zc_sends = 0, total_dgram_zc = 0, kills = 0, chaos_runs = 0;
   uint64_t wedge_runs = 0, controller_runs = 0, total_failovers = 0;
+  const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < iters; ++i) {
     const uint64_t seed = single ? only_seed : kBaseSeed + i;
     SCOPED_TRACE(::testing::Message() << "replay with NK_FAULTINJ_SEED=" << seed);
@@ -483,15 +486,17 @@ TEST(FaultInjection, ZcOwnershipConservesAcrossSeededChaos) {
     EXPECT_GT(wedge_runs, 0u);
     EXPECT_GT(total_failovers, 0u) << "controller chaos never produced a failover";
   }
+  const std::chrono::duration<double, std::milli> wall = std::chrono::steady_clock::now() - start;
   std::printf("faultinj: %llu iterations, %llu NSM kills, %llu ring-chaos runs, "
               "%llu wedge runs, %llu failovers, "
-              "%llu stream zc sends, %llu dgram zc sends\n",
+              "%llu stream zc sends, %llu dgram zc sends; %.1f ms/iteration wall\n",
               static_cast<unsigned long long>(iters), static_cast<unsigned long long>(kills),
               static_cast<unsigned long long>(chaos_runs),
               static_cast<unsigned long long>(wedge_runs),
               static_cast<unsigned long long>(total_failovers),
               static_cast<unsigned long long>(total_zc_sends),
-              static_cast<unsigned long long>(total_dgram_zc));
+              static_cast<unsigned long long>(total_dgram_zc),
+              wall.count() / static_cast<double>(std::max<uint64_t>(iters, 1)));
 }
 
 // ---------------------------------------------------------------------------
@@ -660,6 +665,7 @@ TEST(FaultInjection, ShmNsmConservesAcrossSeededChaos) {
     iters = 1;
   }
   uint64_t kills = 0, wedges = 0, quarantines = 0, failovers = 0, copied = 0;
+  const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < iters; ++i) {
     const uint64_t seed = single ? only_seed : kBaseSeed + i;
     SCOPED_TRACE(::testing::Message() << "replay with NK_FAULTINJ_SEED=" << seed);
@@ -703,13 +709,16 @@ TEST(FaultInjection, ShmNsmConservesAcrossSeededChaos) {
     EXPECT_GT(quarantines, 0u);
     EXPECT_GT(failovers, 0u) << "controller chaos never produced a failover";
   }
+  const std::chrono::duration<double, std::milli> wall = std::chrono::steady_clock::now() - start;
   std::printf("faultinj(shm): %llu iterations, %llu NSM kills, %llu wedge runs, "
-              "%llu quarantine runs, %llu failovers, %llu bytes copied\n",
+              "%llu quarantine runs, %llu failovers, %llu bytes copied; "
+              "%.1f ms/iteration wall\n",
               static_cast<unsigned long long>(iters), static_cast<unsigned long long>(kills),
               static_cast<unsigned long long>(wedges),
               static_cast<unsigned long long>(quarantines),
               static_cast<unsigned long long>(failovers),
-              static_cast<unsigned long long>(copied));
+              static_cast<unsigned long long>(copied),
+              wall.count() / static_cast<double>(std::max<uint64_t>(iters, 1)));
 }
 
 }  // namespace

@@ -264,6 +264,30 @@ TEST_F(NetkernelE2eTest, SwitchNsmOnTheFly) {
   EXPECT_EQ(kernel_nsm->stack()->stats().conns_established, kernel_conns);
 }
 
+TEST_F(NetkernelE2eTest, ListenerOpenedAfterSwitchNsmServesAtTheNewAddress) {
+  // The server side of use case 3: SwitchNsm gives the VM an alias address
+  // on the vNIC-backed NSM, so a listener opened after the switch is reached
+  // at IpOn(new NSM), and the connections it accepts run on that NSM's stack.
+  Nsm* kernel_nsm = HostA().CreateNsm("kernel", 1, NsmKind::kKernel);
+  Nsm* mtcp_nsm = HostA().CreateNsm("mtcp", 1, NsmKind::kMtcp);
+  Vm* nk = HostA().CreateNetkernelVm("nk", 1, kernel_nsm);
+  Vm* base = HostB().CreateBaselineVm("base", 1);
+
+  HostA().SwitchNsm(nk, mtcp_nsm);
+  const netsim::IpAddr alias = nk->IpOn(mtcp_nsm);
+  EXPECT_NE(alias, nk->IpOn(kernel_nsm));
+  int handled = 0;
+  bool ok = false;
+  sim::Spawn(EchoNServer(nk, 8081, 1, &handled));
+  Run(10 * kMillisecond);
+  sim::Spawn(OneEcho(base, alias, 8081, 128 * 1024, 9, &ok));
+  Run(3 * kSecond);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(handled, 1);
+  EXPECT_GT(mtcp_nsm->stack()->stats().conns_established, 0u);
+  EXPECT_EQ(kernel_nsm->stack()->stats().conns_established, 0u);
+}
+
 TEST_F(NetkernelE2eTest, SwitchNsmOntoFairShareInstallsTheVmWindowGroup) {
   // Every attach path (create, switch, failover re-home) wires the same
   // per-NSM state: switching onto a FairShare NSM gives the VM its shared

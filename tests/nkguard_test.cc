@@ -167,6 +167,12 @@ TEST(NkGuard, RejectsChunksTheGuestDoesNotOwn) {
   Nqe good = MakeNqe(NqeOp::kSendZc, 1, 0, 7, 0, chunk, 4096);
   EXPECT_EQ(v.ValidateGuestNqe(&good, true, 1, 0), Verdict::kOk);
 
+  // Inside the region but past the carve point: the header there was never
+  // written, and the pool's zero-filled backing reads it as not allocated.
+  Nqe uncarved =
+      MakeNqe(NqeOp::kSend, 1, 0, 7, 0, /*data_ptr=*/pool.region_bytes() / 2, /*size=*/100);
+  EXPECT_EQ(v.ValidateGuestNqe(&uncarved, true, 1, 0), Verdict::kBadChunk);
+
   pool.Free(chunk);
   Nqe freed = MakeNqe(NqeOp::kSend, 1, 0, 7, 0, chunk, 100);
   EXPECT_EQ(v.ValidateGuestNqe(&freed, true, 1, 0), Verdict::kBadChunk);

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 
 #include "tools/nkfuzz/nkfuzz.h"
@@ -39,6 +41,7 @@ TEST(NqeFuzz, GuardHoldsInvariantsAcrossSeededMutations) {
   }
   uint64_t attacks = 0, violations = 0, scrubs = 0, rejected = 0;
   uint64_t quarantine_trips = 0, chaos_runs = 0, inplace_capable = 0;
+  const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < iters; ++i) {
     const uint64_t seed = single ? only_seed : kBaseSeed + i;
     SCOPED_TRACE(::testing::Message() << "replay with NK_FUZZ_SEED=" << seed);
@@ -69,15 +72,18 @@ TEST(NqeFuzz, GuardHoldsInvariantsAcrossSeededMutations) {
     EXPECT_GT(chaos_runs, 0u);
     EXPECT_EQ(inplace_capable, iters) << "some iteration validated nothing at all";
   }
+  const std::chrono::duration<double, std::milli> wall = std::chrono::steady_clock::now() - start;
   std::printf("nqe_fuzz: %llu iterations, %llu attacks (%llu violations, %llu scrubs), "
-              "%llu guard rejects, %llu quarantine trips, %llu ring-chaos runs\n",
+              "%llu guard rejects, %llu quarantine trips, %llu ring-chaos runs; "
+              "%.1f ms/seed wall\n",
               static_cast<unsigned long long>(iters),
               static_cast<unsigned long long>(attacks),
               static_cast<unsigned long long>(violations),
               static_cast<unsigned long long>(scrubs),
               static_cast<unsigned long long>(rejected),
               static_cast<unsigned long long>(quarantine_trips),
-              static_cast<unsigned long long>(chaos_runs));
+              static_cast<unsigned long long>(chaos_runs),
+              wall.count() / static_cast<double>(std::max<uint64_t>(iters, 1)));
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // pool, NK devices.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -257,10 +260,18 @@ TEST(HugepagePool, AllocFreeReuse) {
   uint64_t a = pool.Alloc(100);
   ASSERT_NE(a, HugepagePool::kInvalidOffset);
   EXPECT_EQ(pool.bytes_in_use(), 128u);  // rounded to class size
+  EXPECT_EQ(pool.Generation(a), 1u);
+  // Nothing past the carve point was ever written, and nkguard asks about
+  // guest-supplied offsets there: the zero-filled region must read as a free
+  // chunk of generation 0.
+  const uint64_t uncarved = pool.region_bytes() / 2;
+  EXPECT_FALSE(pool.IsAllocated(uncarved));
+  EXPECT_EQ(pool.Generation(uncarved), 0u);
   pool.Free(a);
   EXPECT_EQ(pool.bytes_in_use(), 0u);
   uint64_t b = pool.Alloc(100);
   EXPECT_EQ(a, b);  // free list reuse
+  EXPECT_EQ(pool.Generation(b), 2u);  // a new incarnation of the same chunk
 }
 
 TEST(HugepagePool, ClassSizes) {
@@ -297,6 +308,34 @@ TEST(HugepagePool, ExhaustionReturnsInvalid) {
 TEST(HugepagePool, OversizeRequestFails) {
   HugepagePool pool(1 * kMiB);
   EXPECT_EQ(pool.Alloc(HugepagePool::kMaxChunk + 1), HugepagePool::kInvalidOffset);
+}
+
+// Pages of the pool's region the kernel holds resident, counted with mincore()
+// over the page-aligned span [Data(0), Data(0) + region_bytes()).
+size_t ResidentPages(const HugepagePool& pool) {
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  const uintptr_t start = reinterpret_cast<uintptr_t>(pool.Data(0));
+  const uintptr_t begin = start & ~(page - 1);
+  const uintptr_t end = start + pool.region_bytes();
+  std::vector<unsigned char> vec((end - begin + page - 1) / page);
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(begin), end - begin, vec.data()), 0);
+  size_t resident = 0;
+  for (unsigned char v : vec) resident += v & 1;
+  return resident;
+}
+
+TEST(HugepagePool, FreshRegionIsNotResident) {
+  // The region is demand-zero: building a 64 MiB pool commits no memory, and
+  // a carved chunk costs the pages it spans, not region_bytes(). Only writes
+  // are counted: reading a never-written page maps the shared zero page,
+  // which mincore() also reports as resident.
+  HugepagePool pool;
+  ASSERT_EQ(pool.region_bytes(), HugepagePool::kDefaultRegionBytes);
+  EXPECT_EQ(ResidentPages(pool), 0u);
+  const uint64_t off = pool.Alloc(4096);
+  ASSERT_NE(off, HugepagePool::kInvalidOffset);
+  std::memset(pool.Data(off), 0x5a, pool.ChunkCapacity(off));
+  EXPECT_LE(ResidentPages(pool), 2u);
 }
 
 TEST(HugepagePool, DistinctAllocationsDoNotOverlap) {

@@ -10,7 +10,12 @@
 //   --seed S    run exactly one iteration with seed S (replay mode)
 // NK_FUZZ_ITERS / NK_FUZZ_SEED environment variables are honored when the
 // flags are absent, mirroring the gtest harness.
+//
+// A passing sweep prints its summary on stdout, which is identical from run
+// to run, and the simulator's own wall time per seed on stderr.
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -46,6 +51,7 @@ int main(int argc, char** argv) {
   if (single) iters = 1;
 
   uint64_t attacks = 0, violations = 0, scrubs = 0, quarantines = 0, chaos_runs = 0;
+  const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < iters; ++i) {
     const uint64_t seed = single ? only_seed : kBaseSeed + i;
     FuzzResult r = RunFuzzIteration(seed);
@@ -72,5 +78,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scrubs),
               static_cast<unsigned long long>(quarantines),
               static_cast<unsigned long long>(chaos_runs));
+  const std::chrono::duration<double, std::milli> wall = std::chrono::steady_clock::now() - start;
+  std::fprintf(stderr, "nkfuzz: %.1f ms/seed wall\n",
+               wall.count() / static_cast<double>(std::max<uint64_t>(iters, 1)));
   return 0;
 }
