@@ -14,12 +14,12 @@
 #include "src/guard/nqe_validator.h"
 #include "src/shm/hugepage_pool.h"
 #include "src/shm/nqe.h"
+#include "tools/nkchaos/chaos.h"
 
 namespace netkernel {
 namespace {
 
 using core::Host;
-using core::NkBuf;
 using core::Nsm;
 using core::NsmKind;
 using core::SocketApi;
@@ -270,32 +270,6 @@ TEST(NkGuard, CountAndDropPoliciesNeverQuarantine) {
 
 // ---- quarantine lifecycle on a live topology ----------------------------
 
-sim::Task<void> StreamSender(Vm* vm, netsim::IpAddr dst, uint16_t port, uint64_t budget,
-                             std::vector<int>* fds) {
-  SocketApi& api = vm->api();
-  sim::CpuCore* cpu = vm->vcpu(0);
-  int fd = co_await api.Socket(cpu);
-  if (fd < 0) co_return;
-  fds->push_back(fd);
-  if (0 != co_await api.Connect(cpu, fd, dst, port)) co_return;
-  uint64_t sent = 0;
-  while (sent < budget) {
-    NkBuf loan;
-    if (0 != co_await api.AcquireTxBuf(cpu, fd, 8192, &loan)) break;
-    loan.size = loan.capacity;
-    std::memset(loan.data, 0x5a, loan.size);
-    int64_t n = co_await api.SendBuf(cpu, fd, loan);
-    if (n <= 0) break;
-    sent += static_cast<uint64_t>(n);
-  }
-}
-
-sim::Task<void> CloseAll(Vm* vm, std::vector<int>* fds) {
-  SocketApi& api = vm->api();
-  sim::CpuCore* cpu = vm->vcpu(0);
-  for (size_t i = fds->size(); i > 0; --i) co_await api.Close(cpu, (*fds)[i - 1]);
-}
-
 sim::Task<void> DgramProbe(Vm* vm, netsim::IpAddr dst, uint16_t port, bool* echoed) {
   SocketApi& api = vm->api();
   sim::CpuCore* cpu = vm->vcpu(0);
@@ -310,22 +284,6 @@ sim::Task<void> DgramProbe(Vm* vm, netsim::IpAddr dst, uint16_t port, bool* echo
   int64_t r = co_await api.RecvFrom(cpu, fd, buf, sizeof(buf), nullptr, nullptr);
   *echoed = r == sizeof(ping) && 0 == std::memcmp(buf, ping, sizeof(ping));
   co_await api.Close(cpu, fd);
-}
-
-sim::Task<void> DgramEcho(Vm* vm, uint16_t port) {
-  SocketApi& api = vm->api();
-  sim::CpuCore* cpu = vm->vcpu(0);
-  int fd = co_await api.SocketDgram(cpu);
-  if (fd < 0) co_return;
-  if (0 != co_await api.Bind(cpu, fd, 0, port)) co_return;
-  std::vector<uint8_t> buf(4096);
-  for (;;) {
-    netsim::IpAddr ip = 0;
-    uint16_t p = 0;
-    int64_t r = co_await api.RecvFrom(cpu, fd, buf.data(), buf.size(), &ip, &p);
-    if (r < 0) co_return;
-    co_await api.SendTo(cpu, fd, ip, p, buf.data(), static_cast<uint64_t>(r));
-  }
 }
 
 TEST(NkGuard, QuarantineReclaimsChunksSparesCoTenantAndUnwindsCleanly) {
@@ -346,9 +304,9 @@ TEST(NkGuard, QuarantineReclaimsChunksSparesCoTenantAndUnwindsCleanly) {
   apps::StreamStats sink_a, sink_b;
   apps::StartStreamSink(peer, 9000, &sink_a, 1);
   apps::StartStreamSink(peer, 9001, &sink_b, 1);
-  sim::Spawn(StreamSender(offender, peer->ip(), 9000, 64 * kMiB, off_fds.get()));
-  sim::Spawn(StreamSender(tenant, peer->ip(), 9001, 64 * kMiB, ten_fds.get()));
-  sim::Spawn(DgramEcho(peer, 5353));
+  sim::Spawn(chaos::ZcStreamSender(offender, peer->ip(), 9000, 64 * kMiB, off_fds.get()));
+  sim::Spawn(chaos::ZcStreamSender(tenant, peer->ip(), 9001, 64 * kMiB, ten_fds.get()));
+  sim::Spawn(chaos::DgramEchoServer(peer, 5353));
 
   // Let both streams ramp with chunks genuinely in flight, then pull the
   // offender mid-stream (operator-initiated: policy stays kCount — the
@@ -392,8 +350,8 @@ TEST(NkGuard, QuarantineReclaimsChunksSparesCoTenantAndUnwindsCleanly) {
   // Full unwind: close everything and assert PR-5 conservation for both
   // tenants — the quarantine round-trip leaked nothing and double-freed
   // nothing (the pool aborts on double free).
-  sim::Spawn(CloseAll(offender, off_fds.get()));
-  sim::Spawn(CloseAll(tenant, ten_fds.get()));
+  sim::Spawn(chaos::CloseAll(offender, off_fds.get()));
+  sim::Spawn(chaos::CloseAll(tenant, ten_fds.get()));
   loop.Run(loop.Now() + 150 * kMillisecond);
   for (Vm* vm : {offender, tenant}) {
     EXPECT_EQ(vm->pool()->bytes_in_use(), 0u) << vm->name() << " leaked chunks";
