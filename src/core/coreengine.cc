@@ -890,6 +890,7 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
 
   Delivery d;
   d.dst = ndev;
+  d.nsm_id = entry->nsm_id;
   d.qset = entry->nsm_qset;
   d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
   d.nqe = nqe;
@@ -945,6 +946,7 @@ CoreEngineShard::DgramRoute CoreEngineShard::RouteDgramNqe(const Nqe& nqe,
     if (Backpressured(fdev)) return DgramRoute::kDeferred;
     Delivery d;
     d.dst = fdev;
+    d.nsm_id = reg->nsm_id;
     d.qset = ChooseNsmQset(reg->nsm_id, fdev, key);
     d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
     d.nqe = nqe;
@@ -969,6 +971,7 @@ CoreEngineShard::DgramRoute CoreEngineShard::RouteDgramNqe(const Nqe& nqe,
 
   Delivery d;
   d.dst = ndev;
+  d.nsm_id = entry->nsm_id;
   d.qset = entry->nsm_qset;
   d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
   d.nqe = nqe;
@@ -1316,6 +1319,13 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
 
   std::vector<Delivery> errors;
   for (const Delivery& d : plan) {
+    // The NSM was deregistered while this plan's cost was being charged (an
+    // explicit kill or a failover): its driver has drained its rings and
+    // ignores later wakes, so the NQE unwinds as a purged park would.
+    if (!d.toward_vm && engine_->FindNsm(d.nsm_id) != d.dst) {
+      DropDelivery(d, errors);
+      continue;
+    }
     // Anything already parked for this device must stay ahead of d, or the
     // destination would observe reordered NQEs.
     auto pit = parked_.find(d.dst);

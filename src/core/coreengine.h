@@ -264,6 +264,7 @@ class CoreEngineShard {
     int qset = 0;
     shm::RingKind ring = shm::RingKind::kJob;
     bool toward_vm = false;  // NSM->VM (or CE-synthesized completion)
+    uint8_t nsm_id = 0;      // VM->NSM: the destination, rechecked at delivery
     shm::Nqe nqe;
   };
 

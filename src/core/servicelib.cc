@@ -265,6 +265,11 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kSendZc:
       if (Conn* c = linked()) {
         transport_->Send(nqe, *c);
+      } else if (closed_unlinked_.count(VmKey(nqe.vm_id, nqe.vm_sock)) != 0) {
+        // The handle's kClose overtook this send through the job ring:
+        // nothing will link it now, so the payload chunk goes back to the
+        // pool, as a datagram send's does below.
+        FreeNqeChunk(nqe);
       } else {
         // A send can overtake its socket's accept-link NQE (they travel on
         // different rings); park it until the link arrives.
@@ -293,8 +298,11 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
       } else {
         // The guest closed a handle this NSM never linked (say, its
         // connection died with a failed-over NSM and a send raced the error
-        // FIN here): whatever was parked for it can never be linked now.
-        auto it = orphan_sends_.find(VmKey(nqe.vm_id, nqe.vm_sock));
+        // FIN here): whatever was parked for it can never be linked now,
+        // and neither can a send still queued behind the close.
+        const uint64_t key = VmKey(nqe.vm_id, nqe.vm_sock);
+        closed_unlinked_.insert(key);
+        auto it = orphan_sends_.find(key);
         if (it == orphan_sends_.end()) return;
         for (const Nqe& orphan : it->second) FreeNqeChunk(orphan);
         orphan_sends_.erase(it);

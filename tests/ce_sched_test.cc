@@ -264,6 +264,31 @@ TEST_F(CeErrorTest, SendToAfterNsmDeathReclaimsChunk) {
   EXPECT_EQ(got.reserved[1], shm::kNqeFlagChunkUnconsumed);
 }
 
+TEST_F(CeErrorTest, DeliveryInFlightWhenItsNsmDiesReclaimsChunk) {
+  NkDevice nsm("nsm", 1);
+  ce_.RegisterNsmDevice(1, &nsm);
+  ce_.AssignVmToNsm(1, 1);
+  vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocketUdp, 1, 0, 9));
+  ce_.NotifyVmOutbound(1);
+  RunABit();
+
+  // The round plans the kSendTo and charges its cost; the NSM is
+  // deregistered before the charge completes. Its driver has drained its
+  // rings by then, so the plan must not land there: the chunk comes back.
+  vm_dev_.queue_set(0).send.TryEnqueue(
+      MakeNqe(NqeOp::kSendTo, 1, 0, 9, shm::PackAddr(1, 80), 5555, 256));
+  ce_.NotifyVmOutbound(1);
+  loop_.RunUntilIdleAtNow();
+  ce_.DeregisterNsmDevice(1);
+  RunABit();
+  EXPECT_EQ(nsm.queue_set(0).send.Size(), 0u) << "delivered into a deregistered NSM";
+  Nqe got;
+  ASSERT_TRUE(vm_dev_.queue_set(0).completion.TryDequeue(&got));
+  EXPECT_EQ(got.Op(), NqeOp::kSendToResult);
+  EXPECT_EQ(got.data_ptr, 5555u);
+  EXPECT_EQ(got.reserved[1], shm::kNqeFlagChunkUnconsumed);
+}
+
 TEST_F(CeErrorTest, DeregisterNsmFinsEstablishedConnections) {
   NkDevice nsm("nsm", 1);
   ce_.RegisterNsmDevice(1, &nsm);

@@ -214,6 +214,28 @@ TEST_F(ShmNsmTest, DatagramSendToUnknownSocketReturnsItsChunk) {
   EXPECT_EQ(nsm_->servicelib()->recorder().total_recorded(), 0u);
 }
 
+TEST_F(ShmNsmTest, StreamSendAfterCloseOfUnlinkedHandleReturnsItsChunk) {
+  // A kClose rides the job ring and can overtake the sends of a handle this
+  // NSM never linked. Sends that reach the NSM after it can never be linked
+  // either, so they must release their chunks instead of parking forever.
+  shm::HugepagePool* pool = a_->pool();
+  ASSERT_TRUE(a_->dev()->queue_set(0).job.TryEnqueue(
+      shm::MakeNqe(shm::NqeOp::kClose, a_->id(), 0, /*vm_sock=*/4243)));
+  host_.ce().NotifyVmOutbound(a_->id(), 0);
+  Run(10 * kMillisecond);
+  for (shm::NqeOp op : {shm::NqeOp::kSend, shm::NqeOp::kSendZc}) {
+    SCOPED_TRACE(shm::NqeOpName(op));
+    const uint64_t chunk = pool->Alloc(512);
+    ASSERT_NE(chunk, shm::HugepagePool::kInvalidOffset);
+    ASSERT_TRUE(a_->dev()->queue_set(0).send.TryEnqueue(
+        shm::MakeNqe(op, a_->id(), 0, /*vm_sock=*/4243, 0, chunk, 512)));
+    host_.ce().NotifyVmOutbound(a_->id(), 0);
+    Run(10 * kMillisecond);
+    EXPECT_EQ(pool->bytes_in_use(), 0u);
+    EXPECT_EQ(pool->frees(), pool->allocs());
+  }
+}
+
 TEST_F(ShmNsmTest, ThroughputBeatsTcpForLargeMessages) {
   // The §6.4 headline: colocated traffic through the shm NSM outruns the
   // same VMs talking TCP through the vSwitch.
