@@ -51,31 +51,22 @@ double MeasureRawSwitch(size_t batch) {
   for (uint64_t i = 0; i < 64; ++i) conn_table[i] = i;
 
   std::vector<Nqe> buf(batch);
-  uint64_t sock = 0;
-  uint64_t switched = 0;
-  const auto start = std::chrono::steady_clock::now();
-  const auto deadline = start + std::chrono::milliseconds(200);
-  while (std::chrono::steady_clock::now() < deadline) {
-    // Amortize the clock read over many iterations.
-    for (int rep = 0; rep < 64; ++rep) {
-      // Producer side: the guest enqueues a batch of send NQEs.
-      for (size_t i = 0; i < batch; ++i) {
-        buf[i] = MakeNqe(NqeOp::kSend, 1, 0, static_cast<uint32_t>(sock++ % 64), 0, 4096, 64);
-      }
-      vm_ring.EnqueueBatch(buf.data(), batch);
-      // CoreEngine: drain the batch, look each NQE up, forward it.
-      size_t n = vm_ring.DequeueBatch(buf.data(), batch);
-      for (size_t i = 0; i < n; ++i) {
-        g_sink = conn_table.find(buf[i].vm_sock)->second;
-      }
-      nsm_ring.EnqueueBatch(buf.data(), n);
-      // ServiceLib side drains (keeps the ring from filling).
-      nsm_ring.DequeueBatch(buf.data(), batch);
-      switched += n;
+  return bench::MessagesPerSecond([&, sock = uint64_t{0}]() mutable {
+    // Producer side: the guest enqueues a batch of send NQEs.
+    for (size_t i = 0; i < batch; ++i) {
+      buf[i] = MakeNqe(NqeOp::kSend, 1, 0, static_cast<uint32_t>(sock++ % 64), 0, 4096, 64);
     }
-  }
-  double secs = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return secs > 0 ? static_cast<double>(switched) / secs : 0;
+    vm_ring.EnqueueBatch(buf.data(), batch);
+    // CoreEngine: drain the batch, look each NQE up, forward it.
+    size_t n = vm_ring.DequeueBatch(buf.data(), batch);
+    for (size_t i = 0; i < n; ++i) {
+      g_sink = conn_table.find(buf[i].vm_sock)->second;
+    }
+    nsm_ring.EnqueueBatch(buf.data(), n);
+    // ServiceLib side drains (keeps the ring from filling).
+    nsm_ring.DequeueBatch(buf.data(), batch);
+    return n;
+  });
 }
 
 void PrintShardRow(int shards, const CeShardResult& r, double base) {

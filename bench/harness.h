@@ -6,6 +6,7 @@
 #ifndef BENCH_HARNESS_H_
 #define BENCH_HARNESS_H_
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -346,6 +347,23 @@ inline RpsResult RunRpsExperiment(bool netkernel, core::NsmKind kind, int cores,
   r.errors = lstat.errors;
   r.latency_us = std::move(lstat.latency_us);
   return r;
+}
+
+// Wall-clock rate of a real-CPU microbenchmark body: calls `body` in reps of
+// 64 between steady_clock reads (amortizing the read) for ~200 ms, and
+// returns messages per second. `body` returns how many messages one call
+// handled.
+template <typename Body>
+double MessagesPerSecond(Body body) {
+  uint64_t messages = 0;
+  const auto start = std::chrono::steady_clock::now();
+  const auto deadline = start + std::chrono::milliseconds(200);
+  while (std::chrono::steady_clock::now() < deadline) {
+    for (int rep = 0; rep < 64; ++rep) messages += body();
+  }
+  const double secs =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  return secs > 0 ? static_cast<double>(messages) / secs : 0;
 }
 
 inline void PrintHeader(const std::string& title, const std::string& paper_ref) {

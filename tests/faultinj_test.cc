@@ -13,13 +13,14 @@
 //   * EpollClose while a guest blocks in EpollWait,
 //   * NSM death: DeregisterNsmDevice followed by ServiceLib::Shutdown(),
 //   * wedges under the failover controller, with standbys of the NSM's kind.
+// It runs on kernel, mTCP and FairShare NSMs.
 //
 // The shared-memory plan runs two colocated VMs on a pool-copy NSM under
 // NSM death, wedges with shared-memory standbys, quarantine/unquarantine
 // mid-stream, queue-set migrations and the tiny pending bound.
 //
 // Replay one seed with NK_FAULTINJ_SEED=<n>; NK_FAULTINJ_ITERS=<n> sets the
-// count of every sweep (defaults: 200 kernel-NSM seeds, 20 shared-memory).
+// count of every sweep (defaults: 200 kernel-NSM seeds, 20 for the others).
 
 #include <gtest/gtest.h>
 
@@ -195,54 +196,45 @@ Ledger RunIteration(uint64_t seed, NsmKind kind) {
   return res;
 }
 
-void AddFailure(const std::string& report) { ADD_FAILURE() << report; }
+bool AddFailure(const std::string& report) {
+  ADD_FAILURE() << report;
+  return true;  // keep sweeping
+}
 
 // The kernel fault plan on an NSM of `kind`, with standbys of the same kind.
 void SweepFaultPlan(const char* name, NsmKind kind, uint64_t default_iters) {
   chaos::Sweep sweep({name, "NK_FAULTINJ", kBaseSeed, default_iters});
-  uint64_t total_zc_sends = 0, total_dgram_zc = 0, kills = 0, chaos_runs = 0;
-  uint64_t wedge_runs = 0, controller_runs = 0, total_failovers = 0;
-  sweep.Run([kind](uint64_t seed) { return RunIteration(seed, kind); },
-            [&](const Ledger& r) {
-              total_zc_sends += r.vms[0].zc_sends;
-              total_dgram_zc += r.vms[0].dgram_zc_sends;
-              kills += r.nsm_killed ? 1 : 0;
-              chaos_runs += r.ring_chaos ? 1 : 0;
-              wedge_runs += r.nsm_wedged ? 1 : 0;
-              controller_runs += r.controller_on ? 1 : 0;
-              total_failovers += r.failovers;
-            },
-            [](const std::string& report) {
-              AddFailure(report);
-              return true;
-            });
-
+  sweep.Run([kind](uint64_t seed) { return RunIteration(seed, kind); }, AddFailure);
+  const chaos::Totals& t = sweep.totals();
   // The sweep must actually exercise the machinery it guards: zc loans of
   // both flavors flowed, NSMs died, and ring-full backpressure ran (a
   // single-seed replay skips this).
   if (!sweep.single() && sweep.iters() >= 50) {
-    EXPECT_GT(total_zc_sends, 0u);
-    EXPECT_GT(total_dgram_zc, 0u);
-    EXPECT_GT(kills, 0u);
-    EXPECT_GT(chaos_runs, 0u);
-    EXPECT_GT(controller_runs, 0u);
-    EXPECT_GT(wedge_runs, 0u);
-    EXPECT_GT(total_failovers, 0u) << "controller chaos never produced a failover";
+    EXPECT_GT(t.zc_sends, 0u);
+    EXPECT_GT(t.dgram_zc_sends, 0u);
+    EXPECT_GT(t.nsm_kills, 0u);
+    EXPECT_GT(t.ring_chaos_runs, 0u);
+    EXPECT_GT(t.controller_runs, 0u);
+    EXPECT_GT(t.wedge_runs, 0u);
+    EXPECT_GT(t.failovers, 0u) << "controller chaos never produced a failover";
   }
   sweep.PrintSummary("%s: %llu iterations, %llu NSM kills, %llu ring-chaos runs, "
                      "%llu wedge runs, %llu failovers, "
                      "%llu stream zc sends, %llu dgram zc sends",
-                     name, static_cast<unsigned long long>(sweep.iters()),
-                     static_cast<unsigned long long>(kills),
-                     static_cast<unsigned long long>(chaos_runs),
-                     static_cast<unsigned long long>(wedge_runs),
-                     static_cast<unsigned long long>(total_failovers),
-                     static_cast<unsigned long long>(total_zc_sends),
-                     static_cast<unsigned long long>(total_dgram_zc));
+                     name, sweep.iters(), t.nsm_kills, t.ring_chaos_runs, t.wedge_runs,
+                     t.failovers, t.zc_sends, t.dgram_zc_sends);
 }
 
 TEST(FaultInjection, ZcOwnershipConservesAcrossSeededChaos) {
   SweepFaultPlan("faultinj", NsmKind::kKernel, 200);
+}
+
+TEST(FaultInjection, MtcpNsmConservesAcrossSeededChaos) {
+  SweepFaultPlan("faultinj(mtcp)", NsmKind::kMtcp, 20);
+}
+
+TEST(FaultInjection, FairShareNsmConservesAcrossSeededChaos) {
+  SweepFaultPlan("faultinj(fairshare)", NsmKind::kFairShare, 20);
 }
 
 // ---------------------------------------------------------------------------
@@ -339,34 +331,19 @@ Ledger RunShmIteration(uint64_t seed) {
 
 TEST(FaultInjection, ShmNsmConservesAcrossSeededChaos) {
   chaos::Sweep sweep({"faultinj(shm)", "NK_FAULTINJ", kBaseSeed, 20});
-  uint64_t kills = 0, wedges = 0, quarantines = 0, failovers = 0, copied = 0;
-  sweep.Run(RunShmIteration,
-            [&](const Ledger& r) {
-              kills += r.nsm_killed ? 1 : 0;
-              wedges += r.nsm_wedged ? 1 : 0;
-              quarantines += r.quarantined ? 1 : 0;
-              failovers += r.failovers;
-              copied += r.bytes_copied;
-            },
-            [](const std::string& report) {
-              AddFailure(report);
-              return true;
-            });
+  sweep.Run(RunShmIteration, AddFailure);
+  const chaos::Totals& t = sweep.totals();
   if (!sweep.single() && sweep.iters() >= 20) {
-    EXPECT_GT(copied, 0u);
-    EXPECT_GT(kills, 0u);
-    EXPECT_GT(wedges, 0u);
-    EXPECT_GT(quarantines, 0u);
-    EXPECT_GT(failovers, 0u) << "controller chaos never produced a failover";
+    EXPECT_GT(t.bytes_copied, 0u);
+    EXPECT_GT(t.nsm_kills, 0u);
+    EXPECT_GT(t.wedge_runs, 0u);
+    EXPECT_GT(t.quarantine_runs, 0u);
+    EXPECT_GT(t.failovers, 0u) << "controller chaos never produced a failover";
   }
   sweep.PrintSummary("faultinj(shm): %llu iterations, %llu NSM kills, %llu wedge runs, "
                      "%llu quarantine runs, %llu failovers, %llu bytes copied",
-                     static_cast<unsigned long long>(sweep.iters()),
-                     static_cast<unsigned long long>(kills),
-                     static_cast<unsigned long long>(wedges),
-                     static_cast<unsigned long long>(quarantines),
-                     static_cast<unsigned long long>(failovers),
-                     static_cast<unsigned long long>(copied));
+                     sweep.iters(), t.nsm_kills, t.wedge_runs, t.quarantine_runs, t.failovers,
+                     t.bytes_copied);
 }
 
 // The post-mortem path itself: a real iteration's ledger with one leaked

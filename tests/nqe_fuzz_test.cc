@@ -21,54 +21,41 @@
 namespace netkernel {
 namespace {
 
-using chaos::Ledger;
 using core::NsmKind;
 
 void SweepMutationPlan(const char* name, NsmKind kind) {
   chaos::Sweep sweep({name, "NK_FUZZ", chaos::kFuzzBaseSeed, 200});
-  uint64_t attacks = 0, violations = 0, scrubs = 0, rejected = 0;
-  uint64_t quarantine_trips = 0, chaos_runs = 0, inplace_capable = 0;
   sweep.Run([kind](uint64_t seed) { return chaos::RunFuzzIteration(seed, kind); },
-            [&](const Ledger& r) {
-              attacks += r.injected;
-              violations += r.injected_invalid;
-              scrubs += r.injected_scrub;
-              rejected += r.guard.rejects;
-              quarantine_trips += r.quarantined ? 1 : 0;
-              chaos_runs += r.ring_chaos ? 1 : 0;
-              inplace_capable += r.guard.validated > 0 ? 1 : 0;
-            },
             [](const std::string& report) {
               ADD_FAILURE() << report;
-              return true;
+              return true;  // keep sweeping
             });
-
+  const chaos::Totals& t = sweep.totals();
   // The sweep must actually exercise the machinery it guards: attacks landed
   // and were rejected, legitimate traffic kept validating, quarantines
   // tripped and un-wound, and ring backpressure ran. (Single-seed replays
   // skip the aggregate gates.)
   if (!sweep.single() && sweep.iters() >= 50) {
-    EXPECT_GT(attacks, 0u);
-    EXPECT_GT(violations, 0u);
-    EXPECT_GT(scrubs, 0u);
-    EXPECT_GT(rejected, 0u);
-    EXPECT_GT(quarantine_trips, 0u) << "no seed tripped a quarantine";
-    EXPECT_GT(chaos_runs, 0u);
-    EXPECT_EQ(inplace_capable, sweep.iters()) << "some iteration validated nothing at all";
+    EXPECT_GT(t.injected, 0u);
+    EXPECT_GT(t.injected_invalid, 0u);
+    EXPECT_GT(t.injected_scrub, 0u);
+    EXPECT_GT(t.guard_rejects, 0u);
+    EXPECT_GT(t.quarantine_runs, 0u) << "no seed tripped a quarantine";
+    EXPECT_GT(t.ring_chaos_runs, 0u);
+    EXPECT_EQ(t.validating_runs, sweep.iters()) << "some iteration validated nothing at all";
   }
   sweep.PrintSummary("%s: %llu iterations, %llu attacks (%llu violations, %llu scrubs), "
                      "%llu guard rejects, %llu quarantine trips, %llu ring-chaos runs",
-                     name, static_cast<unsigned long long>(sweep.iters()),
-                     static_cast<unsigned long long>(attacks),
-                     static_cast<unsigned long long>(violations),
-                     static_cast<unsigned long long>(scrubs),
-                     static_cast<unsigned long long>(rejected),
-                     static_cast<unsigned long long>(quarantine_trips),
-                     static_cast<unsigned long long>(chaos_runs));
+                     name, sweep.iters(), t.injected, t.injected_invalid, t.injected_scrub,
+                     t.guard_rejects, t.quarantine_runs, t.ring_chaos_runs);
 }
 
 TEST(NqeFuzz, GuardHoldsInvariantsAcrossSeededMutations) {
   SweepMutationPlan("nqe_fuzz", NsmKind::kKernel);
+}
+
+TEST(NqeFuzz, ShmNsmGuardHoldsInvariantsAcrossSeededMutations) {
+  SweepMutationPlan("nqe_fuzz(shm)", NsmKind::kShm);
 }
 
 }  // namespace

@@ -20,6 +20,8 @@ using shm::NqeOp;
 
 // ---- checker --------------------------------------------------------------
 
+namespace {
+
 std::vector<std::string> Check(const Ledger& l) {
   std::vector<std::string> bad;
   auto fail = [&bad](std::string msg) { bad.push_back(std::move(msg)); };
@@ -38,8 +40,8 @@ std::vector<std::string> Check(const Ledger& l) {
     }
   };
 
-  for (size_t i = 0; i < l.vms.size(); ++i) {
-    const VmLedger& v = l.vms[i];
+  // Chunk conservation and credit pairing per VM; mutations land on vms[0].
+  auto check_vm = [&](const VmLedger& v, uint64_t phantom_zc, uint64_t phantom_dgram_zc) {
     if (v.pool_in_use != 0) {
       fail(v.name + ": pool not empty: " + num(v.pool_in_use) + " bytes leaked");
     }
@@ -47,9 +49,11 @@ std::vector<std::string> Check(const Ledger& l) {
       fail(v.name + ": alloc/free imbalance: " + num(v.pool_allocs) + " allocs vs " +
            num(v.pool_frees) + " frees");
     }
-    pair(v.name + ": stream zc", v.zc_sends, i == 0 ? l.phantom_zc : 0, v.zc_completions);
-    pair(v.name + ": dgram zc", v.dgram_zc_sends, i == 0 ? l.phantom_dgram_zc : 0,
-         v.dgram_zc_completions);
+    pair(v.name + ": stream zc", v.zc_sends, phantom_zc, v.zc_completions);
+    pair(v.name + ": dgram zc", v.dgram_zc_sends, phantom_dgram_zc, v.dgram_zc_completions);
+  };
+  for (size_t i = 0; i < l.vms.size(); ++i) {
+    check_vm(l.vms[i], i == 0 ? l.phantom_zc : 0, i == 0 ? l.phantom_dgram_zc : 0);
   }
 
   // Guard accounting: every landed violation rejected, nothing legitimate
@@ -92,13 +96,15 @@ std::vector<std::string> Check(const Ledger& l) {
   return bad;
 }
 
+}  // namespace
+
 std::string Report(const SweepSpec& spec, uint64_t seed, const Ledger& l) {
   const std::vector<std::string> bad = Check(l);
   if (bad.empty()) return {};
   const std::string s = std::to_string(seed);
   std::string out = std::string(spec.name) + ": seed " + s + " FAILED; replay with " +
                     spec.env + "_SEED=" + s + "\n";
-  for (const std::string& line : bad) out += "  " + line + "\n";
+  for (const std::string& line : bad) out.append("  ").append(line).append("\n");
   return out + "datapath flight-recorder tail:\n" + l.flight_tail + "\n";
 }
 
@@ -107,7 +113,7 @@ std::string Report(const SweepSpec& spec, uint64_t seed, const Ledger& l) {
 Topology::Topology(const TopologySpec& spec) {
   Host::ResetIpAllocator();
   Host::Options opts;
-  opts.ce.shards = spec.shards;
+  opts.ce.shards = 2;
   opts.ce.guard = spec.guard;
   if (spec.pending_bound > 0) opts.ce.pending_bound = spec.pending_bound;
   if (spec.kind == NsmKind::kShm) {
@@ -514,15 +520,33 @@ Sweep::Sweep(const SweepSpec& spec, int argc, char** argv)
   if (single_) iters_ = 1;
 }
 
+void Totals::Add(const Ledger& l) {
+  nsm_kills += l.nsm_killed ? 1 : 0;
+  ring_chaos_runs += l.ring_chaos ? 1 : 0;
+  wedge_runs += l.nsm_wedged ? 1 : 0;
+  quarantine_runs += l.quarantined ? 1 : 0;
+  controller_runs += l.controller_on ? 1 : 0;
+  failovers += l.failovers;
+  bytes_copied += l.bytes_copied;
+  for (const VmLedger& v : l.vms) {
+    zc_sends += v.zc_sends;
+    dgram_zc_sends += v.dgram_zc_sends;
+  }
+  injected += l.injected;
+  injected_invalid += l.injected_invalid;
+  injected_scrub += l.injected_scrub;
+  guard_rejects += l.guard.rejects;
+  validating_runs += l.guard.validated > 0 ? 1 : 0;
+}
+
 uint64_t Sweep::Run(const std::function<Ledger(uint64_t)>& iteration,
-                    const std::function<void(const Ledger&)>& tally,
                     const std::function<bool(const std::string&)>& on_failure) {
   const auto start = std::chrono::steady_clock::now();
   uint64_t failed = 0;
   for (uint64_t i = 0; i < iters_; ++i) {
     const uint64_t seed = single_ ? only_seed_ : spec_.base_seed + i;
     const Ledger l = iteration(seed);
-    tally(l);
+    totals_.Add(l);
     const std::string report = Report(spec_, seed, l);
     if (report.empty()) continue;
     ++failed;
@@ -539,7 +563,7 @@ void Sweep::PrintSummary(const char* fmt, ...) const {
   std::vsnprintf(line, sizeof(line), fmt, ap);
   va_end(ap);
   const double ms = std::chrono::duration<double, std::milli>(wall_).count() /
-                    static_cast<double>(std::max<uint64_t>(iters_, 1));
+                    static_cast<double>(std::max<unsigned long long>(iters_, 1));
   if (spec_.wall_on_stderr) {
     std::printf("%s\n", line);
     std::fprintf(stderr, "%s: %.1f ms/seed wall\n", spec_.name, ms);

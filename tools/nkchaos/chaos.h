@@ -96,14 +96,11 @@ struct Ledger {
   std::string flight_tail;
 };
 
-// One line per violated invariant; empty means the iteration is clean.
-std::vector<std::string> Check(const Ledger& l);
-
 // ---- topology -------------------------------------------------------------
 
+// Every topology runs a two-shard CoreEngine.
 struct TopologySpec {
   core::NsmKind kind = core::NsmKind::kKernel;
-  int shards = 2;
   size_t pending_bound = 0;  // 0 keeps the CoreEngine default
   guard::GuardConfig guard;
   // Two standbys of the NSM's kind and a running failover controller. spare0
@@ -201,6 +198,25 @@ inline constexpr uint64_t kFuzzBaseSeed = 0xfa220u;
 
 // ---- sweep ------------------------------------------------------------------
 
+// Ledger sums over a sweep, for its gates and summary line.
+struct Totals {
+  unsigned long long nsm_kills = 0;
+  unsigned long long ring_chaos_runs = 0;
+  unsigned long long wedge_runs = 0;
+  unsigned long long quarantine_runs = 0;
+  unsigned long long controller_runs = 0;
+  unsigned long long failovers = 0;
+  unsigned long long bytes_copied = 0;
+  unsigned long long zc_sends = 0;        // every VM's
+  unsigned long long dgram_zc_sends = 0;  // every VM's
+  unsigned long long injected = 0;
+  unsigned long long injected_invalid = 0;
+  unsigned long long injected_scrub = 0;
+  unsigned long long guard_rejects = 0;
+  unsigned long long validating_runs = 0;  // the guard admitted something
+  void Add(const Ledger& l);
+};
+
 struct SweepSpec {
   const char* name;  // summary and report prefix
   const char* env;   // reads <env>_ITERS and <env>_SEED
@@ -218,29 +234,30 @@ class Sweep {
   explicit Sweep(const SweepSpec& spec, int argc = 0, char** argv = nullptr);
 
   bool usage_error() const { return usage_error_; }
-  uint64_t iters() const { return iters_; }
+  unsigned long long iters() const { return iters_; }
   bool single() const { return single_; }
+  const Totals& totals() const { return totals_; }
 
-  // Runs every seed: `tally` sees each ledger, and each failing seed's
+  // Runs every seed, summing each ledger into totals(). Each failing seed's
   // Report goes to `on_failure`, which returns false to stop the sweep.
   // Returns the number of failing seeds.
   uint64_t Run(const std::function<Ledger(uint64_t)>& iteration,
-               const std::function<void(const Ledger&)>& tally,
                const std::function<bool(const std::string&)>& on_failure);
   // Prints the summary line with the sweep's wall ms per seed.
   void PrintSummary(const char* fmt, ...) const __attribute__((format(printf, 2, 3)));
 
  private:
   SweepSpec spec_;
-  uint64_t iters_;
+  unsigned long long iters_;
   uint64_t only_seed_ = 0;
   bool single_ = false;
   bool usage_error_ = false;
+  Totals totals_;
   std::chrono::steady_clock::duration wall_{};
 };
 
-// The post-mortem block of a failing seed: what broke, how to replay it and
-// the flight tail. Empty when `l` is clean.
+// The post-mortem block of a failing seed: one line per violated invariant,
+// how to replay it and the flight tail. Empty when `l` is clean.
 std::string Report(const SweepSpec& spec, uint64_t seed, const Ledger& l);
 
 }  // namespace netkernel::chaos

@@ -20,7 +20,6 @@
 #include "tools/nkchaos/chaos.h"
 
 int main(int argc, char** argv) {
-  using netkernel::chaos::Ledger;
   netkernel::chaos::Sweep sweep(
       {"nkfuzz", "NK_FUZZ", netkernel::chaos::kFuzzBaseSeed, 200, /*wall_on_stderr=*/true},
       argc, argv);
@@ -29,30 +28,19 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  uint64_t attacks = 0, violations = 0, scrubs = 0, quarantines = 0, chaos_runs = 0;
   const uint64_t failed = sweep.Run(
       [](uint64_t seed) {
         return netkernel::chaos::RunFuzzIteration(seed, netkernel::core::NsmKind::kKernel);
       },
-      [&](const Ledger& r) {
-        attacks += r.injected;
-        violations += r.injected_invalid;
-        scrubs += r.injected_scrub;
-        quarantines += r.quarantined ? 1 : 0;
-        chaos_runs += r.ring_chaos ? 1 : 0;
-      },
       [](const std::string& report) {
         std::fputs(report.c_str(), stderr);
-        return false;
+        return false;  // stop at the first failing seed
       });
   if (failed > 0) return 1;
+  const netkernel::chaos::Totals& t = sweep.totals();
   sweep.PrintSummary("nkfuzz: OK — %llu iterations, %llu attacks landed (%llu violations "
                      "rejected, %llu flag scrubs), %llu quarantine trips, %llu ring-chaos runs",
-                     static_cast<unsigned long long>(sweep.iters()),
-                     static_cast<unsigned long long>(attacks),
-                     static_cast<unsigned long long>(violations),
-                     static_cast<unsigned long long>(scrubs),
-                     static_cast<unsigned long long>(quarantines),
-                     static_cast<unsigned long long>(chaos_runs));
+                     sweep.iters(), t.injected, t.injected_invalid, t.injected_scrub,
+                     t.quarantine_runs, t.ring_chaos_runs);
   return 0;
 }
