@@ -717,7 +717,7 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
           ++taken;
           continue;
         }
-        if (!RouteVmNqe(nqe, true, plan, cost, retry_at)) {
+        if (!RouteVmNqe(nqe, true, q.send, plan, cost, retry_at)) {
           *send_blocked = true;
           break;
         }
@@ -735,7 +735,7 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
           ++taken;
           continue;
         }
-        if (!RouteVmNqe(nqe, false, plan, cost, retry_at)) {
+        if (!RouteVmNqe(nqe, false, q.send, plan, cost, retry_at)) {
           *job_blocked = true;
           break;
         }
@@ -814,6 +814,7 @@ bool CoreEngineShard::GuardAdmit(Nqe* nqe, shm::SpscRing<Nqe>* ring, bool from_s
 }
 
 bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
+                                 const shm::SpscRing<Nqe>& send_ring,
                                  std::vector<Delivery>& plan, Cycles& cost,
                                  SimTime* retry_at) {
   CoreEngine::VmReg* reg = engine_->FindVm(nqe.vm_id);
@@ -887,6 +888,14 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
   // in the guest ring. (The token already spent on it is kept — conservative
   // policing, same as the byte-bucket path above.)
   if (Backpressured(ndev)) return false;
+  // Sends the guest queued before this close may still sit in its send ring
+  // (held by the byte bucket, or behind a send for another, backpressured
+  // NSM). Delivered first, the close would unlink the connection ahead of
+  // its last data, which the NSM would then park as orphans forever.
+  if (op == NqeOp::kClose && !from_send_ring &&
+      send_ring.AnyQueued([&nqe](const Nqe& s) { return s.vm_sock == nqe.vm_sock; })) {
+    return false;
+  }
 
   Delivery d;
   d.dst = ndev;

@@ -297,8 +297,11 @@ class CoreEngineShard {
   // NQE was admitted and may be routed; false when it was consumed here.
   bool GuardAdmit(shm::Nqe* nqe, shm::SpscRing<shm::Nqe>* ring, bool from_send_ring,
                   uint8_t vm_id, uint8_t qset, std::vector<Delivery>& plan, Cycles& cost);
-  // Routes one VM->NSM NQE; returns false if it must stay queued (throttled).
-  bool RouteVmNqe(const shm::Nqe& nqe, bool from_send_ring, std::vector<Delivery>& plan,
+  // Routes one VM->NSM NQE; returns false if it must stay queued (throttled,
+  // backpressured, or a kClose whose socket still has sends in `send_ring`,
+  // the polled queue set's send ring, which the guest wrote before it).
+  bool RouteVmNqe(const shm::Nqe& nqe, bool from_send_ring,
+                  const shm::SpscRing<shm::Nqe>& send_ring, std::vector<Delivery>& plan,
                   Cycles& cost, SimTime* retry_at);
   // Connectionless-NQE routing via the datagram socket table.
   enum class DgramRoute {

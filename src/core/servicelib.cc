@@ -180,9 +180,24 @@ void ServiceLib::ProcessQueueSet(int qs) {
   shm::QueueSet& q = dev_->queue_set(qs);
   // The send ring drains before the job ring so a close() issued right after
   // a send() cannot overtake the data (the guest wrote them in that order).
+  // A batch takes at most 64 sends, though: while more remain queued, a
+  // kClose whose socket still has one waits for a later batch. Taken now, it
+  // would unlink the socket ahead of its last sends, which would then park
+  // as orphans forever.
   Nqe buf[128];
   size_t n = q.send.DequeueBatch(buf, 64);
-  n += q.job.DequeueBatch(buf + n, 64);
+  if (q.send.Empty()) {
+    n += q.job.DequeueBatch(buf + n, 64);
+  } else {
+    for (size_t taken = 0; taken < 64 && q.job.Peek(&buf[n]); ++taken, ++n) {
+      const Nqe& job = buf[n];
+      const auto same_socket = [&job](const Nqe& s) {
+        return s.vm_id == job.vm_id && s.vm_sock == job.vm_sock;
+      };
+      if (job.Op() == NqeOp::kClose && q.send.AnyQueued(same_socket)) break;
+      q.job.TryDequeue(&buf[n]);
+    }
+  }
   if (n == 0) {
     drain_scheduled_[qs] = false;
     return;
@@ -265,11 +280,6 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kSendZc:
       if (Conn* c = linked()) {
         transport_->Send(nqe, *c);
-      } else if (closed_unlinked_.count(VmKey(nqe.vm_id, nqe.vm_sock)) != 0) {
-        // The handle's kClose overtook this send through the job ring:
-        // nothing will link it now, so the payload chunk goes back to the
-        // pool, as a datagram send's does below.
-        FreeNqeChunk(nqe);
       } else {
         // A send can overtake its socket's accept-link NQE (they travel on
         // different rings); park it until the link arrives.
@@ -298,11 +308,8 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
       } else {
         // The guest closed a handle this NSM never linked (say, its
         // connection died with a failed-over NSM and a send raced the error
-        // FIN here): whatever was parked for it can never be linked now,
-        // and neither can a send still queued behind the close.
-        const uint64_t key = VmKey(nqe.vm_id, nqe.vm_sock);
-        closed_unlinked_.insert(key);
-        auto it = orphan_sends_.find(key);
+        // FIN here): whatever was parked for it can never be linked now.
+        auto it = orphan_sends_.find(VmKey(nqe.vm_id, nqe.vm_sock));
         if (it == orphan_sends_.end()) return;
         for (const Nqe& orphan : it->second) FreeNqeChunk(orphan);
         orphan_sends_.erase(it);

@@ -26,7 +26,6 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/core/coreengine.h"
@@ -221,9 +220,6 @@ class ServiceLib {
   std::unordered_map<uint64_t, Conn*> by_vm_;
   // kSend NQEs that arrived before their connection's accept-link NQE.
   std::unordered_map<uint64_t, std::vector<shm::Nqe>> orphan_sends_;
-  // Guest handles closed before this NSM linked them. GuestLib never reuses
-  // a handle, so a send for one of these can never be linked either.
-  std::unordered_set<uint64_t> closed_unlinked_;
   std::vector<bool> drain_scheduled_;
   DoorbellCoalescer doorbell_;
   obs::Tracer* tracer_ = nullptr;

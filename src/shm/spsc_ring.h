@@ -109,6 +109,17 @@ class SpscRing {
     return true;
   }
 
+  // Whether any queued item satisfies `pred`, without consuming (consumer
+  // side only; same acquire(head_) pairing as Peek).
+  template <typename Pred>
+  bool AnyQueued(Pred pred) const {
+    const size_t head = head_.load(std::memory_order_acquire);
+    for (size_t i = tail_.load(std::memory_order_relaxed); i != head; i = (i + 1) & mask_) {
+      if (pred(slots_[i])) return true;
+    }
+    return false;
+  }
+
   // Observers (approximate under concurrency; exact when single-threaded).
 
   bool Empty() const {

@@ -184,6 +184,25 @@ TEST_F(CoreEngineTest, ByteRateLimitAppliesToSendQueue) {
   EXPECT_EQ(passed + DrainNsm().size(), 4u);
 }
 
+TEST_F(CoreEngineTest, CloseWaitsForTheSendsTheByteRateHoldsBack) {
+  // The byte bucket holds the second send back in the guest's send ring. The
+  // close the guest wrote after it must not reach the NSM first, or the NSM
+  // would unlink the connection ahead of its last data.
+  ce_.SetVmByteRate(1, /*bytes_per_sec=*/1e6, /*burst=*/8192.0);
+  ce_.SetVmOpRate(1, 0, 0);  // unlimited ops
+  SendFromVm(MakeNqe(NqeOp::kSocket, 1, 0, 100));
+  DrainNsm();
+  for (int i = 0; i < 2; ++i) {
+    vm_dev_.queue_set(0).send.TryEnqueue(MakeNqe(NqeOp::kSend, 1, 0, 100, 0, 0, 8192));
+  }
+  SendFromVm(MakeNqe(NqeOp::kClose, 1, 0, 100));
+  std::vector<Nqe> got = DrainNsm();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].Op(), NqeOp::kSend);
+  loop_.Run(loop_.Now() + 40 * kMillisecond);
+  EXPECT_EQ(DrainNsm().size(), 2u);  // the held send, then the close
+}
+
 TEST_F(CoreEngineTest, ControlMessagesAreEightBytes) {
   CeMessage resp = ce_.HandleControlMessage(
       {static_cast<uint32_t>(CeOp::kAssignVmToNsm), (1u << 8) | 1u});

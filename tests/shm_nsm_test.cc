@@ -214,28 +214,6 @@ TEST_F(ShmNsmTest, DatagramSendToUnknownSocketReturnsItsChunk) {
   EXPECT_EQ(nsm_->servicelib()->recorder().total_recorded(), 0u);
 }
 
-TEST_F(ShmNsmTest, StreamSendAfterCloseOfUnlinkedHandleReturnsItsChunk) {
-  // A kClose rides the job ring and can overtake the sends of a handle this
-  // NSM never linked. Sends that reach the NSM after it can never be linked
-  // either, so they must release their chunks instead of parking forever.
-  shm::HugepagePool* pool = a_->pool();
-  ASSERT_TRUE(a_->dev()->queue_set(0).job.TryEnqueue(
-      shm::MakeNqe(shm::NqeOp::kClose, a_->id(), 0, /*vm_sock=*/4243)));
-  host_.ce().NotifyVmOutbound(a_->id(), 0);
-  Run(10 * kMillisecond);
-  for (shm::NqeOp op : {shm::NqeOp::kSend, shm::NqeOp::kSendZc}) {
-    SCOPED_TRACE(shm::NqeOpName(op));
-    const uint64_t chunk = pool->Alloc(512);
-    ASSERT_NE(chunk, shm::HugepagePool::kInvalidOffset);
-    ASSERT_TRUE(a_->dev()->queue_set(0).send.TryEnqueue(
-        shm::MakeNqe(op, a_->id(), 0, /*vm_sock=*/4243, 0, chunk, 512)));
-    host_.ce().NotifyVmOutbound(a_->id(), 0);
-    Run(10 * kMillisecond);
-    EXPECT_EQ(pool->bytes_in_use(), 0u);
-    EXPECT_EQ(pool->frees(), pool->allocs());
-  }
-}
-
 TEST_F(ShmNsmTest, ThroughputBeatsTcpForLargeMessages) {
   // The §6.4 headline: colocated traffic through the shm NSM outruns the
   // same VMs talking TCP through the vSwitch.
@@ -266,11 +244,11 @@ class ShmDriverTest : public ::testing::Test {
   static constexpr uint8_t kB = 2;
   static constexpr netsim::IpAddr kIpB = 0x0a000002;
 
-  ShmDriverTest()
+  explicit ShmDriverTest(size_t ring_capacity = 8)
       : ce_core_(&loop_, "ce"),
         nsm_core_(&loop_, "nsm"),
         ce_(&loop_, &ce_core_),
-        dev_("drv", 1, /*capacity=*/8),
+        dev_("drv", 1, ring_capacity),
         pool_a_(kMiB),
         pool_b_(kMiB),
         slib_(&loop_, /*nsm_id=*/1, &ce_, &dev_, {&nsm_core_}, core::ServiceLib::PoolCopy(),
@@ -410,6 +388,33 @@ TEST_F(ShmDriverTest, EvictionUnwindsABatchAlreadyChargedToTheNsmCore) {
   slib_.AttachVm(kA, &pool_a_, 0x0a000001);
   Run(100 * kMillisecond);
   EXPECT_EQ(pool_a_.bytes_in_use(), 0u);
+  EXPECT_EQ(pool_a_.allocs(), pool_a_.frees());
+}
+
+// The same driver on rings that can queue more than one batch.
+class ShmDriverDeepRingTest : public ShmDriverTest {
+ protected:
+  ShmDriverDeepRingTest() : ShmDriverTest(/*ring_capacity=*/128) {}
+};
+
+TEST_F(ShmDriverDeepRingTest, CloseNeverOvertakesTheSendsQueuedBeforeIt) {
+  // A batch takes at most 64 NQEs per ring, so both closes are in reach while
+  // sends written before them still wait behind the send ring's batch. A send
+  // dispatched after its socket's close would park as an orphan forever,
+  // whether the NSM never linked the socket (7) or it is live (1).
+  Connect();
+  const auto send = [this](uint32_t sock) {
+    const uint64_t chunk = pool_a_.Alloc(100);
+    ASSERT_NE(chunk, shm::HugepagePool::kInvalidOffset);
+    ASSERT_TRUE(q().send.TryEnqueue(shm::MakeNqe(shm::NqeOp::kSend, kA, 0, sock, 0, chunk, 100)));
+  };
+  for (int i = 0; i < 70; ++i) send(7);
+  send(1);
+  ASSERT_TRUE(q().job.TryEnqueue(shm::MakeNqe(shm::NqeOp::kClose, kA, 0, 7)));
+  ASSERT_TRUE(q().job.TryEnqueue(shm::MakeNqe(shm::NqeOp::kClose, kA, 0, 1)));
+  dev_.Wake();
+  Run(10 * kMillisecond);
+  EXPECT_EQ(pool_a_.bytes_in_use(), 0u) << "a send parked behind its socket's close";
   EXPECT_EQ(pool_a_.allocs(), pool_a_.frees());
 }
 

@@ -105,11 +105,14 @@ TEST(SpscRing, WrapAround) {
   for (int round = 0; round < 100; ++round) {
     ASSERT_TRUE(ring.TryEnqueue(round));
     ASSERT_TRUE(ring.TryEnqueue(round + 1000));
+    EXPECT_TRUE(ring.AnyQueued([round](int x) { return x == round + 1000; }));
+    EXPECT_FALSE(ring.AnyQueued([round](int x) { return x == round - 1; }));
     int a, b;
     ASSERT_TRUE(ring.TryDequeue(&a));
     ASSERT_TRUE(ring.TryDequeue(&b));
     EXPECT_EQ(a, round);
     EXPECT_EQ(b, round + 1000);
+    EXPECT_FALSE(ring.AnyQueued([](int) { return true; }));
   }
 }
 

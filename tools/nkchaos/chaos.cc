@@ -564,12 +564,8 @@ void Sweep::PrintSummary(const char* fmt, ...) const {
   va_end(ap);
   const double ms = std::chrono::duration<double, std::milli>(wall_).count() /
                     static_cast<double>(std::max<unsigned long long>(iters_, 1));
-  if (spec_.wall_on_stderr) {
-    std::printf("%s\n", line);
-    std::fprintf(stderr, "%s: %.1f ms/seed wall\n", spec_.name, ms);
-  } else {
-    std::printf("%s; %.1f ms/seed wall\n", line, ms);
-  }
+  std::printf("%s\n", line);
+  std::fprintf(stderr, "%s: %.1f ms/seed wall\n", spec_.name, ms);
 }
 
 }  // namespace netkernel::chaos

@@ -222,9 +222,6 @@ struct SweepSpec {
   const char* env;   // reads <env>_ITERS and <env>_SEED
   uint64_t base_seed;  // seed of iteration i is base_seed + i
   uint64_t default_iters;
-  // Keep stdout deterministic: the wall figure goes to stderr on its own line
-  // instead of ending the summary.
-  bool wall_on_stderr = false;
 };
 
 class Sweep {
@@ -243,7 +240,8 @@ class Sweep {
   // Returns the number of failing seeds.
   uint64_t Run(const std::function<Ledger(uint64_t)>& iteration,
                const std::function<bool(const std::string&)>& on_failure);
-  // Prints the summary line with the sweep's wall ms per seed.
+  // Prints the summary line on stdout, which stays identical from run to run,
+  // and the sweep's wall ms per seed on stderr.
   void PrintSummary(const char* fmt, ...) const __attribute__((format(printf, 2, 3)));
 
  private:

@@ -20,9 +20,8 @@
 #include "tools/nkchaos/chaos.h"
 
 int main(int argc, char** argv) {
-  netkernel::chaos::Sweep sweep(
-      {"nkfuzz", "NK_FUZZ", netkernel::chaos::kFuzzBaseSeed, 200, /*wall_on_stderr=*/true},
-      argc, argv);
+  netkernel::chaos::Sweep sweep({"nkfuzz", "NK_FUZZ", netkernel::chaos::kFuzzBaseSeed, 200},
+                                argc, argv);
   if (sweep.usage_error()) {
     std::fprintf(stderr, "usage: nkfuzz [--iters N] [--seed S]\n");
     return 2;
