@@ -656,8 +656,11 @@ void CoreEngineShard::ExecutePendingHandoffs() {
 // ---------------------------------------------------------------------------
 
 void CoreEngineShard::ScheduleRound() {
-  if (round_scheduled_) return;
-  round_scheduled_ = true;
+  // One round at a time: while a round is queued or its cost is still being
+  // charged, a doorbell starts nothing. The round's completion polls again
+  // and takes everything that queued meanwhile as one batch.
+  if (round_active_) return;
+  round_active_ = true;
   engine_->loop_->ScheduleAfter(0, [this] { ProcessRound(); });
 }
 
@@ -1104,7 +1107,6 @@ void CoreEngineShard::PlanDelivery(const Delivery& d, std::vector<Delivery>& pla
 }
 
 void CoreEngineShard::ProcessRound() {
-  round_scheduled_ = false;
   retry_timer_.Cancel();
 
   const CoreEngineConfig& config = engine_->config_;
@@ -1199,16 +1201,16 @@ void CoreEngineShard::ProcessRound() {
   if (nnsm > 0) nsm_rr_cursor_ = (nsm_rr_cursor_ + 1) % nnsm;
 
   if (total == 0 && plan.empty()) {
+    // The shard goes idle: the next doorbell or retry starts a round.
+    round_active_ = false;
     // No new work this round, but parked deliveries may now fit — retry
     // them directly (the busy-polling CE's next spin would).
     if (parked_total_ > 0) DeliverPlan({});
-    if (in_flight_total_ == 0) {
-      // Round boundary with nothing in flight: safe point for handoffs. A
-      // fully backpressured shard still reaches here, so its backlog can be
-      // rebalanced even when it cannot switch a single NQE.
-      ExecutePendingHandoffs();
-      engine_->MaybeRebalance(this);
-    }
+    // Round boundary: safe point for handoffs. A fully backpressured shard
+    // still reaches here, so its backlog can be rebalanced even when it
+    // cannot switch a single NQE.
+    ExecutePendingHandoffs();
+    engine_->MaybeRebalance(this);
     if (retry_at != kSimTimeNever) {
       retry_timer_ = engine_->loop_->Schedule(retry_at, [this] { ScheduleRound(); });
     }
@@ -1218,22 +1220,16 @@ void CoreEngineShard::ProcessRound() {
   ++stats_.rounds;
   stats_.nqes_switched += total;
 
+  // No throttle retry is armed here: the completion below polls again, and
+  // its round re-arms one if the bucket still holds NQEs back.
   core_->Charge(cost, [this, plan = std::move(plan)] {
     DeliverPlan(plan);
-    // Handoffs only when *no* plan is in flight: a doorbell can start
-    // another round (and charge another plan) before this callback runs,
-    // and migrating under it would let newer NQEs overtake the parked
-    // deliveries that move with the queue set.
-    if (in_flight_total_ == 0) {
-      ExecutePendingHandoffs();
-      engine_->MaybeRebalance(this);
-    }
-    ProcessRound();  // keep polling while work remains
+    // This round's plan was the only one in flight, so its deliveries have
+    // all landed, parked or dropped: the queue set can move now.
+    ExecutePendingHandoffs();
+    engine_->MaybeRebalance(this);
+    ProcessRound();  // the busy-polling core's next spin
   });
-
-  if (retry_at != kSimTimeNever) {
-    retry_timer_ = engine_->loop_->Schedule(retry_at, [this] { ScheduleRound(); });
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1304,8 +1300,8 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
   // lands in a ring, parks, or drops — all of which Backpressured() sees.
   // Every caller counts its entries through PlanDelivery (rounds and
   // deregistration FINs) or manually (PurgePark's synthesized errors), so
-  // the decrement is exact — the in_flight_total_ == 0 handoff gate relies
-  // on that. The map lookup stays defensive against future uncounted plans.
+  // the decrement is exact — AssignQueueSetToShard's handoff gate relies on
+  // that. The map lookup stays defensive against future uncounted plans.
   for (const Delivery& d : plan) {
     auto it = in_flight_.find(d.dst);
     if (it != in_flight_.end()) {
@@ -1390,7 +1386,7 @@ void CoreEngineShard::PurgePark(shm::NkDevice* dev, bool synthesize_errors) {
   parked_.erase(it);
   if (synthesize_errors && !errors.empty()) {
     // Balance DeliverPlan's in-flight decrement for these synthesized
-    // completions so concurrent rounds' counts stay exact.
+    // completions so the counts of a round being charged stay exact.
     for (const Delivery& e : errors) {
       ++in_flight_[e.dst];
       ++in_flight_total_;

@@ -15,8 +15,12 @@
 //     parked in a bounded per-device pending queue and retried on later
 //     rounds; beyond the bound the NQE is dropped with an error completion
 //     returned to the guest so send credits and hugepage chunks never leak;
-//   * batched polling (cycles per switched NQE shrink with batch size,
-//     calibrated against Fig 11);
+//   * batched polling: a shard busy-polls with at most one round queued or
+//     charged at a time. A doorbell that arrives while its round is being
+//     charged starts nothing; the round's completion polls again and takes
+//     everything that queued meanwhile as one batch. A busy switch therefore
+//     batches and an idle one answers at once, and cycles per switched NQE
+//     shrink with the batch size (calibrated against Fig 11);
 //   * the control plane: NK device (de)registration via 8-byte
 //     <ce_op, ce_data> messages (§5);
 //   * per-VM observability (PerVmStats) so fairness and isolation are
@@ -276,14 +280,17 @@ class CoreEngineShard {
   // Returns how many established stream connections were errored with FINs.
   size_t RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev);
   // Executes queue-set handoffs that were requested while a delivery plan
-  // was in flight (runs at the round boundary, when in_flight_total_ == 0).
+  // was in flight (runs at the round boundary, once that plan has landed).
   void ExecutePendingHandoffs();
   // Queued NQEs in this shard's owned VM queue sets (the overload signal).
   uint64_t VmBacklog() const;
   uint64_t VmQsetBacklog(uint8_t vm_id, uint8_t qset) const;
   bool OwnedVmHasOutbound(uint8_t vm_id, const VmSched& vs) const;
 
+  // Queues a round unless one is already queued or being charged.
   void ScheduleRound();
+  // Polls, charges the round's cost, delivers its plan at the charge's end
+  // and polls again; the shard goes idle when a round finds no work.
   void ProcessRound();
   // Routes up to `limit` NQEs from `vm`'s owned queue sets (send ring before
   // job ring per set). A throttled/backpressured ring sets the matching
@@ -366,7 +373,8 @@ class CoreEngineShard {
   std::unordered_map<uint64_t, ConnEntry> conn_table_;
   std::unordered_map<uint64_t, DgramEntry> dgram_table_;
 
-  bool round_scheduled_ = false;
+  // A round is queued or being charged; cleared when a round finds no work.
+  bool round_active_ = false;
   sim::EventHandle retry_timer_;
   sim::EventHandle park_timer_;
   // Backpressure: deliveries that found their destination ring full, FIFO
@@ -374,8 +382,9 @@ class CoreEngineShard {
   // facade drains competing shards' FIFOs for one device by VM weight).
   std::unordered_map<shm::NkDevice*, std::deque<Delivery>> parked_;
   size_t parked_total_ = 0;
-  // Deliveries planned this/earlier rounds whose delivery phase has not run
-  // yet; counted against the pending bound so a round cannot overshoot it.
+  // Deliveries planned by the round being charged whose delivery phase has
+  // not run yet; counted against the pending bound so a round cannot
+  // overshoot it.
   std::unordered_map<shm::NkDevice*, size_t> in_flight_;
   size_t in_flight_total_ = 0;
   uint64_t rounds_since_rebalance_ = 0;

@@ -449,11 +449,13 @@ void Host::QuarantineVm(Vm* vm) {
   // (unconsumed flag, credit in op_data) so the still-running GuestLib frees
   // it and reclaims the send credit; if the completion ring is full the chunk
   // goes straight back to the pool and only the credit pairing relaxes.
+  // Every swept NQE counts as a quarantine drop, as the CE's own drain does.
   for (int qs = 0; qs < vm->dev_->num_queue_sets(); ++qs) {
     shm::QueueSet& q = vm->dev_->queue_set(qs);
     shm::Nqe nqe;
     auto sweep = [&](shm::SpscRing<shm::Nqe>& ring) {
       while (ring.TryDequeue(&nqe)) {
+        ce_->validator().CountQuarantineDrop();
         // Only a carries-chunk request pins a chunk; everything else —
         // including any non-op byte off the hostile ring — drains valueless.
         const shm::OpTraits* traits = shm::FindOpTraits(nqe.op);

@@ -49,8 +49,13 @@ inline constexpr int kNumTraceStages = 5;
 
 // The four per-stage deltas between consecutive stamps.
 enum class TraceDelta : uint8_t {
-  kRingQueueing = 0,  // T0 -> T1: time on the VM ring before the switch polled it
-  kSwitch = 1,        // T1 -> T2: CoreEngine switching + NSM ring + wakeup
+  // T0 -> T1: time on the VM ring before the switch polled it, including
+  // the wait for a busy switch core to finish its current round.
+  kRingQueueing = 0,
+  // T1 -> T2: the polling round's own switching cost, then NSM ring
+  // residency and wakeup. A shard charges one round at a time, so the wait
+  // for a busy switch core falls in T0 -> T1, not here.
+  kSwitch = 1,
   kStackService = 2,  // T2 -> T3: stack processing until the completion ringed
   kCompletion = 3,    // T3 -> T4: completion ring residency until guest reap
 };

@@ -224,6 +224,25 @@ TEST_F(CoreEngineTest, SwitchingChargesTheCeCore) {
   EXPECT_GT(core_.busy_cycles(), 0u);
 }
 
+// A doorbell rung while the shard's round is still being charged starts no
+// round of its own: the round's completion polls again and takes everything
+// that queued meanwhile as one batch.
+TEST_F(CoreEngineTest, NqesArrivingDuringARoundShareTheNextRound) {
+  vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocket, 1, 0, 100));
+  ce_.NotifyVmOutbound(1);
+  loop_.RunUntilIdleAtNow();
+  ASSERT_TRUE(core_.BusyNow());
+  for (uint32_t sock = 101; sock < 116; ++sock) {
+    vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocket, 1, 0, sock));
+    ce_.NotifyVmOutbound(1);
+    loop_.RunUntilIdleAtNow();
+  }
+  loop_.Run(loop_.Now() + kMillisecond);
+  EXPECT_EQ(ce_.stats().nqes_switched, 16u);
+  EXPECT_EQ(ce_.stats().rounds, 2u);
+  EXPECT_EQ(DrainNsm().size(), 16u);
+}
+
 TEST_F(CoreEngineTest, WakesDestinationDevice) {
   int nsm_wakes = 0;
   nsm_dev_.SetWakeCallback([&] { ++nsm_wakes; });

@@ -360,5 +360,22 @@ TEST(NkGuard, QuarantineReclaimsChunksSparesCoTenantAndUnwindsCleanly) {
   EXPECT_EQ(host_a.ce().validator().stats().quarantines, 1u);
 }
 
+// An attack still queued when the host quarantines its VM is drained by the
+// host's own ring sweep, not by a switching round; the sweep must count it,
+// or the chaos checker's rejects + quarantine_drops >= violations fails.
+TEST(NkGuard, QuarantineSweepCountsWhatItDrains) {
+  Host::ResetIpAllocator();
+  sim::EventLoop loop;
+  netsim::Fabric fabric(&loop);
+  Host host(&loop, &fabric, "host");
+  Nsm* nsm = host.CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* vm = host.CreateNetkernelVm("vm", 1, nsm);
+  // An NSM-direction op on the guest's job ring, with no doorbell.
+  ASSERT_TRUE(vm->dev()->queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kRecvData, vm->id(), 0, 7)));
+  host.QuarantineVm(vm);
+  const guard::GuardStats& g = host.ce().validator().stats();
+  EXPECT_EQ(g.rejects + g.quarantine_drops, 1u);
+}
+
 }  // namespace
 }  // namespace netkernel

@@ -4,9 +4,11 @@
 Each BENCH_*.json is a flat array of rows:
     {"bench": ..., "config": ..., "metric": ..., "value": ...}
 (see bench/harness.h JsonReporter). This script joins current rows against
-the previous run's rows on (bench, config, metric), prints a delta table,
-and exits nonzero when a *gated* metric regresses by more than the allowed
-fraction. Higher-is-better vs lower-is-better is per metric name.
+the previous run's rows on (bench, config, metric), prints a table of
+changes, and exits nonzero when a *gated* metric regresses by more than the
+allowed fraction. Higher-is-better vs lower-is-better is per metric name; the
+`change` column prints the signed relative change followed by `better` or
+`worse`, so a doubled goodput reads `+100.0% better`.
 
 Usage:
     tools/bench_diff.py --prev <dir-with-previous-BENCH_*.json> \
@@ -97,6 +99,12 @@ def gate_threshold(bench, metric, default):
     return default if override is None else override
 
 
+def change_label(change, delta):
+    """Signed relative change (curr vs prev), then which way that is."""
+    verdict = "worse" if delta > 0 else "better" if delta < 0 else "same"
+    return f"{change * 100:+.1f}% {verdict}"
+
+
 def list_gates(default_threshold):
     """Machine-readable dump of the gated set: bench metric direction threshold."""
     print(f"{'bench':<22} {'metric':<18} {'direction':<10} {'threshold':>9}")
@@ -133,31 +141,28 @@ def main():
         return 0
 
     regressions = []
-    header = f"{'bench':<22} {'config':<30} {'metric':<18} {'prev':>12} {'curr':>12} {'delta':>8}"
+    header = (f"{'bench':<22} {'config':<30} {'metric':<18} {'prev':>12} {'curr':>12} "
+              f"{'change':>15}")
     print(header)
     print("-" * len(header))
     for key in sorted(curr):
         bench, config, metric = key
         cv = curr[key]
         if key not in prev:
-            print(f"{bench:<22} {config:<30} {metric:<18} {'(new)':>12} {cv:>12.4g} {'':>8}")
+            print(f"{bench:<22} {config:<30} {metric:<18} {'(new)':>12} {cv:>12.4g} {'':>15}")
             continue
         pv = prev[key]
-        if pv == 0:
-            delta = 0.0
-        elif metric in LOWER_IS_BETTER:
-            delta = (cv - pv) / abs(pv)        # positive = worse
-        else:
-            delta = (pv - cv) / abs(pv)        # positive = worse
+        change = 0.0 if pv == 0 else (cv - pv) / abs(pv)
+        delta = change if metric in LOWER_IS_BETTER else -change  # positive = worse
         thr = gate_threshold(bench, metric, args.threshold)
         flag = ""
         if thr is not None and delta > thr:
             flag = " <-- REGRESSION"
-            regressions.append((key, pv, cv, delta, thr))
+            regressions.append((key, pv, cv, change, thr))
         elif thr is None and delta > args.threshold:
             flag = " (ungated)"
         print(f"{bench:<22} {config:<30} {metric:<18} {pv:>12.4g} {cv:>12.4g} "
-              f"{delta * 100:>+7.1f}%{flag}")
+              f"{change_label(change, delta):>15}{flag}")
 
     # A gated metric that existed in the previous run but vanished from the
     # current one is itself a gate failure: losing the measurement is how a
@@ -166,15 +171,15 @@ def main():
                if k not in curr and gate_threshold(k[0], k[2], args.threshold) is not None]
     for bench, config, metric in missing:
         print(f"{bench:<22} {config:<30} {metric:<18} {prev[(bench, config, metric)]:>12.4g} "
-              f"{'(gone)':>12} {'':>8} <-- MISSING GATED METRIC")
+              f"{'(gone)':>12} {'':>15} <-- MISSING GATED METRIC")
         regressions.append(((bench, config, metric), prev[(bench, config, metric)],
                             float("nan"), float("inf"), 0.0))
 
     if regressions:
         print(f"\nFAIL: {len(regressions)} gated metric(s) regressed past their threshold:")
-        for (bench, config, metric), pv, cv, delta, thr in regressions:
+        for (bench, config, metric), pv, cv, change, thr in regressions:
             print(f"  {bench} [{config}] {metric}: {pv:.4g} -> {cv:.4g} "
-                  f"({delta * 100:+.1f}%, allowed {thr * 100:.0f}%)")
+                  f"({change * 100:+.1f}% worse, allowed {thr * 100:.0f}%)")
         return 1
     print("\nOK: no gated metric regressed beyond the threshold")
     return 0
