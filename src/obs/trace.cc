@@ -20,7 +20,7 @@ const char* TraceDeltaName(TraceDelta d) {
   return "unknown";
 }
 
-Tracer::Tracer(const sim::EventLoop* loop) : loop_(loop), records_(65536) {
+Tracer::Tracer(const sim::EventLoop* loop) : loop_(loop) {
   NK_CHECK(loop != nullptr);
 }
 
@@ -42,7 +42,8 @@ Cycles Tracer::OnGuestEnqueue(shm::Nqe* nqe) {
 }
 
 Tracer::Record* Tracer::Find(uint16_t id, TraceStage expected_prev) {
-  if (id == 0) return nullptr;
+  // A forged id on a tracer that never sampled finds no table.
+  if (id == 0 || records_.empty()) return nullptr;
   Record& r = records_[id];
   // A stale id (record evicted, or stamps arriving out of the canonical
   // order after an error path re-used the NQE) is dropped silently: tracing

@@ -74,7 +74,12 @@ class Tracer {
   Tracer& operator=(const Tracer&) = delete;
 
   // 0 disables tracing entirely; N samples one in every N guest enqueues.
-  void set_sample_every(uint32_t n) { sample_every_ = n; }
+  // The record table is allocated on the first nonzero N, so a host that
+  // never samples never pays for it.
+  void set_sample_every(uint32_t n) {
+    if (n != 0 && records_.empty()) records_.resize(kNumIds);
+    sample_every_ = n;
+  }
   uint32_t sample_every() const { return sample_every_; }
   bool enabled() const { return sample_every_ != 0; }
 
@@ -124,6 +129,7 @@ class Tracer {
     SimTime t[kNumTraceStages] = {};
   };
 
+  static constexpr size_t kNumIds = 65536;  // every 16-bit trace id
   static const Histogram kEmptyHistogram;
 
   Record* Find(uint16_t id, TraceStage expected_prev);
@@ -136,7 +142,7 @@ class Tracer {
   uint64_t samples_completed_ = 0;
   uint64_t samples_evicted_ = 0;
   uint16_t current_dispatch_id_ = 0;
-  std::vector<Record> records_;  // indexed by trace id
+  std::vector<Record> records_;  // indexed by trace id; empty until enabled
   std::map<uint8_t, std::array<Histogram, kNumTraceDeltas>> per_vm_;
   std::map<uint32_t, std::array<Histogram, 2>> per_shard_;  // queueing, switch
 };

@@ -3,15 +3,39 @@
 //
 // The entire macro-level evaluation (hosts, vCPUs, NICs, TCP stacks, NetKernel
 // datapath) runs single-threaded on one EventLoop, which makes every bench
-// deterministic. Events scheduled for the same instant fire in FIFO order.
+// deterministic. Events fire in (at, seq) order: by virtual time, and events
+// scheduled for the same instant in the order they were scheduled.
+//
+// Layout. Each scheduled callable lives in a slot of a slab (a vector reused
+// through a free list), and a binary heap orders small plain keys
+// {at, seq, slot} over it. Each slot records where its key sits in the heap,
+// so Cancel takes the key out at once and destroys the callable: the heap
+// holds exactly the live events, however many timers get re-armed. Neither
+// scheduling nor cancelling allocates once the slab and heap have grown to
+// the peak number of live events (std::function may still allocate for
+// large captures).
+//
+// Generations. A slot's generation advances every time the slot is freed
+// (its event fired or was cancelled), and an EventHandle is the triple
+// {loop, slot, generation}. The handle is pending while the slot still has
+// its generation. A handle kept past its event therefore reads not-pending
+// and its Cancel does nothing, even after a later event reuses the slot.
+// A handle holds a raw pointer to its loop: it must not outlive the loop.
+//
+// The Run(until) clock rule. Run(until) leaves the clock at `until` when it
+// stops because the next queued event lies beyond `until`, and a cancelled
+// event counts as queued until the loop runs past its (at, seq) position.
+// So cancelling the only event beyond `until` does not change where the clock
+// comes to rest. Only the latest such cancelled position can decide that, so
+// the loop keeps that one position instead of the cancelled keys.
 
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
+#include <optional>
 #include <vector>
 
 #include "src/common/units.h"
@@ -21,22 +45,20 @@ namespace netkernel::sim {
 class EventLoop;
 
 // Cancellation handle for a scheduled event. Default-constructed handles are
-// inert. Cancelling an already-fired event is a no-op.
+// inert. Cancelling an event that already fired or was cancelled is a no-op.
 class EventHandle {
  public:
   EventHandle() = default;
-  void Cancel() {
-    if (auto p = alive_.lock()) *p = false;
-  }
-  bool Pending() const {
-    auto p = alive_.lock();
-    return p && *p;
-  }
+  void Cancel();
+  bool Pending() const;
 
  private:
   friend class EventLoop;
-  explicit EventHandle(std::weak_ptr<bool> alive) : alive_(std::move(alive)) {}
-  std::weak_ptr<bool> alive_;
+  EventHandle(EventLoop* loop, uint32_t slot, uint32_t generation)
+      : loop_(loop), slot_(slot), generation_(generation) {}
+  EventLoop* loop_ = nullptr;
+  uint32_t slot_ = 0;
+  uint32_t generation_ = 0;
 };
 
 class EventLoop {
@@ -65,28 +87,67 @@ class EventLoop {
   // Stops Run() after the current event completes.
   void Stop() { stopped_ = true; }
 
-  bool Empty() const { return queue_.empty(); }
+  // Scheduled events that have neither fired nor been cancelled.
+  size_t pending() const { return heap_.size(); }
   uint64_t events_executed() const { return events_executed_; }
 
  private:
-  struct Event {
+  friend class EventHandle;
+
+  struct Key {
     SimTime at;
     uint64_t seq;
+    uint32_t slot;
+  };
+  struct Slot {
     std::function<void()> fn;
-    std::shared_ptr<bool> alive;
+    uint32_t generation = 0;
+    // The key's heap index while the slot is scheduled; the next free slot
+    // while it is on the free list.
+    uint32_t link = 0;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-    }
-  };
+
+  static bool Before(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
+
+  bool IsPending(uint32_t slot, uint32_t generation) const {
+    return slab_[slot].generation == generation;
+  }
+  void Cancel(uint32_t slot, uint32_t generation);
+  // Fires the first event if it is due at or before `until`.
+  bool Step(SimTime until);
+  // Moves the slot's callable out and returns the slot to the free list.
+  std::function<void()> Release(uint32_t slot);
+
+  void Place(size_t i, const Key& key) {
+    heap_[i] = key;
+    slab_[key.slot].link = static_cast<uint32_t>(i);
+  }
+  void SiftUp(size_t i);
+  void SiftDown(size_t i);
+  void RemoveAt(size_t i);
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_executed_ = 0;
   bool stopped_ = false;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slab_;
+  uint32_t free_head_ = kNoSlot;
+  // The latest cancelled (at, seq) the loop has not yet run past.
+  std::optional<Key> latest_cancelled_;
+
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
 };
+
+inline void EventHandle::Cancel() {
+  if (loop_ != nullptr) loop_->Cancel(slot_, generation_);
+}
+
+inline bool EventHandle::Pending() const {
+  return loop_ != nullptr && loop_->IsPending(slot_, generation_);
+}
 
 }  // namespace netkernel::sim
 

@@ -315,6 +315,33 @@ TEST(ObsFlightRecorderTest, MergedDumpOrdersByVirtualTime) {
 }
 
 // ---------------------------------------------------------------------------
+// Lifecycle tracer.
+// ---------------------------------------------------------------------------
+
+// A tracer that never sampled has no record table: NQEs that arrive with a
+// nonzero trace id (forged, or stamped by another host's tracer) must find
+// nothing at any stamp.
+TEST(ObsTracerTest, NeverEnabledTracerIgnoresForgedTraceIds) {
+  sim::EventLoop loop;
+  obs::Tracer tr(&loop);
+  for (uint16_t id : {uint16_t{1}, uint16_t{4242}, uint16_t{65535}}) {
+    shm::Nqe nqe;
+    shm::SetNqeTraceId(&nqe, id);
+    shm::Nqe completion;
+    EXPECT_EQ(tr.OnCeDequeue(nqe, 0), 0u);         // T1
+    EXPECT_EQ(tr.BeginDispatch(nqe), 0u);          // T2
+    EXPECT_EQ(tr.TagCompletion(&completion), 0u);  // T3
+    tr.EndDispatch();
+    EXPECT_EQ(tr.OnGuestReap(nqe), 0u);  // T4
+    EXPECT_EQ(shm::NqeTraceId(completion), 0);
+  }
+  EXPECT_EQ(tr.samples_started(), 0u);
+  EXPECT_EQ(tr.samples_completed(), 0u);
+  EXPECT_TRUE(tr.TracedVms().empty());
+  EXPECT_TRUE(tr.TracedShards().empty());
+}
+
+// ---------------------------------------------------------------------------
 // Live-host fixtures: tracing, registry wiring, wide stat reads, recorder
 // capture of real datapath events.
 // ---------------------------------------------------------------------------

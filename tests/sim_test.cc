@@ -3,8 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/cpu.h"
 #include "src/sim/event_loop.h"
 #include "src/sim/task.h"
@@ -80,6 +86,186 @@ TEST(EventLoop, StopHaltsProcessing) {
   loop.Schedule(2, [&] { ++count; });
   loop.Run();
   EXPECT_EQ(count, 1);
+}
+
+TEST(EventLoop, StaleHandleLeavesSlotReuserAlone) {
+  EventLoop loop;
+  int a = 0, b = 0, c = 0;
+  EventHandle cancelled = loop.Schedule(10, [&] { ++a; });
+  cancelled.Cancel();
+  EventHandle reuser = loop.Schedule(20, [&] { ++b; });  // takes the freed slot
+  cancelled.Cancel();
+  EXPECT_FALSE(cancelled.Pending());
+  EXPECT_TRUE(reuser.Pending());
+  loop.Run();
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 1);
+  // The same for a handle whose event fired.
+  EventHandle fired = loop.Schedule(30, [&] {});
+  loop.Run();
+  EventHandle next = loop.Schedule(40, [&] { ++c; });
+  fired.Cancel();
+  EXPECT_FALSE(fired.Pending());
+  EXPECT_TRUE(next.Pending());
+  loop.Run();
+  EXPECT_EQ(c, 1);
+}
+
+TEST(EventLoop, HandleIsNotPendingInsideItsOwnCallback) {
+  EventLoop loop;
+  EventHandle h;
+  bool pending_inside = true;
+  h = loop.Schedule(10, [&] {
+    pending_inside = h.Pending();
+    h.Cancel();  // a no-op on the running event
+  });
+  loop.Run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_EQ(loop.events_executed(), 1u);
+}
+
+TEST(EventLoop, CancelledEventBeyondHorizonStillParksClockThere) {
+  EventLoop loop;
+  loop.Schedule(10, [] {});
+  loop.Schedule(100, [] {}).Cancel();
+  loop.Run(50);
+  EXPECT_EQ(loop.Now(), 50);
+}
+
+TEST(EventLoop, StopBeforeCancelledEventKeepsItQueued) {
+  EventLoop loop;
+  loop.Schedule(10, [&] { loop.Stop(); });
+  loop.Schedule(100, [] {}).Cancel();
+  loop.Run(150);  // stops at 10, before the loop reaches the cancelled event
+  EXPECT_EQ(loop.Now(), 10);
+  loop.Run(50);
+  EXPECT_EQ(loop.Now(), 50);
+}
+
+TEST(EventLoop, DrainedCancelledEventNoLongerParksClock) {
+  EventLoop loop;
+  loop.Schedule(100, [] {}).Cancel();
+  loop.Run();  // runs past the cancelled event without moving the clock
+  EXPECT_EQ(loop.Now(), 0);
+  loop.Schedule(10, [] {});
+  loop.Run(50);
+  EXPECT_EQ(loop.Now(), 10);
+}
+
+TEST(EventLoop, CancelReleasesCapturesAtOnce) {
+  EventLoop loop;
+  auto capture = std::make_shared<int>(0);
+  EventHandle h = loop.Schedule(10, [capture] {});
+  EXPECT_EQ(capture.use_count(), 2);
+  h.Cancel();
+  EXPECT_EQ(capture.use_count(), 1);
+}
+
+// A capture's destructor may re-enter the loop: Cancel destroys the callable
+// only once the slab is consistent, even when the re-entrant Schedule grows
+// the slab.
+TEST(EventLoop, CaptureDestructorMayScheduleDuringCancel) {
+  struct ScheduleOnDestroy {
+    EventLoop* loop;
+    int* fired;
+    ~ScheduleOnDestroy() {
+      loop->Schedule(5, [f = fired] { ++*f; });
+    }
+  };
+  EventLoop loop;
+  int fired = 0;
+  auto hook = std::make_shared<ScheduleOnDestroy>(&loop, &fired);
+  EventHandle h = loop.Schedule(10, [hook] {});
+  hook.reset();  // the event now holds the only reference
+  h.Cancel();
+  loop.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.Now(), 5);
+}
+
+TEST(EventLoop, RearmedTimerKeepsQueueAtLiveEvents) {
+  EventLoop loop;
+  int fired = 0;
+  EventHandle timer;
+  size_t max_pending = 0;
+  constexpr int kRearms = 1000000;
+  for (int i = 0; i < kRearms; ++i) {
+    timer.Cancel();
+    timer = loop.Schedule(1000 + i, [&] { ++fired; });
+    max_pending = std::max(max_pending, loop.pending());
+  }
+  EXPECT_EQ(max_pending, 1u);
+  loop.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(loop.Now(), 1000 + kRearms - 1);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+// Random schedules with many ties, cancels from outside and inside callbacks,
+// stops and horizon-limited runs match a reference queue that keeps cancelled
+// events until it passes them: events fire in (at, seq) order, and each
+// Run(until) leaves the clock where that queue would. The events are sparse,
+// so a horizon often has only cancelled events beyond it.
+TEST(EventLoop, RandomScheduleMatchesReferenceQueue) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    EventLoop loop;
+    Rng rng(seed);
+    struct Ref {
+      int id;
+      bool cancelled;
+    };
+    std::map<std::pair<SimTime, uint64_t>, Ref> ref;  // ordered by (at, seq)
+    std::vector<EventHandle> handles;
+    std::vector<std::pair<SimTime, uint64_t>> keys;
+    std::vector<int> fired, expected;
+    SimTime expected_now = 0;
+    uint64_t seq = 0;
+    bool stopped = false;
+    auto cancel_random = [&] {
+      int victim = static_cast<int>(rng.NextBounded(handles.size()));
+      if (handles[victim].Pending()) ref.at(keys[victim]).cancelled = true;
+      handles[victim].Cancel();
+    };
+    std::function<void(SimTime)> schedule = [&](SimTime at) {
+      int id = static_cast<int>(handles.size());
+      keys.push_back({at, seq});
+      ref[{at, seq++}] = Ref{id, false};
+      handles.push_back(loop.Schedule(at, [&, id] {
+        while (ref.begin()->second.cancelled) ref.erase(ref.begin());
+        expected.push_back(ref.begin()->second.id);
+        expected_now = ref.begin()->first.first;
+        ref.erase(ref.begin());
+        fired.push_back(id);
+        if (rng.NextBounded(4) == 0) schedule(loop.Now() + static_cast<SimTime>(rng.NextBounded(40)));
+        if (rng.NextBounded(3) == 0) cancel_random();
+        if (rng.NextBounded(16) == 0) {
+          loop.Stop();
+          stopped = true;
+        }
+      }));
+    };
+    for (int i = 0; i < 300; ++i) schedule(static_cast<SimTime>(rng.NextBounded(1000)));
+    for (int i = 0; i < 100; ++i) cancel_random();
+    for (SimTime until = 0; until < 1100; until += 7) {
+      loop.Run(until);
+      if (!stopped) {
+        while (!ref.empty() && ref.begin()->first.first <= until) {
+          EXPECT_TRUE(ref.begin()->second.cancelled);
+          ref.erase(ref.begin());
+        }
+        if (!ref.empty()) expected_now = until;
+      }
+      stopped = false;
+      ASSERT_EQ(loop.Now(), expected_now) << "after Run(" << until << ")";
+      size_t live = 0;
+      for (const auto& [key, r] : ref) live += r.cancelled ? 0 : 1;
+      EXPECT_EQ(loop.pending(), live);
+    }
+    while (loop.pending() > 0) loop.Run();
+    EXPECT_EQ(fired, expected);
+    EXPECT_GT(fired.size(), 150u);
+  }
 }
 
 // ---------------------------------------------------------------------------
