@@ -44,7 +44,7 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
     case CeOp::kAssignVmToNsm: {
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t nsm = static_cast<uint8_t>(req.ce_data & 0xff);
-      if (vms_.count(vm) == 0 || nsms_.count(nsm) == 0) {
+      if (!vms_[vm] || !HasNsm(nsm)) {
         return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
       }
       AssignVmToNsm(vm, nsm);
@@ -72,7 +72,7 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
     }
     case CeOp::kHeartbeat: {
       uint8_t nsm = static_cast<uint8_t>(req.ce_data);
-      if (nsms_.count(nsm) == 0) {
+      if (!HasNsm(nsm)) {
         return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
       }
       RecordNsmHeartbeat(nsm);
@@ -100,10 +100,8 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
 }
 
 void CoreEngine::RegisterVmDevice(uint8_t vm_id, shm::NkDevice* dev) {
-  NK_CHECK(vms_.count(vm_id) == 0);
-  VmReg reg;
-  reg.dev = dev;
-  vms_.emplace(vm_id, std::move(reg));
+  NK_CHECK(!vms_[vm_id]);
+  vms_[vm_id].emplace().dev = dev;
   // Default placement: hash each queue set over the shards. Explicit
   // AssignQueueSetToShard and work stealing can both move it later.
   const int nqs = dev->num_queue_sets();
@@ -116,11 +114,10 @@ void CoreEngine::RegisterVmDevice(uint8_t vm_id, shm::NkDevice* dev) {
 }
 
 void CoreEngine::RegisterNsmDevice(uint8_t nsm_id, shm::NkDevice* dev) {
-  NK_CHECK(nsms_.count(nsm_id) == 0);
-  nsms_[nsm_id] = dev;
+  NK_CHECK(dev != nullptr && !HasNsm(nsm_id));
   // Registration counts as activity: a fresh NSM gets a full liveness window
   // before its first heartbeat can possibly arrive.
-  nsm_health_[nsm_id] = NsmHealth{loop_->Now(), 0};
+  nsms_[nsm_id] = NsmReg{dev, loop_->Now(), 0};
   // Consecutive queue sets land on consecutive shards, so an NSM with at
   // least num_shards() queue sets keeps every switching core reachable for
   // shard-aligned connection placement.
@@ -134,8 +131,8 @@ void CoreEngine::RegisterNsmDevice(uint8_t nsm_id, shm::NkDevice* dev) {
 }
 
 void CoreEngine::DeregisterVmDevice(uint8_t vm_id) {
-  auto vit = vms_.find(vm_id);
-  shm::NkDevice* dev = vit == vms_.end() ? nullptr : vit->second.dev;
+  VmReg* reg = FindVm(vm_id);
+  shm::NkDevice* dev = reg == nullptr ? nullptr : reg->dev;
   for (auto& s : shards_) s->RemoveVm(vm_id, dev);
   if (dev != nullptr) park_cursors_.erase(dev);
   for (auto it = vm_qset_shard_.begin(); it != vm_qset_shard_.end();) {
@@ -144,13 +141,12 @@ void CoreEngine::DeregisterVmDevice(uint8_t vm_id) {
   // The whole per-VM registry dies with the VM — DRR weight, token buckets,
   // and every shard's deficit/cursor slot — so a re-registered VM id starts
   // fresh instead of inheriting stale scheduler state.
-  if (vit != vms_.end()) vms_.erase(vit);
+  vms_[vm_id].reset();
 }
 
 size_t CoreEngine::DeregisterNsmDevice(uint8_t nsm_id) {
   shm::NkDevice* dev = FindNsm(nsm_id);
-  nsms_.erase(nsm_id);
-  nsm_health_.erase(nsm_id);
+  nsms_[nsm_id] = NsmReg{};
   for (auto it = nsm_qset_shard_.begin(); it != nsm_qset_shard_.end();) {
     it = (it->first >> 8) == nsm_id ? nsm_qset_shard_.erase(it) : std::next(it);
   }
@@ -161,11 +157,11 @@ size_t CoreEngine::DeregisterNsmDevice(uint8_t nsm_id) {
 }
 
 void CoreEngine::AssignVmToNsm(uint8_t vm_id, uint8_t nsm_id) {
-  auto it = vms_.find(vm_id);
-  NK_CHECK(it != vms_.end());
-  NK_CHECK(nsms_.count(nsm_id) != 0);
-  it->second.nsm_id = nsm_id;
-  it->second.has_nsm = true;
+  VmReg* reg = FindVm(vm_id);
+  NK_CHECK(reg != nullptr);
+  NK_CHECK(HasNsm(nsm_id));
+  reg->nsm_id = nsm_id;
+  reg->has_nsm = true;
 }
 
 bool CoreEngine::AssignQueueSetToShard(uint8_t vm_id, uint8_t qset, int shard) {
@@ -218,29 +214,25 @@ std::vector<const obs::FlightRecorder*> CoreEngine::FlightRecorders() const {
   return out;
 }
 
-std::string CoreEngine::DumpFlightRecorder(size_t last_k) const {
-  return obs::FlightRecorder::DumpMerged(FlightRecorders(), last_k);
-}
-
 void CoreEngine::SetVmWeight(uint8_t vm_id, uint32_t weight) {
-  auto it = vms_.find(vm_id);
-  NK_CHECK(it != vms_.end());
+  VmReg* reg = FindVm(vm_id);
+  NK_CHECK(reg != nullptr);
   NK_CHECK(weight >= 1);
-  it->second.weight = weight;
+  reg->weight = weight;
 }
 
 uint32_t CoreEngine::VmWeight(uint8_t vm_id) const { return VmWeightOrDefault(vm_id); }
 
 void CoreEngine::SetVmByteRate(uint8_t vm_id, double bytes_per_sec, double burst_bytes) {
-  auto it = vms_.find(vm_id);
-  NK_CHECK(it != vms_.end());
-  it->second.byte_bucket = TokenBucket(bytes_per_sec, burst_bytes);
+  VmReg* reg = FindVm(vm_id);
+  NK_CHECK(reg != nullptr);
+  reg->byte_bucket = TokenBucket(bytes_per_sec, burst_bytes);
 }
 
 void CoreEngine::SetVmOpRate(uint8_t vm_id, double nqes_per_sec, double burst_nqes) {
-  auto it = vms_.find(vm_id);
-  NK_CHECK(it != vms_.end());
-  it->second.op_bucket = TokenBucket(nqes_per_sec, burst_nqes);
+  VmReg* reg = FindVm(vm_id);
+  NK_CHECK(reg != nullptr);
+  reg->op_bucket = TokenBucket(nqes_per_sec, burst_nqes);
 }
 
 void CoreEngine::NotifyVmOutbound(uint8_t vm_id, int qset) {
@@ -251,7 +243,7 @@ void CoreEngine::NotifyVmOutbound(uint8_t vm_id, int qset) {
       return;
     }
   }
-  if (vms_.count(vm_id) != 0) {
+  if (vms_[vm_id]) {
     for (auto& s : shards_) {
       if (s->sched_.count(vm_id) != 0) s->ScheduleRound();
     }
@@ -265,8 +257,8 @@ void CoreEngine::NotifyVmOutbound(uint8_t vm_id, int qset) {
 void CoreEngine::NotifyNsmOutbound(uint8_t nsm_id, int qset) {
   // A doorbell is proof of life: the NSM just produced NQEs, so refresh its
   // liveness stamp even if its heartbeat timer is starved by datapath work.
-  auto hit = nsm_health_.find(nsm_id);
-  if (hit != nsm_health_.end()) hit->second.last_activity = loop_->Now();
+  NsmReg& nsm = nsms_[nsm_id];
+  if (nsm.dev != nullptr) nsm.last_activity = loop_->Now();
   if (qset >= 0) {
     auto it = nsm_qset_shard_.find(QsetKey(nsm_id, static_cast<uint8_t>(qset)));
     if (it != nsm_qset_shard_.end()) {
@@ -274,9 +266,9 @@ void CoreEngine::NotifyNsmOutbound(uint8_t nsm_id, int qset) {
       return;
     }
   }
-  if (nsms_.count(nsm_id) != 0) {
+  if (nsm.dev != nullptr) {
     for (auto& s : shards_) {
-      if (s->nsm_qsets_.count(nsm_id) != 0) s->ScheduleRound();
+      if (!s->nsm_qsets_[nsm_id].empty()) s->ScheduleRound();
     }
     return;
   }
@@ -284,26 +276,19 @@ void CoreEngine::NotifyNsmOutbound(uint8_t nsm_id, int qset) {
 }
 
 void CoreEngine::RecordNsmHeartbeat(uint8_t nsm_id) {
-  auto it = nsm_health_.find(nsm_id);
-  if (it == nsm_health_.end()) return;  // unknown / already deregistered
-  it->second.last_activity = loop_->Now();
-  ++it->second.heartbeats;
+  NsmReg& nsm = nsms_[nsm_id];
+  if (nsm.dev == nullptr) return;  // unknown / already deregistered
+  nsm.last_activity = loop_->Now();
+  ++nsm.heartbeats;
 }
 
-SimTime CoreEngine::NsmLastActivity(uint8_t nsm_id) const {
-  auto it = nsm_health_.find(nsm_id);
-  return it == nsm_health_.end() ? 0 : it->second.last_activity;
-}
+SimTime CoreEngine::NsmLastActivity(uint8_t nsm_id) const { return nsms_[nsm_id].last_activity; }
 
-uint64_t CoreEngine::NsmHeartbeats(uint8_t nsm_id) const {
-  auto it = nsm_health_.find(nsm_id);
-  return it == nsm_health_.end() ? 0 : it->second.heartbeats;
-}
+uint64_t CoreEngine::NsmHeartbeats(uint8_t nsm_id) const { return nsms_[nsm_id].heartbeats; }
 
 uint64_t CoreEngine::NsmBacklog(uint8_t nsm_id) const {
-  auto it = nsms_.find(nsm_id);
-  if (it == nsms_.end() || it->second == nullptr) return 0;
-  shm::NkDevice* dev = it->second;
+  shm::NkDevice* dev = FindNsm(nsm_id);
+  if (dev == nullptr) return 0;
   uint64_t total = 0;
   for (int qs = 0; qs < dev->num_queue_sets(); ++qs) {
     shm::QueueSet& q = dev->queue_set(static_cast<uint8_t>(qs));
@@ -320,10 +305,7 @@ CoreEngineStats CoreEngine::stats() const {
 
 PerVmStats CoreEngine::VmStats(uint8_t vm_id) const {
   PerVmStats out;
-  for (const auto& s : shards_) {
-    auto it = s->per_vm_.find(vm_id);
-    if (it != s->per_vm_.end()) AddCounters(kPerVmCounters, it->second, &out);
-  }
+  for (const auto& s : shards_) AddCounters(kPerVmCounters, s->per_vm_[vm_id], &out);
   return out;
 }
 
@@ -575,10 +557,10 @@ void CoreEngineShard::RemoveVm(uint8_t vm_id, shm::NkDevice* dev) {
 }
 
 size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev) {
-  if (nsm_qsets_.count(nsm_id) != 0 || dev != nullptr) {
+  if (!nsm_qsets_[nsm_id].empty() || dev != nullptr) {
     recorder_.Record(obs::FlightEventType::kNsmDeregister, 0, 0, 0, 0, nsm_id);
   }
-  nsm_qsets_.erase(nsm_id);
+  nsm_qsets_[nsm_id].clear();
   nsm_rr_order_.erase(std::remove(nsm_rr_order_.begin(), nsm_rr_order_.end(), nsm_id),
                       nsm_rr_order_.end());
   if (nsm_rr_cursor_ >= nsm_rr_order_.size()) nsm_rr_cursor_ = 0;
@@ -755,11 +737,11 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
 
 uint8_t CoreEngineShard::ChooseNsmQset(uint8_t nsm_id, const shm::NkDevice* ndev,
                                        uint64_t key) const {
-  auto it = nsm_qsets_.find(nsm_id);
-  if (it != nsm_qsets_.end() && !it->second.empty()) {
+  const std::vector<uint8_t>& owned = nsm_qsets_[nsm_id];
+  if (!owned.empty()) {
     // Shard-aligned placement: the response path comes back on a queue set
     // this shard polls, so the connection's state stays single-writer.
-    return it->second[CoreEngine::HashSpread(key, it->second.size())];
+    return owned[CoreEngine::HashSpread(key, owned.size())];
   }
   // This shard owns none of that NSM's queue sets (fewer sets than shards):
   // spread globally; completions cross shards via the facade handshake.
@@ -1093,24 +1075,47 @@ bool CoreEngineShard::FailVmNqe(const Nqe& orig, std::vector<Delivery>& plan) {
 
 bool CoreEngineShard::Backpressured(shm::NkDevice* dev) const {
   size_t outstanding = 0;
-  auto pit = parked_.find(dev);
-  if (pit != parked_.end()) outstanding += pit->second.size();
-  auto fit = in_flight_.find(dev);
-  if (fit != in_flight_.end()) outstanding += fit->second;
+  if (parked_total_ > 0) {
+    auto pit = parked_.find(dev);
+    if (pit != parked_.end()) outstanding += pit->second.size();
+  }
+  for (const auto& [d, n] : in_flight_) {
+    if (d == dev) {
+      outstanding += n;
+      break;
+    }
+  }
   return outstanding >= engine_->config_.pending_bound;
 }
 
-void CoreEngineShard::PlanDelivery(const Delivery& d, std::vector<Delivery>& plan) {
-  ++in_flight_[d.dst];
+void CoreEngineShard::CountInFlight(shm::NkDevice* dev) {
   ++in_flight_total_;
+  for (auto& [d, n] : in_flight_) {
+    if (d == dev) {
+      ++n;
+      return;
+    }
+  }
+  in_flight_.emplace_back(dev, 1);
+}
+
+void CoreEngineShard::PlanDelivery(const Delivery& d, std::vector<Delivery>& plan) {
+  CountInFlight(d.dst);
   plan.push_back(d);
+}
+
+bool CoreEngineShard::BehindPark(shm::NkDevice* dev) const {
+  if (parked_total_ == 0) return false;
+  auto pit = parked_.find(dev);
+  return pit != parked_.end() && !pit->second.empty();
 }
 
 void CoreEngineShard::ProcessRound() {
   retry_timer_.Cancel();
 
   const CoreEngineConfig& config = engine_->config_;
-  std::vector<Delivery> plan;
+  std::vector<Delivery>& plan = plan_;
+  plan.clear();
   Cycles cost = 0;
   SimTime retry_at = kSimTimeNever;
   uint64_t total = 0;
@@ -1127,15 +1132,8 @@ void CoreEngineShard::ProcessRound() {
   // starting VM rotates across rounds, so no registrant keeps a head-of-line
   // edge.
   const size_t nvm = vm_rr_order_.size();
-  struct Slot {
-    uint8_t vm_id = 0;
-    VmSched* vs = nullptr;
-    uint64_t weight = 1;
-    uint64_t taken = 0;
-    bool send_blocked = false;
-    bool job_blocked = false;
-  };
-  std::vector<Slot> order(nvm);
+  std::vector<DrrSlot>& order = drr_order_;
+  order.assign(nvm, DrrSlot{});
   for (size_t i = 0; i < nvm; ++i) {
     uint8_t vm_id = vm_rr_order_[(vm_rr_cursor_ + i) % nvm];
     VmSched& vs = sched_[vm_id];
@@ -1150,7 +1148,7 @@ void CoreEngineShard::ProcessRound() {
   }
   for (bool progress = true; progress;) {
     progress = false;
-    for (Slot& s : order) {
+    for (DrrSlot& s : order) {
       if ((s.send_blocked && s.job_blocked) || s.taken >= s.vs->deficit) continue;
       uint64_t chunk = std::min<uint64_t>(s.weight, s.vs->deficit - s.taken);
       uint64_t got = PollVm(s.vm_id, *s.vs, chunk, plan, cost, &retry_at, &s.send_blocked,
@@ -1159,7 +1157,7 @@ void CoreEngineShard::ProcessRound() {
       if (got > 0) progress = true;
     }
   }
-  for (Slot& s : order) {
+  for (DrrSlot& s : order) {
     if (s.taken > 0) {
       s.vs->deficit -= s.taken;
       cost += config.costs.CePerNqe(static_cast<int>(s.taken)) *
@@ -1221,9 +1219,10 @@ void CoreEngineShard::ProcessRound() {
   stats_.nqes_switched += total;
 
   // No throttle retry is armed here: the completion below polls again, and
-  // its round re-arms one if the bucket still holds NQEs back.
-  core_->Charge(cost, [this, plan = std::move(plan)] {
-    DeliverPlan(plan);
+  // its round re-arms one if the bucket still holds NQEs back. plan_ stays
+  // untouched until then: no other round starts while this one is charged.
+  core_->Charge(cost, [this] {
+    DeliverPlan(plan_);
     // This round's plan was the only one in flight, so its deliveries have
     // all landed, parked or dropped: the queue set can move now.
     ExecutePendingHandoffs();
@@ -1303,24 +1302,31 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
   // the decrement is exact — AssignQueueSetToShard's handoff gate relies on
   // that. The map lookup stays defensive against future uncounted plans.
   for (const Delivery& d : plan) {
-    auto it = in_flight_.find(d.dst);
-    if (it != in_flight_.end()) {
+    for (size_t i = 0; i < in_flight_.size(); ++i) {
+      if (in_flight_[i].first != d.dst) continue;
       --in_flight_total_;
-      if (--it->second == 0) in_flight_.erase(it);
+      if (--in_flight_[i].second == 0) {
+        in_flight_[i] = in_flight_.back();
+        in_flight_.pop_back();
+      }
+      break;
     }
   }
 
-  std::vector<shm::NkDevice*> to_wake;
+  std::vector<shm::NkDevice*>& to_wake = to_wake_;
+  to_wake.clear();
   size_t delivered = 0;
 
   // Parked deliveries go first: they are older than anything in the plan,
   // and draining them FIFO preserves per-ring NQE order across stalls. The
   // drain goes through the facade so a destination contended by several
   // shards is shared by VM weight, not by whoever retries first.
-  std::vector<shm::NkDevice*> devs;
-  devs.reserve(parked_.size());
-  for (const auto& [dev, dq] : parked_) devs.push_back(dev);
-  for (shm::NkDevice* dev : devs) delivered += engine_->DrainParked(dev, to_wake);
+  if (parked_total_ > 0) {
+    std::vector<shm::NkDevice*> devs;
+    devs.reserve(parked_.size());
+    for (const auto& [dev, dq] : parked_) devs.push_back(dev);
+    for (shm::NkDevice* dev : devs) delivered += engine_->DrainParked(dev, to_wake);
+  }
 
   std::vector<Delivery> errors;
   for (const Delivery& d : plan) {
@@ -1333,9 +1339,7 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
     }
     // Anything already parked for this device must stay ahead of d, or the
     // destination would observe reordered NQEs.
-    auto pit = parked_.find(d.dst);
-    bool behind_park = pit != parked_.end() && !pit->second.empty();
-    if (!behind_park && TryDeliver(d, to_wake)) {
+    if (!BehindPark(d.dst) && TryDeliver(d, to_wake)) {
       ++delivered;
       continue;
     }
@@ -1346,9 +1350,7 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
   // bound: each one exists because an NQE was already dropped, so their
   // count is bounded by the drops themselves.
   for (const Delivery& e : errors) {
-    auto pit = parked_.find(e.dst);
-    bool behind_park = pit != parked_.end() && !pit->second.empty();
-    if (!behind_park && TryDeliver(e, to_wake)) {
+    if (!BehindPark(e.dst) && TryDeliver(e, to_wake)) {
       ++delivered;
       continue;
     }
@@ -1360,6 +1362,8 @@ size_t CoreEngineShard::DeliverPlan(const std::vector<Delivery>& plan) {
                      e.nqe.queue_set, e.nqe.op, e.nqe.vm_sock);
   }
 
+  // Wake callbacks only queue work on the loop, so none re-enters this
+  // shard's delivery phase while the list is walked.
   for (shm::NkDevice* dev : to_wake) dev->Wake();
   if (parked_total_ > 0) ArmParkRetry();
   return delivered;
@@ -1387,10 +1391,7 @@ void CoreEngineShard::PurgePark(shm::NkDevice* dev, bool synthesize_errors) {
   if (synthesize_errors && !errors.empty()) {
     // Balance DeliverPlan's in-flight decrement for these synthesized
     // completions so the counts of a round being charged stay exact.
-    for (const Delivery& e : errors) {
-      ++in_flight_[e.dst];
-      ++in_flight_total_;
-    }
+    for (const Delivery& e : errors) CountInFlight(e.dst);
     DeliverPlan(errors);
   }
 }

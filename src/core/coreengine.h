@@ -51,11 +51,14 @@
 #ifndef SRC_CORE_COREENGINE_H_
 #define SRC_CORE_COREENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/counters.h"
@@ -271,6 +274,15 @@ class CoreEngineShard {
     uint8_t nsm_id = 0;      // VM->NSM: the destination, rechecked at delivery
     shm::Nqe nqe;
   };
+  // One VM's service in the round being polled.
+  struct DrrSlot {
+    uint8_t vm_id = 0;
+    VmSched* vs = nullptr;
+    uint64_t weight = 1;
+    uint64_t taken = 0;
+    bool send_blocked = false;
+    bool job_blocked = false;
+  };
 
   void AddVmQset(uint8_t vm_id, uint8_t qset);
   void RemoveVmQset(uint8_t vm_id, uint8_t qset);
@@ -341,6 +353,9 @@ class CoreEngineShard {
   // Appends `d` to the round's plan, counting it outstanding for its
   // destination until the delivery phase processes it.
   void PlanDelivery(const Delivery& d, std::vector<Delivery>& plan);
+  void CountInFlight(shm::NkDevice* dev);
+  // True when deliveries are parked for `dev`: a new one must queue behind.
+  bool BehindPark(shm::NkDevice* dev) const;
   // Builds the guest-facing error completion for `orig`; false if the op
   // needs none (kClose/kAccept/kRecvFrom carry no reclaimable guest state).
   bool BuildErrorCompletion(const shm::Nqe& orig, Delivery* out);
@@ -366,7 +381,7 @@ class CoreEngineShard {
   std::vector<uint8_t> vm_rr_order_;  // VMs with owned queue sets, DRR order
   std::unordered_map<uint8_t, VmSched> sched_;
   std::vector<uint8_t> nsm_rr_order_;
-  std::unordered_map<uint8_t, std::vector<uint8_t>> nsm_qsets_;  // owned sets
+  std::array<std::vector<uint8_t>, 256> nsm_qsets_;  // owned sets, by NSM id
   size_t vm_rr_cursor_ = 0;  // rotated every round: who gets polled first
   size_t nsm_rr_cursor_ = 0;
 
@@ -383,10 +398,18 @@ class CoreEngineShard {
   std::unordered_map<shm::NkDevice*, std::deque<Delivery>> parked_;
   size_t parked_total_ = 0;
   // Deliveries planned by the round being charged whose delivery phase has
-  // not run yet; counted against the pending bound so a round cannot
-  // overshoot it.
-  std::unordered_map<shm::NkDevice*, size_t> in_flight_;
+  // not run yet, per destination device; counted against the pending bound
+  // so a round cannot overshoot it. A round reaches few devices, so a
+  // linear scan beats hashing.
+  std::vector<std::pair<shm::NkDevice*, size_t>> in_flight_;
   size_t in_flight_total_ = 0;
+  // Buffers reused round after round: a shard has at most one round queued
+  // or charged, so one of each suffices. plan_ is the round's deliveries,
+  // from polling until the charge completes; drr_order_ the round's DRR
+  // visiting order; to_wake_ lives inside one DeliverPlan.
+  std::vector<Delivery> plan_;
+  std::vector<DrrSlot> drr_order_;
+  std::vector<shm::NkDevice*> to_wake_;
   uint64_t rounds_since_rebalance_ = 0;
   // Explicit handoffs (AssignQueueSetToShard) requested mid-round; executed
   // at the next round boundary so in-flight deliveries land first.
@@ -397,7 +420,7 @@ class CoreEngineShard {
   };
   std::vector<PendingHandoff> pending_handoffs_;
   CoreEngineStats stats_;
-  std::unordered_map<uint8_t, PerVmStats> per_vm_;  // CoreEngine::VmStats sums the shards
+  std::array<PerVmStats, 256> per_vm_{};  // by VM id; CoreEngine::VmStats sums the shards
   obs::FlightRecorder recorder_;
 };
 
@@ -423,7 +446,7 @@ class CoreEngine {
   // stream connections that were errored with FINs toward their guests —
   // the failover controller's `reconnects_required` surface.
   size_t DeregisterNsmDevice(uint8_t nsm_id);
-  bool HasNsm(uint8_t nsm_id) const { return nsms_.count(nsm_id) != 0; }
+  bool HasNsm(uint8_t nsm_id) const { return nsms_[nsm_id].dev != nullptr; }
   // Maps a VM to an NSM. May be called again later ("switch NSM on the fly"):
   // established connections stay on their old NSM via the connection table;
   // new sockets go to the new NSM.
@@ -460,9 +483,8 @@ class CoreEngine {
   // stamp on traced NQEs and fold the stamp cost into the round's CPU charge.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
-  // Per-shard flight recorders and their merged human-readable tail.
+  // Per-shard flight recorders (Host::DumpFlightRecorder merges them).
   std::vector<const obs::FlightRecorder*> FlightRecorders() const;
-  std::string DumpFlightRecorder(size_t last_k = 32) const;
 
   // ---- Isolation (per-VM egress policing, §4.4/§7.6) ----
   void SetVmByteRate(uint8_t vm_id, double bytes_per_sec, double burst_bytes);
@@ -526,9 +548,11 @@ class CoreEngine {
     size_t shard = 0;     // global shard index being visited
     uint64_t spent = 0;   // deliveries taken from it in the current visit
   };
-  // Per-NSM liveness record, created at registration, erased at
-  // deregistration. last_activity is refreshed by heartbeats and doorbells.
-  struct NsmHealth {
+  // Per-NSM registry entry, set at registration and cleared at
+  // deregistration; dev is null while the id is unregistered. last_activity
+  // is refreshed by heartbeats and doorbells.
+  struct NsmReg {
+    shm::NkDevice* dev = nullptr;
     SimTime last_activity = 0;
     uint64_t heartbeats = 0;
   };
@@ -545,16 +569,13 @@ class CoreEngine {
   }
 
   VmReg* FindVm(uint8_t vm_id) {
-    auto it = vms_.find(vm_id);
-    return it == vms_.end() ? nullptr : &it->second;
+    std::optional<VmReg>& reg = vms_[vm_id];
+    return reg.has_value() ? &*reg : nullptr;
   }
-  shm::NkDevice* FindNsm(uint8_t nsm_id) {
-    auto it = nsms_.find(nsm_id);
-    return it == nsms_.end() ? nullptr : it->second;
-  }
+  shm::NkDevice* FindNsm(uint8_t nsm_id) const { return nsms_[nsm_id].dev; }
   uint32_t VmWeightOrDefault(uint8_t vm_id) const {
-    auto it = vms_.find(vm_id);
-    return it == vms_.end() ? 1 : it->second.weight;
+    const std::optional<VmReg>& reg = vms_[vm_id];
+    return reg.has_value() ? reg->weight : 1;
   }
 
   // Fig 6 step 4 across shards: an NSM's kSocket result may be polled by a
@@ -580,13 +601,13 @@ class CoreEngine {
   std::function<void(uint8_t)> quarantine_cb_;
   obs::Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<CoreEngineShard>> shards_;
-  std::unordered_map<uint8_t, VmReg> vms_;
-  std::unordered_map<uint8_t, shm::NkDevice*> nsms_;
+  // Registries indexed by the 8-bit VM and NSM ids.
+  std::array<std::optional<VmReg>, 256> vms_;
+  std::array<NsmReg, 256> nsms_;
   // Queue-set placement: QsetKey(vm/nsm, qset) -> shard index.
   std::unordered_map<uint16_t, int> vm_qset_shard_;
   std::unordered_map<uint16_t, int> nsm_qset_shard_;
   std::unordered_map<shm::NkDevice*, ParkCursor> park_cursors_;
-  std::unordered_map<uint8_t, NsmHealth> nsm_health_;
 };
 
 // Coalesces an NSM's CoreEngine doorbells: all NQEs ServiceLib enqueues

@@ -25,6 +25,7 @@ GuestLib::GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkD
       config_(config),
       epolls_(loop, [this](int fd) { return Readiness(fd); }),
       drain_scheduled_(static_cast<size_t>(dev->num_queue_sets()), false),
+      batches_(static_cast<size_t>(dev->num_queue_sets())),
       poll_until_(static_cast<size_t>(dev->num_queue_sets()), 0),
       overflow_(static_cast<size_t>(dev->num_queue_sets())) {
   NK_CHECK(static_cast<int>(vcpus_.size()) == dev->num_queue_sets());
@@ -732,10 +733,12 @@ void GuestLib::ProcessInbound(int qs) {
   Cycles cost = config_.nqe_parse * static_cast<Cycles>(n);
   if (now >= poll_until_[qs]) cost += config_.costs.device_wakeup;
 
-  std::vector<Nqe> nqes(buf, buf + n);
-  vcpus_[qs]->Charge(cost, [this, qs, nqes = std::move(nqes)] {
+  // drain_scheduled_ keeps this queue set to one batch in flight, so its
+  // buffer is free again by the time the next batch is taken.
+  batches_[qs].assign(buf, buf + n);
+  vcpus_[qs]->Charge(cost, [this, qs] {
     poll_until_[qs] = loop_->Now() + config_.costs.guest_poll_period;
-    for (const Nqe& nqe : nqes) {
+    for (const Nqe& nqe : batches_[qs]) {
       // T4: completion reached the guest; closes out the traced sample.
       if (tracer_ != nullptr) {
         Cycles tc = tracer_->OnGuestReap(nqe);

@@ -233,6 +233,7 @@ class GuestLib : public SocketApi {
   EpollRegistry epolls_;
 
   std::vector<bool> drain_scheduled_;
+  std::vector<std::vector<shm::Nqe>> batches_;  // per queue set: the batch in flight
   std::vector<SimTime> poll_until_;  // per queue set: device polls until here
   // Ring-full backpressure: NQEs wait here (FIFO per queue set) until the
   // ring drains — e.g. when CoreEngine rate-limits this VM (§7.6).

@@ -25,6 +25,7 @@ ServiceLib::ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm
       cores_(std::move(cores)),
       config_(config),
       drain_scheduled_(static_cast<size_t>(dev->num_queue_sets()), false),
+      batches_(static_cast<size_t>(dev->num_queue_sets())),
       doorbell_(loop, ce, nsm_id),
       recorder_(loop, "nsm" + std::to_string(nsm_id) + ".svc"),
       transport_(std::move(transport)) {
@@ -204,11 +205,13 @@ void ServiceLib::ProcessQueueSet(int qs) {
   }
   nqes_processed_ += n;
 
-  std::vector<Nqe> nqes(buf, buf + n);
+  // drain_scheduled_ keeps this queue set to one batch in flight, so its
+  // buffer is free again by the time the next batch is taken.
+  batches_[qs].assign(buf, buf + n);
   sim::CpuCore* core = cores_[static_cast<size_t>(qs) % cores_.size()];
   Cycles cost = config_.costs.servicelib_translate * static_cast<Cycles>(n);
-  core->Charge(cost, [this, qs, core, nqes = std::move(nqes)]() mutable {
-    for (Nqe& nqe : nqes) {
+  core->Charge(cost, [this, qs, core] {
+    for (Nqe& nqe : batches_[qs]) {
       if (shutdown_) {
         // Shutdown raced this in-flight batch (or a dispatched NQE triggered
         // it mid-batch): the NQEs were already pulled off the rings, so the

@@ -221,6 +221,7 @@ class ServiceLib {
   // kSend NQEs that arrived before their connection's accept-link NQE.
   std::unordered_map<uint64_t, std::vector<shm::Nqe>> orphan_sends_;
   std::vector<bool> drain_scheduled_;
+  std::vector<std::vector<shm::Nqe>> batches_;  // per queue set: the batch in flight
   DoorbellCoalescer doorbell_;
   obs::Tracer* tracer_ = nullptr;
   obs::FlightRecorder recorder_;

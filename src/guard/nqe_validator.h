@@ -1,7 +1,7 @@
 // Copyright (c) NetKernel reproduction authors.
 // nkguard: adversarial-guest NQE validation at the ring-consume boundary.
 //
-// Threat model (ROADMAP item 5): the CoreEngine and NSMs are shared
+// Threat model (ROADMAP item 7): the CoreEngine and NSMs are shared
 // infrastructure consuming shared-memory rings that untrusted tenant VMs
 // write. Nothing stops a buggy or hostile guest from enqueuing an NQE with a
 // bogus op byte, a chunk offset outside its pool (or inside it but free, or

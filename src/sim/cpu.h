@@ -10,7 +10,6 @@
 #define SRC_SIM_CPU_H_
 
 #include <coroutine>
-#include <functional>
 #include <string>
 
 #include "src/common/units.h"
@@ -47,7 +46,7 @@ class CpuCore {
   WorkAwaiter Work(Cycles cycles) { return WorkAwaiter{this, cycles}; }
 
   // Callback flavour: occupy the core for `cycles`, then run `fn`.
-  void Charge(Cycles cycles, std::function<void()> fn) {
+  void Charge(Cycles cycles, Callback fn) {
     SimTime done = Reserve(cycles);
     loop_->Schedule(done, std::move(fn));
   }

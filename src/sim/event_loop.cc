@@ -6,7 +6,7 @@
 
 namespace netkernel::sim {
 
-EventHandle EventLoop::Schedule(SimTime at, std::function<void()> fn) {
+EventHandle EventLoop::Schedule(SimTime at, Callback fn) {
   NK_CHECK(at >= now_);
   uint32_t slot = free_head_;
   if (slot != kNoSlot) {
@@ -16,46 +16,93 @@ EventHandle EventLoop::Schedule(SimTime at, std::function<void()> fn) {
     NK_CHECK(slot != kNoSlot);
     slab_.emplace_back();
   }
-  slab_[slot].fn = std::move(fn);
-  heap_.push_back(Key{at, next_seq_++, slot});
-  SiftUp(heap_.size() - 1);
-  return EventHandle{this, slot, slab_[slot].generation};
+  Slot& s = slab_[slot];
+  s.fn = std::move(fn);
+  s.seq = next_seq_++;
+  const Key key{at, s.seq, slot};
+  // The lane stays sorted: it only takes keys of the instant it holds.
+  if (at == now_ && (LaneEmpty() || lane_.back().at == at)) {
+    s.link = kInLane;
+    PushLane(key);
+    ++lane_live_;
+  } else {
+    heap_.push_back(key);
+    SiftUp(heap_.size() - 1);
+  }
+  return EventHandle{this, slot, s.generation};
 }
 
 void EventLoop::Cancel(uint32_t slot, uint32_t generation) {
   if (!IsPending(slot, generation)) return;
-  const Key key = heap_[slab_[slot].link];
-  RemoveAt(slab_[slot].link);
+  const uint32_t link = slab_[slot].link;
+  Key key;
+  if (link == kInLane) {
+    // The key stays in the lane as a tombstone: Release clears the slot's
+    // seq, so the lane skips the key when it reaches it. Every lane key has
+    // the same instant.
+    key = Key{lane_[lane_head_].at, slab_[slot].seq, slot};
+    --lane_live_;
+  } else {
+    key = heap_[link];
+    RemoveAt(link);
+  }
   if (!latest_cancelled_ || Before(*latest_cancelled_, key)) latest_cancelled_ = key;
   // The callable is moved out and dies here, once the loop is consistent
   // again: its captures' destructors may schedule or cancel events.
   Release(slot);
 }
 
-std::function<void()> EventLoop::Release(uint32_t slot) {
+Callback EventLoop::Release(uint32_t slot) {
   Slot& s = slab_[slot];
-  std::function<void()> fn = std::move(s.fn);
+  Callback fn = std::move(s.fn);
+  s.seq = kNoSeq;
   ++s.generation;
   s.link = free_head_;
   free_head_ = slot;
   return fn;
 }
 
+void EventLoop::PushLane(const Key& key) {
+  // Reclaim the drained prefix before the vector would grow, once it is at
+  // least half the vector: a long chain of same-instant events then runs in
+  // bounded memory, and the moves stay amortized O(1) per event.
+  if (lane_.size() == lane_.capacity() && lane_head_ > 0 && 2 * lane_head_ >= lane_.size()) {
+    lane_.erase(lane_.begin(), lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
+    lane_head_ = 0;
+  }
+  lane_.push_back(key);
+}
+
+void EventLoop::PopLane() {
+  if (++lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  }
+}
+
 bool EventLoop::Step(SimTime until) {
+  while (!LaneEmpty() && !LaneFrontLive()) PopLane();  // cancelled lane events
+  const bool from_lane = !LaneEmpty() && (heap_.empty() || Before(lane_[lane_head_], heap_[0]));
+  const Key* next = from_lane ? &lane_[lane_head_] : heap_.empty() ? nullptr : &heap_[0];
   // The loop runs past a cancelled position exactly where it would pop that
   // event if it were still queued.
   if (latest_cancelled_ && latest_cancelled_->at <= until &&
-      (heap_.empty() || Before(*latest_cancelled_, heap_[0]))) {
+      (next == nullptr || Before(*latest_cancelled_, *next))) {
     latest_cancelled_.reset();
   }
-  if (heap_.empty() || heap_[0].at > until) return false;
-  const Key key = heap_[0];
-  RemoveAt(0);
+  if (next == nullptr || next->at > until) return false;
+  const Key key = *next;
+  if (from_lane) {
+    PopLane();
+    --lane_live_;
+  } else {
+    RemoveAt(0);
+  }
   NK_CHECK(key.at >= now_);
   now_ = key.at;
   // Moved out first: the callback may schedule events and so grow the slab.
   // Its slot is already free, so its own handle reads not-pending inside it.
-  std::function<void()> fn = Release(key.slot);
+  Callback fn = Release(key.slot);
   fn();
   ++events_executed_;
   return true;
@@ -67,7 +114,7 @@ uint64_t EventLoop::Run(SimTime until) {
   while (!stopped_ && Step(until)) ++executed;
   // Stopped, or nothing left (cancelled or not): the clock rests where the
   // last event left it.
-  if (!stopped_ && (!heap_.empty() || latest_cancelled_) && until != kSimTimeNever) {
+  if (!stopped_ && (pending() > 0 || latest_cancelled_) && until != kSimTimeNever) {
     now_ = until;
   }
   return executed;

@@ -7,13 +7,22 @@
 // scheduled for the same instant in the order they were scheduled.
 //
 // Layout. Each scheduled callable lives in a slot of a slab (a vector reused
-// through a free list), and a binary heap orders small plain keys
-// {at, seq, slot} over it. Each slot records where its key sits in the heap,
-// so Cancel takes the key out at once and destroys the callable: the heap
-// holds exactly the live events, however many timers get re-armed. Neither
-// scheduling nor cancelling allocates once the slab and heap have grown to
-// the peak number of live events (std::function may still allocate for
-// large captures).
+// through a free list). A callable is a sim::Callback, which holds captures
+// of up to Callback::kInlineSize (56) bytes inline, so the slab owns every
+// hot event's state and scheduling one allocates nothing. Slots are ordered
+// by small plain keys {at, seq, slot} in one of two places:
+//   * the same-instant lane, a FIFO of the keys of events scheduled for
+//     Now() (doorbells, wakes, zero-cycle charges: a quarter to a third of
+//     all events). It is a vector reused across instants, so it too stops
+//     allocating once it has grown to the largest burst of one instant;
+//   * a binary heap for everything later. Each heap slot records where its
+//     key sits, so Cancel takes the key out at once.
+// Step pops whichever of the lane front and the heap top comes first in
+// (at, seq). Cancel destroys the callable at once either way. A cancelled
+// lane event leaves its key behind as a tombstone, which the lane skips when
+// it reaches it: the slot records the seq of the event it holds, so a key
+// whose seq no longer matches its slot (freed, or reused by a later event)
+// is dead. pending() counts live events only.
 //
 // Generations. A slot's generation advances every time the slot is freed
 // (its event fired or was cancelled), and an EventHandle is the triple
@@ -27,18 +36,19 @@
 // event counts as queued until the loop runs past its (at, seq) position.
 // So cancelling the only event beyond `until` does not change where the clock
 // comes to rest. Only the latest such cancelled position can decide that, so
-// the loop keeps that one position instead of the cancelled keys.
+// the loop keeps that one position instead of the cancelled keys. Lane and
+// heap events follow the same rule.
 
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/sim/callback.h"
 
 namespace netkernel::sim {
 
@@ -70,10 +80,10 @@ class EventLoop {
   SimTime Now() const { return now_; }
 
   // Schedules `fn` at absolute virtual time `at` (>= Now()).
-  EventHandle Schedule(SimTime at, std::function<void()> fn);
+  EventHandle Schedule(SimTime at, Callback fn);
 
   // Schedules `fn` after `delay` nanoseconds of virtual time.
-  EventHandle ScheduleAfter(SimTime delay, std::function<void()> fn) {
+  EventHandle ScheduleAfter(SimTime delay, Callback fn) {
     return Schedule(now_ + delay, std::move(fn));
   }
 
@@ -88,7 +98,7 @@ class EventLoop {
   void Stop() { stopped_ = true; }
 
   // Scheduled events that have neither fired nor been cancelled.
-  size_t pending() const { return heap_.size(); }
+  size_t pending() const { return heap_.size() + lane_live_; }
   uint64_t events_executed() const { return events_executed_; }
 
  private:
@@ -100,10 +110,12 @@ class EventLoop {
     uint32_t slot;
   };
   struct Slot {
-    std::function<void()> fn;
+    Callback fn;
+    // The seq of the scheduled event; kNoSeq while the slot is free.
+    uint64_t seq = kNoSeq;
     uint32_t generation = 0;
-    // The key's heap index while the slot is scheduled; the next free slot
-    // while it is on the free list.
+    // The key's heap index while the slot is in the heap, kInLane while it
+    // is in the lane, the next free slot while it is on the free list.
     uint32_t link = 0;
   };
 
@@ -118,7 +130,13 @@ class EventLoop {
   // Fires the first event if it is due at or before `until`.
   bool Step(SimTime until);
   // Moves the slot's callable out and returns the slot to the free list.
-  std::function<void()> Release(uint32_t slot);
+  Callback Release(uint32_t slot);
+
+  bool LaneEmpty() const { return lane_head_ == lane_.size(); }
+  // True when the lane front is a live event (not a cancelled one's key).
+  bool LaneFrontLive() const { return slab_[lane_[lane_head_].slot].seq == lane_[lane_head_].seq; }
+  void PushLane(const Key& key);
+  void PopLane();
 
   void Place(size_t i, const Key& key) {
     heap_[i] = key;
@@ -133,12 +151,19 @@ class EventLoop {
   uint64_t events_executed_ = 0;
   bool stopped_ = false;
   std::vector<Key> heap_;
+  // The lane's keys are lane_[lane_head_, size()), all of one instant; the
+  // vector is cleared, keeping its capacity, whenever the lane drains.
+  std::vector<Key> lane_;
+  size_t lane_head_ = 0;
+  size_t lane_live_ = 0;  // lane keys whose event is still scheduled
   std::vector<Slot> slab_;
   uint32_t free_head_ = kNoSlot;
   // The latest cancelled (at, seq) the loop has not yet run past.
   std::optional<Key> latest_cancelled_;
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+  static constexpr uint32_t kInLane = UINT32_MAX;
+  static constexpr uint64_t kNoSeq = UINT64_MAX;
 };
 
 inline void EventHandle::Cancel() {

@@ -218,13 +218,13 @@ class SimEvent {
   // co_await event.Wait(); resumes on next Notify().
   Waiter Wait() { return Waiter{this}; }
 
+  // Scheduling resumes nothing inline, so the waiter list can be walked in
+  // place and cleared, keeping its capacity for the next round of waiters.
   void NotifyAll() {
-    if (waiters_.empty()) return;
-    std::vector<std::coroutine_handle<>> ws;
-    ws.swap(waiters_);
-    for (auto h : ws) {
+    for (auto h : waiters_) {
       loop_->ScheduleAfter(0, [h] { h.resume(); });
     }
+    waiters_.clear();
   }
 
   void NotifyOne() {

@@ -8,7 +8,7 @@
 // chunk carries a free callback that fires exactly once, when the buffer is
 // done with the bytes — fully dropped from the front (i.e. ACKed, for a TCP
 // send buffer), cleared, or destroyed with the buffer. Until then the bytes
-// must stay valid: retransmissions read them in place via CopyOut.
+// must stay valid: every (re)transmission copies them from there via AppendTo.
 //
 // The receive-side zero-copy datapath adds a third flavor: a pluggable
 // ChunkAllocator (the NSM installs one backed by the VM's hugepage pool) makes
@@ -17,8 +17,8 @@
 // *detached* — ownership (the allocator handle) transfers to the caller
 // without copying and without firing the free callback, which is how
 // ServiceLib ships a received chunk to the guest as-is. When the allocator is
-// exhausted, Append falls back to an owned heap chunk (counted), which the
-// caller must move with a copy as before.
+// exhausted, Append falls back to an owned heap chunk, which the caller must
+// move with a copy as before.
 
 #ifndef SRC_TCPSTACK_BYTE_BUFFER_H_
 #define SRC_TCPSTACK_BYTE_BUFFER_H_
@@ -71,8 +71,6 @@ class ByteBuffer {
     allocator_ = std::move(allocator);
   }
   bool has_chunk_allocator() const { return allocator_ != nullptr; }
-  // Appends that could not get an allocator chunk and fell back to heap.
-  uint64_t pool_fallbacks() const { return pool_fallbacks_; }
 
   void Append(const uint8_t* data, uint64_t n) {
     if (n == 0) return;
@@ -131,23 +129,19 @@ class ByteBuffer {
   // Copies `n` bytes starting `offset` bytes from the front into `out`.
   // Requires offset + n <= size().
   void CopyOut(uint64_t offset, uint64_t n, uint8_t* out) const {
-    NK_CHECK(offset + n <= size_);
-    uint64_t skip = head_offset_ + offset;
-    size_t ci = 0;
-    while (skip >= chunks_[ci].size()) {
-      skip -= chunks_[ci].size();
-      ++ci;
-    }
-    uint64_t copied = 0;
-    while (copied < n) {
-      const Chunk& c = chunks_[ci];
-      uint64_t avail = c.size() - skip;
-      uint64_t take = n - copied < avail ? n - copied : avail;
-      std::memcpy(out + copied, c.data() + skip, take);
-      copied += take;
-      skip = 0;
-      ++ci;
-    }
+    ForEachPiece(offset, n, [&out](const uint8_t* p, uint64_t len) {
+      std::memcpy(out, p, len);
+      out += len;
+    });
+  }
+
+  // Appends `n` bytes starting `offset` bytes from the front to `out`, with
+  // one reservation and one copy per chunk touched. Requires
+  // offset + n <= size().
+  void AppendTo(uint64_t offset, uint64_t n, std::vector<uint8_t>* out) const {
+    out->reserve(out->size() + n);
+    ForEachPiece(offset, n,
+                 [out](const uint8_t* p, uint64_t len) { out->insert(out->end(), p, p + len); });
   }
 
   // Removes `n` bytes from the front, firing free callbacks of external
@@ -230,8 +224,31 @@ class ByteBuffer {
     uint64_t size() const { return ext != nullptr ? ext_len : owned.size(); }
   };
 
+  // Calls fn(data, len) for each contiguous piece of the `n` bytes starting
+  // `offset` bytes from the front, in order.
+  template <typename Fn>
+  void ForEachPiece(uint64_t offset, uint64_t n, Fn fn) const {
+    NK_CHECK(offset + n <= size_);
+    uint64_t skip = head_offset_ + offset;
+    size_t ci = 0;
+    while (skip >= chunks_[ci].size()) {
+      skip -= chunks_[ci].size();
+      ++ci;
+    }
+    uint64_t done = 0;
+    while (done < n) {
+      const Chunk& c = chunks_[ci];
+      uint64_t avail = c.size() - skip;
+      uint64_t take = n - done < avail ? n - done : avail;
+      fn(c.data() + skip, take);
+      done += take;
+      skip = 0;
+      ++ci;
+    }
+  }
+
   // Allocator path of Append: tail-pack into the open pooled chunk, then
-  // draw fresh chunks; heap fallback (counted) when the allocator is dry.
+  // draw fresh chunks; heap fallback when the allocator is dry.
   void AppendPooled(const uint8_t* data, uint64_t n) {
     uint64_t off = 0;
     if (!chunks_.empty()) {
@@ -252,7 +269,6 @@ class ByteBuffer {
       if (!allocator_->alloc(want, &handle, &wdata, &cap) || cap == 0) {
         // Pool exhausted: the rest lands on the heap; the consumer ships it
         // with a copy (the pre-zerocopy behaviour), so no data is lost.
-        ++pool_fallbacks_;
         Chunk c;
         c.owned.assign(data + off, data + n);
         chunks_.push_back(std::move(c));
@@ -279,7 +295,6 @@ class ByteBuffer {
   uint64_t size_ = 0;
   uint64_t head_offset_ = 0;  // bytes of chunks_.front() already consumed
   std::shared_ptr<ChunkAllocator> allocator_;
-  uint64_t pool_fallbacks_ = 0;
 };
 
 }  // namespace netkernel::tcp

@@ -152,7 +152,7 @@ int TcpStack::Connect(SocketId id, IpAddr dst_ip, uint16_t dst_port) {
   ChargeWithSharedLock(s->core_idx, config_.profile.conn_setup, [this, id] {
     Sock* s2 = Find(id);
     if (s2 == nullptr || s2->state != TcpState::kSynSent) return;
-    EmitSegment(*s2, kSyn, s2->iss, nullptr, 0);
+    EmitSegment(*s2, kSyn, s2->iss, 0, 0);
     ArmRto(*s2);
   });
   return kOk;
@@ -223,11 +223,6 @@ bool TcpStack::RecvZcDetach(SocketId id, DetachedChunk* out) {
   if (!s->rcvbuf.DetachFront(out)) return false;
   MaybeSendWindowUpdate(*s, before);
   return true;
-}
-
-uint64_t TcpStack::RxPoolFallbacks(SocketId id) const {
-  const Sock* s = Find(id);
-  return s == nullptr ? 0 : s->rcvbuf.pool_fallbacks();
 }
 
 void TcpStack::Close(SocketId id) {
@@ -324,17 +319,7 @@ bool TcpStack::HasPendingAccept(SocketId id) const {
   return s != nullptr && !s->accept_q.empty();
 }
 
-int TcpStack::SocketError(SocketId id) const {
-  const Sock* s = Find(id);
-  return s == nullptr ? kNotConnected : s->err;
-}
-
-int TcpStack::CoreIndex(SocketId id) const {
-  const Sock* s = Find(id);
-  return s == nullptr ? 0 : s->core_idx;
-}
-
-void TcpStack::ChargeOnSocketCore(SocketId id, Cycles cycles, std::function<void()> fn) {
+void TcpStack::ChargeOnSocketCore(SocketId id, Cycles cycles, sim::Callback fn) {
   const Sock* s = Find(id);
   cores_[s == nullptr ? 0 : s->core_idx]->Charge(cycles, std::move(fn));
 }
@@ -348,8 +333,8 @@ uint64_t TcpStack::AdvertisedWindow(const Sock& s) const {
   return s.rcvbuf_limit > used ? s.rcvbuf_limit - used : 0;
 }
 
-void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, const uint8_t* payload,
-                           uint32_t len, bool ece) {
+void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, uint64_t offset, uint32_t len,
+                           bool ece) {
   auto seg = std::make_shared<Segment>();
   seg->tuple = s.tuple;
   seg->flags = flags | (s.state != TcpState::kSynSent ? kAck : 0) | (ece ? kEce : 0);
@@ -358,9 +343,7 @@ void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, const uint8_t* pa
   seg->rwnd = AdvertisedWindow(s);
   seg->ts = loop_->Now();
   seg->ts_echo = s.last_rx_ts;
-  if (len > 0) {
-    seg->payload.assign(payload, payload + len);
-  }
+  if (len > 0) s.sndbuf.AppendTo(offset, len, &seg->payload);
   s.last_advertised_wnd = seg->rwnd;
 
   netsim::Packet pkt;
@@ -376,7 +359,7 @@ void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, const uint8_t* pa
   if (nic_ != nullptr) nic_->Transmit(std::move(pkt));
 }
 
-void TcpStack::SendAck(Sock& s, bool ece) { EmitSegment(s, kAck, s.snd_nxt, nullptr, 0, ece); }
+void TcpStack::SendAck(Sock& s, bool ece) { EmitSegment(s, kAck, s.snd_nxt, 0, 0, ece); }
 
 void TcpStack::SendRst(const FourTuple& from_tuple, SeqNum seq, SeqNum ack) {
   auto seg = std::make_shared<Segment>();
@@ -476,9 +459,7 @@ void TcpStack::PumpTx(SocketId id) {
       uint64_t unsent3 = s3->sndbuf.size() - inflight3;
       uint32_t len = static_cast<uint32_t>(std::min<uint64_t>(chunk, unsent3));
       if (len > 0) {
-        std::vector<uint8_t> data(len);
-        s3->sndbuf.CopyOut(inflight3, len, data.data());
-        EmitSegment(*s3, kAck, s3->snd_nxt, data.data(), len);
+        EmitSegment(*s3, kAck, s3->snd_nxt, inflight3, len);
         s3->snd_nxt += len;
         ArmRto(*s3);
         // TSQ: hold the socket's qdisc occupancy until the (coalesced) TX
@@ -503,7 +484,7 @@ void TcpStack::MaybeSendFin(Sock& s) {
   uint64_t inflight = s.snd_nxt - s.snd_una;
   if (s.sndbuf.size() > inflight) return;  // unsent data remains
   s.fin_sent = true;
-  EmitSegment(s, kFin | kAck, s.snd_nxt, nullptr, 0);
+  EmitSegment(s, kFin | kAck, s.snd_nxt, 0, 0);
   s.snd_nxt += 1;
   ArmRto(s);
   if (s.state == TcpState::kEstablished || s.state == TcpState::kSynRcvd) {
@@ -549,7 +530,7 @@ void TcpStack::OnRto(SocketId id) {
       FailConnection(*s, kTimedOut);
       return;
     }
-    EmitSegment(*s, kSyn, s->iss, nullptr, 0);
+    EmitSegment(*s, kSyn, s->iss, 0, 0);
     s->rto = std::min(s->rto * 2, kMaxRto);
     ArmRto(*s);
     return;
@@ -559,7 +540,7 @@ void TcpStack::OnRto(SocketId id) {
       FailConnection(*s, kTimedOut);
       return;
     }
-    EmitSegment(*s, kSyn | kAck, s->iss, nullptr, 0);
+    EmitSegment(*s, kSyn | kAck, s->iss, 0, 0);
     s->rto = std::min(s->rto * 2, kMaxRto);
     ArmRto(*s);
     return;
@@ -585,13 +566,11 @@ void TcpStack::OnRto(SocketId id) {
       uint32_t len2 = static_cast<uint32_t>(
           std::min<uint64_t>(len, s2->sndbuf.size()));
       if (len2 == 0) return;
-      std::vector<uint8_t> data(len2);
-      s2->sndbuf.CopyOut(0, len2, data.data());
-      EmitSegment(*s2, kAck, s2->snd_una, data.data(), len2);
+      EmitSegment(*s2, kAck, s2->snd_una, 0, len2);
     });
   } else {
     // Only the FIN is outstanding.
-    EmitSegment(*s, kFin | kAck, s->snd_nxt - 1, nullptr, 0);
+    EmitSegment(*s, kFin | kAck, s->snd_nxt - 1, 0, 0);
   }
   ArmRto(*s);
 }
@@ -784,7 +763,7 @@ void TcpStack::HandleSynAtListener(const Segment& seg) {
   ChargeWithSharedLock(c.core_idx, config_.profile.conn_setup, [this, cid] {
     Sock* c2 = Find(cid);
     if (c2 == nullptr || c2->state != TcpState::kSynRcvd) return;
-    EmitSegment(*c2, kSyn | kAck, c2->iss, nullptr, 0);
+    EmitSegment(*c2, kSyn | kAck, c2->iss, 0, 0);
     ArmRto(*c2);
   });
 }
@@ -954,9 +933,7 @@ void TcpStack::HandleAck(Sock& s, const Segment& seg) {
           uint32_t len2 =
               static_cast<uint32_t>(std::min<uint64_t>(len, s2->sndbuf.size()));
           if (len2 == 0) return;
-          std::vector<uint8_t> data(len2);
-          s2->sndbuf.CopyOut(0, len2, data.data());
-          EmitSegment(*s2, kAck, s2->snd_una, data.data(), len2);
+          EmitSegment(*s2, kAck, s2->snd_una, 0, len2);
         });
       }
     }
@@ -1048,7 +1025,7 @@ void TcpStack::DestroySock(SocketId id) {
   socks_.erase(id);
 }
 
-void TcpStack::ChargeWithSharedLock(int core_idx, Cycles work, std::function<void()> fn) {
+void TcpStack::ChargeWithSharedLock(int core_idx, Cycles work, sim::Callback fn) {
   if (config_.per_core_tables) {
     cores_[core_idx]->Charge(work + config_.profile.shared_lock_hold, std::move(fn));
     return;

@@ -146,8 +146,6 @@ class TcpStack {
   // the same window-update side effects as Recv. Returns false when the
   // front is heap-backed or partially consumed (use Recv for those bytes).
   bool RecvZcDetach(SocketId id, DetachedChunk* out);
-  // Appends that missed the RX allocator (pool exhausted) on this socket.
-  uint64_t RxPoolFallbacks(SocketId id) const;
   void Close(SocketId id);
   void Abort(SocketId id);  // RST
 
@@ -164,8 +162,6 @@ class TcpStack {
   uint64_t RecvAvailable(SocketId id) const;
   bool FinReceived(SocketId id) const;
   bool HasPendingAccept(SocketId id) const;
-  int SocketError(SocketId id) const;
-  int CoreIndex(SocketId id) const;
 
   const TcpStackStats& stats() const { return stats_; }
   const TcpStackConfig& config() const { return config_; }
@@ -176,7 +172,7 @@ class TcpStack {
 
   // Charges `cycles` on the core owning socket `id`, then runs `fn`. Used by
   // layers above (ServiceLib) whose work shares the stack cores.
-  void ChargeOnSocketCore(SocketId id, Cycles cycles, std::function<void()> fn);
+  void ChargeOnSocketCore(SocketId id, Cycles cycles, sim::Callback fn);
 
   // IP-protocol demux: this stack owns the NIC's softirq path; packets whose
   // protocol is not TCP are handed to this handler (e.g. the host's UdpStack).
@@ -252,8 +248,10 @@ class TcpStack {
   void HandleEstablishedData(Sock& s, const Segment& seg, bool ce_marked);
   void HandleAck(Sock& s, const Segment& seg);
   void PumpTx(SocketId id);
-  void EmitSegment(Sock& s, uint8_t flags, SeqNum seq, const uint8_t* payload, uint32_t len,
-                   bool charge = false);
+  // Emits one segment carrying `len` bytes of the send buffer, starting
+  // `offset` bytes past its front (no payload when len is 0).
+  void EmitSegment(Sock& s, uint8_t flags, SeqNum seq, uint64_t offset, uint32_t len,
+                   bool ece = false);
   void SendAck(Sock& s, bool ece);
   void SendRst(const FourTuple& from_tuple, SeqNum seq, SeqNum ack);
   void MaybeSendWindowUpdate(Sock& s, uint64_t before_window);
@@ -277,7 +275,7 @@ class TcpStack {
   void FailConnection(Sock& s, int err);
 
   // Shared-table lock (kernel profile): serializes across stack cores.
-  void ChargeWithSharedLock(int core_idx, Cycles work, std::function<void()> fn);
+  void ChargeWithSharedLock(int core_idx, Cycles work, sim::Callback fn);
 
   uint16_t AllocEphemeralPort();
   int RssCore(const FourTuple& tuple) const;

@@ -236,7 +236,7 @@ int UdpStack::CoreIndex(SocketId id) const {
   return s == nullptr ? 0 : s->core_idx;
 }
 
-void UdpStack::ChargeOnSocketCore(SocketId id, Cycles cycles, std::function<void()> fn) {
+void UdpStack::ChargeOnSocketCore(SocketId id, Cycles cycles, sim::Callback fn) {
   cores_[static_cast<size_t>(CoreIndex(id))]->Charge(cycles, std::move(fn));
 }
 

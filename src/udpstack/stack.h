@@ -149,7 +149,7 @@ class UdpStack {
 
   // Charges `cycles` on the core owning socket `id`, then runs `fn`. Used by
   // ServiceLib, whose hugepage copies share the stack cores.
-  void ChargeOnSocketCore(SocketId id, Cycles cycles, std::function<void()> fn);
+  void ChargeOnSocketCore(SocketId id, Cycles cycles, sim::Callback fn);
 
   const UdpStackStats& stats() const { return stats_; }
   const UdpStackConfig& config() const { return config_; }

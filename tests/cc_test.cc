@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/tcpstack/byte_buffer.h"
@@ -45,6 +47,12 @@ TEST(ByteBuffer, SpansChunks) {
   EXPECT_EQ(out[49], 0);
   EXPECT_EQ(out[50], 1);
   EXPECT_EQ(out[249], 2);
+  // AppendTo reads the same bytes, after what the vector already holds.
+  std::vector<uint8_t> seg = {42};
+  buf.AppendTo(50, 250, &seg);
+  ASSERT_EQ(seg.size(), 251u);
+  EXPECT_EQ(seg[0], 42);
+  EXPECT_TRUE(std::equal(out, out + 250, seg.begin() + 1));
 }
 
 TEST(ByteBuffer, RandomizedFifoEquivalence) {

@@ -289,6 +289,42 @@ TEST_F(CeErrorTest, DeliveryInFlightWhenItsNsmDiesReclaimsChunk) {
   EXPECT_EQ(got.reserved[1], shm::kNqeFlagChunkUnconsumed);
 }
 
+// The same, but a fresh device is registered under the dead NSM's id before
+// the charge completes: the plan names the old device, so its deliveries drop
+// with the flagged error completion and none lands in the new one.
+TEST_F(CeErrorTest, DeliveryInFlightWhenItsNsmIdIsReRegisteredDrops) {
+  NkDevice old_nsm("nsm-old", 1);
+  ce_.RegisterNsmDevice(1, &old_nsm);
+  ce_.AssignVmToNsm(1, 1);
+  vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocketUdp, 1, 0, 9));
+  ce_.NotifyVmOutbound(1);
+  RunABit();
+
+  for (uint64_t chunk : {5555u, 6666u}) {
+    vm_dev_.queue_set(0).send.TryEnqueue(
+        MakeNqe(NqeOp::kSendTo, 1, 0, 9, shm::PackAddr(1, 80), chunk, 256));
+  }
+  ce_.NotifyVmOutbound(1);
+  loop_.RunUntilIdleAtNow();  // the round is planned and being charged
+  ce_.DeregisterNsmDevice(1);
+  NkDevice new_nsm("nsm-new", 1);
+  ce_.RegisterNsmDevice(1, &new_nsm);
+  ce_.AssignVmToNsm(1, 1);
+  RunABit();
+  EXPECT_EQ(old_nsm.queue_set(0).send.Size(), 0u) << "delivered into a deregistered NSM";
+  EXPECT_EQ(new_nsm.queue_set(0).send.Size(), 0u) << "a planned delivery crossed to the new NSM";
+  for (uint64_t chunk : {5555u, 6666u}) {
+    Nqe got;
+    ASSERT_TRUE(vm_dev_.queue_set(0).completion.TryDequeue(&got));
+    EXPECT_EQ(got.Op(), NqeOp::kSendToResult);
+    EXPECT_EQ(static_cast<int32_t>(got.size), kCeNetUnreach);
+    EXPECT_EQ(got.data_ptr, chunk);
+    EXPECT_EQ(got.reserved[1], shm::kNqeFlagChunkUnconsumed);
+  }
+  Nqe extra;
+  EXPECT_FALSE(vm_dev_.queue_set(0).completion.TryDequeue(&extra));
+}
+
 TEST_F(CeErrorTest, DeregisterNsmFinsEstablishedConnections) {
   NkDevice nsm("nsm", 1);
   ce_.RegisterNsmDevice(1, &nsm);

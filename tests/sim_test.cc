@@ -201,11 +201,122 @@ TEST(EventLoop, RearmedTimerKeepsQueueAtLiveEvents) {
   EXPECT_EQ(loop.pending(), 0u);
 }
 
+// ---------------------------------------------------------------------------
+// The same-instant lane and sim::Callback
+// ---------------------------------------------------------------------------
+
+// Events scheduled for Now() take the lane, later ones the heap; events due
+// at one instant still fire in seq order across the two.
+TEST(EventLoop, LaneAndHeapEventsAtOneInstantFireInSeqOrder) {
+  EventLoop loop;
+  std::vector<int> order;
+  loop.Schedule(10, [&] {
+    order.push_back(1);
+    loop.ScheduleAfter(0, [&] {  // scheduled after event 2: fires after it
+      order.push_back(3);
+      loop.ScheduleAfter(0, [&] { order.push_back(5); });
+    });
+    loop.Schedule(11, [&] { order.push_back(6); });
+  });
+  loop.Schedule(10, [&] {
+    order.push_back(2);
+    loop.ScheduleAfter(0, [&] { order.push_back(4); });
+  });
+  loop.ScheduleAfter(0, [&] { order.push_back(0); });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(loop.Now(), 11);
+}
+
+TEST(EventLoop, CancelledLaneEventReleasesCapturesAtOnce) {
+  EventLoop loop;
+  auto capture = std::make_shared<int>(0);
+  bool fired = false;
+  loop.Schedule(5, [] {});
+  EventHandle h = loop.ScheduleAfter(0, [capture, &fired] { fired = true; });
+  EXPECT_EQ(loop.pending(), 2u);
+  EXPECT_EQ(capture.use_count(), 2);
+  h.Cancel();
+  EXPECT_FALSE(h.Pending());
+  EXPECT_EQ(capture.use_count(), 1);
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.Run(3);
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(loop.Now(), 3);  // the heap event at 5 is still queued
+  loop.Run();
+  EXPECT_EQ(loop.events_executed(), 1u);
+  EXPECT_EQ(loop.pending(), 0u);
+}
+
+// The clock rule holds for lane events: a cancelled one sits at the current
+// instant, so the loop runs past it, and it never displaces a later
+// cancelled position that still parks the clock.
+TEST(EventLoop, CancelledLaneEventKeepsTheClockRule) {
+  EventLoop loop;
+  EventHandle lane;
+  loop.Schedule(10, [&] {
+    lane = loop.ScheduleAfter(0, [] {});
+    loop.Stop();
+  });
+  loop.Run(150);  // stops at 10 with the lane event still queued
+  EXPECT_EQ(loop.Now(), 10);
+  EXPECT_EQ(loop.pending(), 1u);
+  lane.Cancel();
+  EXPECT_EQ(loop.pending(), 0u);
+  loop.Run(50);  // runs past the cancelled lane event; nothing is left
+  EXPECT_EQ(loop.Now(), 10);
+
+  loop.Schedule(100, [] {}).Cancel();
+  loop.ScheduleAfter(0, [] {}).Cancel();
+  loop.Run(60);  // the cancelled event at 100 still parks the clock at 60
+  EXPECT_EQ(loop.Now(), 60);
+}
+
+TEST(EventLoop, SlotReusedAfterCancelledLaneEventIsNotMistakenForIt) {
+  EventLoop loop;
+  std::vector<int> order;
+  EventHandle cancelled = loop.ScheduleAfter(0, [&] { order.push_back(-1); });
+  cancelled.Cancel();  // its key stays in the lane as a tombstone
+  EventHandle later = loop.ScheduleAfter(7, [&] { order.push_back(2); });  // reuses the slot
+  EventHandle now = loop.ScheduleAfter(0, [&] { order.push_back(1); });
+  EXPECT_FALSE(cancelled.Pending());
+  EXPECT_TRUE(later.Pending());
+  EXPECT_TRUE(now.Pending());
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.RunUntilIdleAtNow();  // skips the tombstone, fires only `now`
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(loop.Now(), 0);
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(loop.Now(), 7);
+
+  // A lane slot reused by a lane event of the same instant.
+  EventHandle first = loop.ScheduleAfter(0, [&] { order.push_back(-2); });
+  first.Cancel();
+  loop.ScheduleAfter(0, [&] { order.push_back(3); });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(loop.events_executed(), 3u);
+}
+
+TEST(EventLoop, MoveOnlyCapturesScheduleAndFire) {
+  EventLoop loop;
+  CpuCore core(&loop, "c0");
+  int got = 0;
+  loop.ScheduleAfter(0, [p = std::make_unique<int>(1), &got] { got += *p; });
+  loop.ScheduleAfter(5, [p = std::make_unique<int>(10), &got] { got += *p; });
+  core.Charge(100, [p = std::make_unique<int>(100), &got] { got += *p; });
+  loop.Run();
+  EXPECT_EQ(got, 111);
+}
+
 // Random schedules with many ties, cancels from outside and inside callbacks,
 // stops and horizon-limited runs match a reference queue that keeps cancelled
 // events until it passes them: events fire in (at, seq) order, and each
 // Run(until) leaves the clock where that queue would. The events are sparse,
-// so a horizon often has only cancelled events beyond it.
+// so a horizon often has only cancelled events beyond it. About a third of
+// the events are scheduled with zero delay, from callbacks and between runs,
+// so the same-instant lane sees cancels and stops at the current instant.
 TEST(EventLoop, RandomScheduleMatchesReferenceQueue) {
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE(seed);
@@ -221,6 +332,7 @@ TEST(EventLoop, RandomScheduleMatchesReferenceQueue) {
     std::vector<int> fired, expected;
     SimTime expected_now = 0;
     uint64_t seq = 0;
+    size_t zero_delay = 0;
     bool stopped = false;
     auto cancel_random = [&] {
       int victim = static_cast<int>(rng.NextBounded(handles.size()));
@@ -229,6 +341,7 @@ TEST(EventLoop, RandomScheduleMatchesReferenceQueue) {
     };
     std::function<void(SimTime)> schedule = [&](SimTime at) {
       int id = static_cast<int>(handles.size());
+      if (at == loop.Now()) ++zero_delay;
       keys.push_back({at, seq});
       ref[{at, seq++}] = Ref{id, false};
       handles.push_back(loop.Schedule(at, [&, id] {
@@ -237,7 +350,10 @@ TEST(EventLoop, RandomScheduleMatchesReferenceQueue) {
         expected_now = ref.begin()->first.first;
         ref.erase(ref.begin());
         fired.push_back(id);
-        if (rng.NextBounded(4) == 0) schedule(loop.Now() + static_cast<SimTime>(rng.NextBounded(40)));
+        if (rng.NextBounded(2) == 0) {
+          schedule(loop.Now() +
+                   (rng.NextBounded(3) == 0 ? static_cast<SimTime>(rng.NextBounded(40)) : 0));
+        }
         if (rng.NextBounded(3) == 0) cancel_random();
         if (rng.NextBounded(16) == 0) {
           loop.Stop();
@@ -248,6 +364,8 @@ TEST(EventLoop, RandomScheduleMatchesReferenceQueue) {
     for (int i = 0; i < 300; ++i) schedule(static_cast<SimTime>(rng.NextBounded(1000)));
     for (int i = 0; i < 100; ++i) cancel_random();
     for (SimTime until = 0; until < 1100; until += 7) {
+      if (rng.NextBounded(2) == 0) schedule(loop.Now());
+      if (rng.NextBounded(4) == 0) cancel_random();
       loop.Run(until);
       if (!stopped) {
         while (!ref.empty() && ref.begin()->first.first <= until) {
@@ -265,6 +383,7 @@ TEST(EventLoop, RandomScheduleMatchesReferenceQueue) {
     while (loop.pending() > 0) loop.Run();
     EXPECT_EQ(fired, expected);
     EXPECT_GT(fired.size(), 150u);
+    EXPECT_GT(4 * zero_delay, handles.size()) << "fewer than a quarter at zero delay";
   }
 }
 
