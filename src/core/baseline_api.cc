@@ -14,16 +14,22 @@ BaselineSocketApi::BaselineSocketApi(sim::EventLoop* loop, tcp::TcpStack* stack,
       epolls_(loop, [this](int fd) { return Readiness(fd); }) {}
 
 BaselineSocketApi::Fd* BaselineSocketApi::FindFd(int fd) {
-  auto it = fds_.find(fd);
-  return it == fds_.end() ? nullptr : &it->second;
+  return fd >= 0 && static_cast<size_t>(fd) < fds_.size() ? fds_[static_cast<size_t>(fd)].get()
+                                                          : nullptr;
+}
+
+int BaselineSocketApi::NewFd() {
+  const int fd = next_fd_++;
+  const size_t i = static_cast<size_t>(fd);
+  if (fds_.size() <= i) fds_.resize(i + 1);
+  fds_[i] = std::make_unique<Fd>();
+  fds_[i]->ev = std::make_unique<sim::SimEvent>(loop_);
+  return fd;
 }
 
 int BaselineSocketApi::WrapSocket(tcp::SocketId sid) {
-  int fd = next_fd_++;
-  Fd f;
-  f.sid = sid;
-  f.ev = std::make_unique<sim::SimEvent>(loop_);
-  fds_.emplace(fd, std::move(f));
+  const int fd = NewFd();
+  FindFd(fd)->sid = sid;
   InstallCallbacks(fd);
   return fd;
 }
@@ -60,12 +66,10 @@ void BaselineSocketApi::InstallCallbacks(int fd) {
 }
 
 int BaselineSocketApi::WrapDgramSocket(udp::SocketId usid) {
-  int fd = next_fd_++;
-  Fd f;
-  f.dgram = true;
-  f.usid = usid;
-  f.ev = std::make_unique<sim::SimEvent>(loop_);
-  fds_.emplace(fd, std::move(f));
+  const int fd = NewFd();
+  Fd* f = FindFd(fd);
+  f->dgram = true;
+  f->usid = usid;
   udp::UdpSocketCallbacks cbs;
   cbs.on_readable = [this, fd] {
     Fd* f2 = FindFd(fd);
@@ -388,7 +392,7 @@ sim::Task<int> BaselineSocketApi::Close(sim::CpuCore* core, int fd) {
     stack_->Close(f->sid);
   }
   epolls_.RemoveFd(fd);
-  fds_.erase(fd);
+  fds_[static_cast<size_t>(fd)].reset();
   co_return tcp::kOk;
 }
 

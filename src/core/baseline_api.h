@@ -116,6 +116,8 @@ class BaselineSocketApi : public SocketApi {
     void Free(uint64_t id) { blocks.erase(id); }
   };
 
+  // Allocates the next fd and its table entry.
+  int NewFd();
   int WrapSocket(tcp::SocketId sid);
   int WrapDgramSocket(udp::SocketId usid);
   void InstallCallbacks(int fd);
@@ -125,7 +127,11 @@ class BaselineSocketApi : public SocketApi {
   sim::EventLoop* loop_;
   tcp::TcpStack* stack_;
   udp::UdpStack* udp_stack_;
-  std::unordered_map<int, Fd> fds_;
+  // Indexed by fd: fds are handed out in sequence and never reused, and
+  // nothing walks the table. Boxed, so an Fd* stays valid while a coroutine
+  // holding it is suspended and later sockets grow the vector. A closed fd's
+  // entry is null.
+  std::vector<std::unique_ptr<Fd>> fds_;
   int next_fd_ = 3;
   EpollRegistry epolls_;
   std::shared_ptr<Arena> arena_ = std::make_shared<Arena>();

@@ -37,9 +37,8 @@ GuestLib::GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkD
     : GuestLib(loop, vm_id, ce, dev, pool, std::move(vcpus), Config()) {}
 
 GuestLib::GSock* GuestLib::FindByFd(int fd) {
-  auto it = fd_to_handle_.find(fd);
-  if (it == fd_to_handle_.end()) return nullptr;
-  return FindByHandle(it->second);
+  return fd >= 0 && static_cast<size_t>(fd) < by_fd_.size() ? by_fd_[static_cast<size_t>(fd)]
+                                                             : nullptr;
 }
 
 GuestLib::GSock* GuestLib::FindByHandle(uint32_t handle) {
@@ -62,7 +61,8 @@ GuestLib::GSock& GuestLib::NewSock(sim::CpuCore* core) {
   g->ev = std::make_unique<sim::SimEvent>(loop_);
   g->send_limit = config_.sndbuf_bytes;
   GSock& ref = *g;
-  fd_to_handle_[ref.fd] = ref.handle;
+  if (by_fd_.size() <= static_cast<size_t>(ref.fd)) by_fd_.resize(static_cast<size_t>(ref.fd) + 1);
+  by_fd_[static_cast<size_t>(ref.fd)] = &ref;
   socks_[ref.handle] = std::move(g);
   return ref;
 }
@@ -447,7 +447,7 @@ sim::Task<int> GuestLib::SocketDgram(sim::CpuCore* core) {
     // The NSM rejected the socket (e.g. a shared-memory NSM has no datagram
     // transport); the app never sees the fd, so reclaim it here.
     if (FindByHandle(handle) != nullptr) {
-      fd_to_handle_.erase(fd);
+      by_fd_[static_cast<size_t>(fd)] = nullptr;
       socks_.erase(handle);
     }
     co_return r;
@@ -688,7 +688,7 @@ sim::Task<int> GuestLib::Close(sim::CpuCore* core, int fd) {
   for (const auto& [off, sz] : g->rx_loans) pool_->Free(off);
   g->rx_loans.clear();
   epolls_.RemoveFd(fd);
-  fd_to_handle_.erase(fd);
+  by_fd_[static_cast<size_t>(fd)] = nullptr;
   socks_.erase(g->handle);
   co_return 0;
 }

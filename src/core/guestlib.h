@@ -32,6 +32,7 @@
 #include "src/core/socket_api.h"
 #include "src/shm/hugepage_pool.h"
 #include "src/shm/nk_device.h"
+#include "src/sim/fifo.h"
 #include "src/tcpstack/cost_model.h"
 #include "src/tcpstack/tcp_types.h"
 
@@ -171,11 +172,11 @@ class GuestLib : public SocketApi {
     bool error = false;
     int err = 0;
     // Receive.
-    std::deque<RxChunk> rx;
+    sim::Fifo<RxChunk> rx;
     uint64_t rx_bytes = 0;
     bool fin = false;
     // Datagram receive (whole datagrams, never partially consumed).
-    std::deque<DgramChunk> drx;
+    sim::Fifo<DgramChunk> drx;
     uint64_t drx_bytes = 0;
     // Send credits.
     uint64_t send_usage = 0;
@@ -192,7 +193,7 @@ class GuestLib : public SocketApi {
     std::unordered_map<uint64_t, RxLoan> rx_loans;
     // Listener.
     bool listening = false;
-    std::deque<uint64_t> pending_conns;  // NSM socket ids awaiting accept()
+    sim::Fifo<uint64_t> pending_conns;  // NSM socket ids awaiting accept()
   };
 
   GSock* FindByFd(int fd);
@@ -226,8 +227,11 @@ class GuestLib : public SocketApi {
   Config config_;
   std::function<void(uint32_t, uint32_t)> recv_credit_cb_;
 
-  std::unordered_map<int, uint32_t> fd_to_handle_;
+  // socks_ owns the sockets by handle; by_fd_ indexes the same sockets by
+  // fd (fds are handed out in sequence and never reused; a closed fd's entry
+  // is null), so FindByFd is one index.
   std::unordered_map<uint32_t, std::unique_ptr<GSock>> socks_;
+  std::vector<GSock*> by_fd_;
   uint32_t next_handle_ = 1;
   int next_fd_ = 3;
   EpollRegistry epolls_;

@@ -5,11 +5,11 @@
 // reference on the zero-copy paths).
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 
 #include "src/common/check.h"
 #include "src/core/servicelib.h"
+#include "src/sim/fifo.h"
 
 namespace netkernel::core {
 
@@ -53,7 +53,7 @@ class ServiceLib::StackTransport final : public ServiceLib::Transport {
     bool listener = false;
     bool ship_pending = false;
     int sends_in_flight = 0;  // kSend copies charged but not yet queued
-    std::deque<PendingTx> pending_tx;
+    sim::Fifo<PendingTx> pending_tx;
   };
 
   static StackConn& Of(Conn& c) { return static_cast<StackConn&>(c); }

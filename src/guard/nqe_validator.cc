@@ -7,18 +7,6 @@ namespace netkernel::guard {
 using shm::Nqe;
 using shm::NqeOp;
 
-const char* VerdictName(Verdict v) {
-  switch (v) {
-    case Verdict::kOk: return "OK";
-    case Verdict::kBadOp: return "BAD_OP";
-    case Verdict::kBadIdentity: return "BAD_IDENTITY";
-    case Verdict::kBadChunk: return "BAD_CHUNK";
-    case Verdict::kReplayedChunk: return "REPLAYED_CHUNK";
-    case Verdict::kBadCredit: return "BAD_CREDIT";
-  }
-  return "UNKNOWN";
-}
-
 // ---- Admission tables: reads of shm::kOpTraits ---------------------------
 // FindOpTraits has no row for kInvalid or any non-op byte, so a hostile byte
 // is admitted nowhere.
@@ -47,13 +35,6 @@ void NqeValidator::RegisterVmPool(uint8_t vm_id, const shm::HugepagePool* pool) 
   vms_[vm_id].pool = pool;
 }
 
-void NqeValidator::ForgetVmPool(uint8_t vm_id) {
-  auto it = vms_.find(vm_id);
-  if (it == vms_.end()) return;
-  it->second.pool = nullptr;
-  it->second.chunk_gen_seen.clear();
-}
-
 bool NqeValidator::ScrubGuestFlags(Nqe* nqe) {
   bool keep_r1 = nqe->Op() == NqeOp::kListen;  // reuseport flag is guest-legit
   bool scrubbed = nqe->reserved[0] != 0 || nqe->reserved[2] != 0 ||
@@ -65,13 +46,13 @@ bool NqeValidator::ScrubGuestFlags(Nqe* nqe) {
   return scrubbed;
 }
 
-Verdict NqeValidator::CheckChunk(VmState* st, const Nqe& nqe) const {
-  if (st == nullptr || st->pool == nullptr) return Verdict::kOk;  // no pool: nothing to check
-  const shm::HugepagePool* pool = st->pool;
+Verdict NqeValidator::CheckChunk(const VmState& st, const Nqe& nqe) const {
+  if (st.pool == nullptr) return Verdict::kOk;  // no pool: nothing to check
+  const shm::HugepagePool* pool = st.pool;
   if (!pool->IsAllocated(nqe.data_ptr)) return Verdict::kBadChunk;
   if (nqe.size > pool->ChunkCapacity(nqe.data_ptr)) return Verdict::kBadChunk;
-  auto it = st->chunk_gen_seen.find(nqe.data_ptr);
-  if (it != st->chunk_gen_seen.end() &&
+  auto it = st.chunk_gen_seen.find(nqe.data_ptr);
+  if (it != st.chunk_gen_seen.end() &&
       it->second == pool->Generation(nqe.data_ptr)) {
     return Verdict::kReplayedChunk;  // this incarnation was already submitted
   }
@@ -92,18 +73,16 @@ Verdict NqeValidator::ValidateGuestNqe(Nqe* nqe, bool from_send_ring,
   if (from_send_ring ? !IsSendRingOp(op) : !IsJobRingOp(op)) {
     return Verdict::kBadOp;
   }
-  VmState* st = nullptr;
-  auto vit = vms_.find(dev_vm_id);
-  if (vit != vms_.end()) st = &vit->second;
+  const VmState& st = vms_[dev_vm_id];
   if (CarriesGuestChunk(op)) {
     Verdict v = CheckChunk(st, *nqe);
     if (v != Verdict::kOk) return v;
   }
-  if (op == NqeOp::kRecvFrom && st != nullptr && st->pool != nullptr) {
+  if (op == NqeOp::kRecvFrom && st.pool != nullptr) {
     // Datagram receive-credit return: op_data bytes are handed back to the
     // NSM. Refuse credit for bytes that were never delivered. (Pool-less
     // raw-device harnesses have no delivery ledger — skip, like chunks.)
-    if (nqe->op_data > st->dgram_outstanding) return Verdict::kBadCredit;
+    if (nqe->op_data > st.dgram_outstanding) return Verdict::kBadCredit;
   }
   return Verdict::kOk;
 }
@@ -114,9 +93,8 @@ void NqeValidator::CommitGuestNqe(uint8_t vm_id, const Nqe& nqe) {
   // be re-validated on a later polling round. Only the actual dequeue spends
   // the chunk incarnation and the datagram credit.
   ++stats_.validated;
-  auto vit = vms_.find(vm_id);
-  if (vit == vms_.end() || vit->second.pool == nullptr) return;
-  VmState& st = vit->second;
+  VmState& st = vms_[vm_id];
+  if (st.pool == nullptr) return;
   NqeOp op = nqe.Op();
   if (CarriesGuestChunk(op)) {
     st.chunk_gen_seen[nqe.data_ptr] = st.pool->Generation(nqe.data_ptr);
@@ -134,16 +112,14 @@ bool NqeValidator::ValidateNsmNqe(const Nqe& nqe) {
 }
 
 void NqeValidator::OnDgramDelivered(uint8_t vm_id, uint64_t bytes) {
-  auto it = vms_.find(vm_id);
-  if (it == vms_.end() || it->second.pool == nullptr) return;
-  it->second.dgram_outstanding += bytes;
+  VmState& st = vms_[vm_id];
+  if (st.pool != nullptr) st.dgram_outstanding += bytes;
 }
 
 bool NqeValidator::ChunkReclaimable(uint8_t vm_id, const Nqe& nqe) const {
   if (!CarriesGuestChunk(nqe.Op())) return false;
-  auto it = vms_.find(vm_id);
-  if (it == vms_.end() || it->second.pool == nullptr) return false;
-  const VmState& st = it->second;
+  const VmState& st = vms_[vm_id];
+  if (st.pool == nullptr) return false;
   if (!st.pool->IsAllocated(nqe.data_ptr)) return false;
   auto git = st.chunk_gen_seen.find(nqe.data_ptr);
   if (git != st.chunk_gen_seen.end() &&
@@ -181,14 +157,8 @@ void NqeValidator::SetQuarantined(uint8_t vm_id, bool quarantined) {
   st.quarantined = quarantined;
 }
 
-bool NqeValidator::IsQuarantined(uint8_t vm_id) const {
-  auto it = vms_.find(vm_id);
-  return it != vms_.end() && it->second.quarantined;
-}
+bool NqeValidator::IsQuarantined(uint8_t vm_id) const { return vms_[vm_id].quarantined; }
 
-GuardVmStats NqeValidator::VmStats(uint8_t vm_id) const {
-  auto it = vms_.find(vm_id);
-  return it == vms_.end() ? GuardVmStats{} : it->second.stats;
-}
+GuardVmStats NqeValidator::VmStats(uint8_t vm_id) const { return vms_[vm_id].stats; }
 
 }  // namespace netkernel::guard

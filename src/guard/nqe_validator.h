@@ -42,6 +42,7 @@
 #ifndef SRC_GUARD_NQE_VALIDATOR_H_
 #define SRC_GUARD_NQE_VALIDATOR_H_
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 
@@ -66,8 +67,6 @@ enum class Verdict : uint8_t {
   kReplayedChunk = 4, // chunk incarnation already consumed by an accepted NQE
   kBadCredit = 5,     // dgram credit return exceeds delivered bytes
 };
-
-const char* VerdictName(Verdict v);
 
 struct GuardConfig {
   bool enabled = true;
@@ -163,7 +162,6 @@ class NqeValidator {
   // VMs without a registered pool (raw-device tests, bench harnesses) skip
   // the chunk checks — there is no pool to validate against.
   void RegisterVmPool(uint8_t vm_id, const shm::HugepagePool* pool);
-  void ForgetVmPool(uint8_t vm_id);
 
   // Zeroes the guest-writable flag bytes of an inbound NQE: reserved[0]
   // (orig-op echo) and reserved[2] (NSM processing queue set) are
@@ -234,11 +232,13 @@ class NqeValidator {
     GuardVmStats stats;
   };
 
-  Verdict CheckChunk(VmState* st, const shm::Nqe& nqe) const;
+  Verdict CheckChunk(const VmState& st, const shm::Nqe& nqe) const;
 
   GuardConfig config_;
   GuardStats stats_;
-  std::unordered_map<uint8_t, VmState> vms_;
+  // By 8-bit VM id. A VM never registered reads as a default VmState: no
+  // pool, not quarantined, zero stats.
+  std::array<VmState, 256> vms_;
 };
 
 }  // namespace netkernel::guard

@@ -7,7 +7,6 @@
 #ifndef SRC_NETSIM_NIC_H_
 #define SRC_NETSIM_NIC_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <cstdio>
@@ -18,6 +17,7 @@
 #include "src/netsim/packet.h"
 #include "src/netsim/switch.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/fifo.h"
 
 namespace netkernel::netsim {
 
@@ -189,14 +189,15 @@ class Nic {
   Switch* switch_ = nullptr;
   sim::EventLoop* loop_ = nullptr;
   BitRate egress_rate_ = 0;
-  std::map<IpAddr, std::deque<Packet>> drr_queues_;
+  // The map's key order is the DRR visiting order.
+  std::map<IpAddr, sim::Fifo<Packet>> drr_queues_;
   std::map<IpAddr, int64_t> drr_deficit_;
   std::map<IpAddr, uint64_t> drr_bytes_;
   std::map<IpAddr, uint64_t> drr_served_;
   uint64_t egress_drops_ = 0;
   IpAddr drr_cursor_ = 0;
   bool egress_busy_ = false;
-  std::deque<Packet> rx_queue_;
+  sim::Fifo<Packet> rx_queue_;
   std::function<void()> rx_notify_;
   uint64_t tx_packets_ = 0;
   uint64_t rx_packets_ = 0;

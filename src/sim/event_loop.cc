@@ -21,9 +21,9 @@ EventHandle EventLoop::Schedule(SimTime at, Callback fn) {
   s.seq = next_seq_++;
   const Key key{at, s.seq, slot};
   // The lane stays sorted: it only takes keys of the instant it holds.
-  if (at == now_ && (LaneEmpty() || lane_.back().at == at)) {
+  if (at == now_ && (lane_.empty() || lane_.back().at == at)) {
     s.link = kInLane;
-    PushLane(key);
+    lane_.push_back(key);
     ++lane_live_;
   } else {
     heap_.push_back(key);
@@ -40,7 +40,7 @@ void EventLoop::Cancel(uint32_t slot, uint32_t generation) {
     // The key stays in the lane as a tombstone: Release clears the slot's
     // seq, so the lane skips the key when it reaches it. Every lane key has
     // the same instant.
-    key = Key{lane_[lane_head_].at, slab_[slot].seq, slot};
+    key = Key{lane_.front().at, slab_[slot].seq, slot};
     --lane_live_;
   } else {
     key = heap_[link];
@@ -62,28 +62,10 @@ Callback EventLoop::Release(uint32_t slot) {
   return fn;
 }
 
-void EventLoop::PushLane(const Key& key) {
-  // Reclaim the drained prefix before the vector would grow, once it is at
-  // least half the vector: a long chain of same-instant events then runs in
-  // bounded memory, and the moves stay amortized O(1) per event.
-  if (lane_.size() == lane_.capacity() && lane_head_ > 0 && 2 * lane_head_ >= lane_.size()) {
-    lane_.erase(lane_.begin(), lane_.begin() + static_cast<std::ptrdiff_t>(lane_head_));
-    lane_head_ = 0;
-  }
-  lane_.push_back(key);
-}
-
-void EventLoop::PopLane() {
-  if (++lane_head_ == lane_.size()) {
-    lane_.clear();
-    lane_head_ = 0;
-  }
-}
-
 bool EventLoop::Step(SimTime until) {
-  while (!LaneEmpty() && !LaneFrontLive()) PopLane();  // cancelled lane events
-  const bool from_lane = !LaneEmpty() && (heap_.empty() || Before(lane_[lane_head_], heap_[0]));
-  const Key* next = from_lane ? &lane_[lane_head_] : heap_.empty() ? nullptr : &heap_[0];
+  while (!lane_.empty() && !LaneFrontLive()) lane_.pop_front();  // cancelled lane events
+  const bool from_lane = !lane_.empty() && (heap_.empty() || Before(lane_.front(), heap_[0]));
+  const Key* next = from_lane ? &lane_.front() : heap_.empty() ? nullptr : &heap_[0];
   // The loop runs past a cancelled position exactly where it would pop that
   // event if it were still queued.
   if (latest_cancelled_ && latest_cancelled_->at <= until &&
@@ -93,7 +75,7 @@ bool EventLoop::Step(SimTime until) {
   if (next == nullptr || next->at > until) return false;
   const Key key = *next;
   if (from_lane) {
-    PopLane();
+    lane_.pop_front();
     --lane_live_;
   } else {
     RemoveAt(0);
@@ -113,8 +95,10 @@ uint64_t EventLoop::Run(SimTime until) {
   uint64_t executed = 0;
   while (!stopped_ && Step(until)) ++executed;
   // Stopped, or nothing left (cancelled or not): the clock rests where the
-  // last event left it.
-  if (!stopped_ && (pending() > 0 || latest_cancelled_) && until != kSimTimeNever) {
+  // last event left it. It never moves backwards: a `until` already in the
+  // past leaves it where it is.
+  if (!stopped_ && (pending() > 0 || latest_cancelled_) && until != kSimTimeNever &&
+      until > now_) {
     now_ = until;
   }
   return executed;

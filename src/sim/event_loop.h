@@ -13,8 +13,9 @@
 // by small plain keys {at, seq, slot} in one of two places:
 //   * the same-instant lane, a FIFO of the keys of events scheduled for
 //     Now() (doorbells, wakes, zero-cycle charges: a quarter to a third of
-//     all events). It is a vector reused across instants, so it too stops
-//     allocating once it has grown to the largest burst of one instant;
+//     all events). It is a sim::Fifo, which keeps its capacity across
+//     instants, so it too stops allocating once it has grown to the largest
+//     burst of one instant;
 //   * a binary heap for everything later. Each heap slot records where its
 //     key sits, so Cancel takes the key out at once.
 // Step pops whichever of the lane front and the heap top comes first in
@@ -37,7 +38,8 @@
 // So cancelling the only event beyond `until` does not change where the clock
 // comes to rest. Only the latest such cancelled position can decide that, so
 // the loop keeps that one position instead of the cancelled keys. Lane and
-// heap events follow the same rule.
+// heap events follow the same rule. The clock never moves backwards: a
+// `until` earlier than Now() leaves it where it is.
 
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
@@ -49,6 +51,7 @@
 
 #include "src/common/units.h"
 #include "src/sim/callback.h"
+#include "src/sim/fifo.h"
 
 namespace netkernel::sim {
 
@@ -132,11 +135,8 @@ class EventLoop {
   // Moves the slot's callable out and returns the slot to the free list.
   Callback Release(uint32_t slot);
 
-  bool LaneEmpty() const { return lane_head_ == lane_.size(); }
   // True when the lane front is a live event (not a cancelled one's key).
-  bool LaneFrontLive() const { return slab_[lane_[lane_head_].slot].seq == lane_[lane_head_].seq; }
-  void PushLane(const Key& key);
-  void PopLane();
+  bool LaneFrontLive() const { return slab_[lane_.front().slot].seq == lane_.front().seq; }
 
   void Place(size_t i, const Key& key) {
     heap_[i] = key;
@@ -151,10 +151,7 @@ class EventLoop {
   uint64_t events_executed_ = 0;
   bool stopped_ = false;
   std::vector<Key> heap_;
-  // The lane's keys are lane_[lane_head_, size()), all of one instant; the
-  // vector is cleared, keeping its capacity, whenever the lane drains.
-  std::vector<Key> lane_;
-  size_t lane_head_ = 0;
+  Fifo<Key> lane_;  // keys of one instant
   size_t lane_live_ = 0;  // lane keys whose event is still scheduled
   std::vector<Slot> slab_;
   uint32_t free_head_ = kNoSlot;

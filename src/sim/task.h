@@ -19,6 +19,7 @@
 
 #include "src/common/check.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/pool.h"
 
 namespace netkernel::sim {
 
@@ -30,6 +31,11 @@ namespace internal {
 struct PromiseBase {
   std::coroutine_handle<> continuation;
   bool detached = false;
+
+  // Coroutine frames come from the small-object pool: one frame per spawned
+  // or awaited Task would otherwise be a heap allocation.
+  static void* operator new(size_t n) { return PoolAllocate(n); }
+  static void operator delete(void* p, size_t n) noexcept { PoolFree(p, n); }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

@@ -26,13 +26,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/sim/fifo.h"
 
 namespace netkernel::tcp {
 
@@ -169,7 +169,7 @@ class ByteBuffer {
   }
 
   void Clear() {
-    std::deque<Chunk> doomed;
+    sim::Fifo<Chunk> doomed;
     doomed.swap(chunks_);
     size_ = 0;
     head_offset_ = 0;
@@ -291,7 +291,7 @@ class ByteBuffer {
     }
   }
 
-  std::deque<Chunk> chunks_;
+  sim::Fifo<Chunk> chunks_;
   uint64_t size_ = 0;
   uint64_t head_offset_ = 0;  // bytes of chunks_.front() already consumed
   std::shared_ptr<ChunkAllocator> allocator_;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/sim/pool.h"
 
 namespace netkernel::tcp {
 
@@ -38,7 +39,10 @@ TcpStack::TcpStack(sim::EventLoop* loop, netsim::Nic* nic, std::vector<sim::CpuC
       cores_(std::move(cores)),
       config_(std::move(config)),
       rng_(config_.seed),
-      table_lock_(loop) {
+      table_lock_(loop),
+      socks_(1),  // SocketId 0 is kInvalidSocket
+      rx_pkts_(static_cast<size_t>(config_.rx_batch)),
+      rx_batches_(cores_.size()) {
   NK_CHECK(!cores_.empty());
   if (!config_.cc_factory) {
     config_.cc_factory = [] { return std::make_unique<CubicCc>(); };
@@ -57,13 +61,11 @@ TcpStack::~TcpStack() {
 // ---------------------------------------------------------------------------
 
 TcpStack::Sock* TcpStack::Find(SocketId id) {
-  auto it = socks_.find(id);
-  return it == socks_.end() ? nullptr : it->second.get();
+  return id < socks_.size() ? socks_[id].get() : nullptr;
 }
 
 const TcpStack::Sock* TcpStack::Find(SocketId id) const {
-  auto it = socks_.find(id);
-  return it == socks_.end() ? nullptr : it->second.get();
+  return id < socks_.size() ? socks_[id].get() : nullptr;
 }
 
 TcpStack::Sock& TcpStack::MustFind(SocketId id) {
@@ -74,13 +76,13 @@ TcpStack::Sock& TcpStack::MustFind(SocketId id) {
 
 SocketId TcpStack::CreateSocket() {
   auto sock = std::make_unique<Sock>();
-  sock->id = next_id_++;
+  const SocketId id = static_cast<SocketId>(socks_.size());
+  sock->id = id;
   sock->sndbuf_limit = config_.sndbuf_bytes;
   sock->rcvbuf_limit = config_.rcvbuf_bytes;
   sock->cc = config_.cc_factory();
   sock->rto = config_.min_rto;
-  SocketId id = sock->id;
-  socks_[id] = std::move(sock);
+  socks_.push_back(std::move(sock));
   return id;
 }
 
@@ -335,7 +337,7 @@ uint64_t TcpStack::AdvertisedWindow(const Sock& s) const {
 
 void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, uint64_t offset, uint32_t len,
                            bool ece) {
-  auto seg = std::make_shared<Segment>();
+  auto seg = sim::MakePooled<Segment>();
   seg->tuple = s.tuple;
   seg->flags = flags | (s.state != TcpState::kSynSent ? kAck : 0) | (ece ? kEce : 0);
   seg->seq = seq;
@@ -362,7 +364,7 @@ void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, uint64_t offset, 
 void TcpStack::SendAck(Sock& s, bool ece) { EmitSegment(s, kAck, s.snd_nxt, 0, 0, ece); }
 
 void TcpStack::SendRst(const FourTuple& from_tuple, SeqNum seq, SeqNum ack) {
-  auto seg = std::make_shared<Segment>();
+  auto seg = sim::MakePooled<Segment>();
   seg->tuple = from_tuple;
   seg->flags = kRst | kAck;
   seg->seq = seq;
@@ -605,51 +607,55 @@ void TcpStack::ScheduleRxDrain(SimTime delay) {
 
 void TcpStack::DrainRx() {
   rx_drain_scheduled_ = false;
-  std::vector<netsim::Packet> pkts(static_cast<size_t>(config_.rx_batch));
-  size_t n = nic_->DrainRx(pkts.data(), pkts.size());
+  size_t n = nic_->DrainRx(rx_pkts_.data(), rx_pkts_.size());
   if (n == 0) return;
 
-  struct Batch {
-    Cycles cost = 0;
-    std::vector<std::pair<SegmentPtr, bool>> segs;
-  };
-  std::vector<Batch> batches(cores_.size());
   const CostProfile& p = config_.profile;
   const SimTime now = loop_->Now();
 
   for (size_t i = 0; i < n; ++i) {
-    if (pkts[i].protocol != netsim::Protocol::kTcp) {
+    netsim::Packet& pkt = rx_pkts_[i];
+    if (pkt.protocol != netsim::Protocol::kTcp) {
       // IP-protocol demux: the softirq hands non-TCP packets (UDP) to the
       // registered sibling stack sharing this NIC.
-      if (raw_packet_handler_) raw_packet_handler_(std::move(pkts[i]));
+      if (raw_packet_handler_) raw_packet_handler_(std::move(pkt));
       continue;
     }
-    auto seg = std::static_pointer_cast<const Segment>(pkts[i].payload);
+    // Moved out, so the reused batch array keeps no segment alive.
+    auto seg = std::static_pointer_cast<const Segment>(std::move(pkt.payload));
     if (!seg) continue;
-    int cidx = static_cast<int>(pkts[i].flow_hash % cores_.size());
+    int cidx = static_cast<int>(pkt.flow_hash % cores_.size());
     // NIC-ring overflow: the owning core is hopelessly backlogged.
     if (cores_[cidx]->IdleAt() - now > config_.rx_backlog_cap) {
       ++stats_.rx_ring_drops;
       continue;
     }
-    Batch& b = batches[cidx];
+    RxBatch& b = rx_batches_[cidx];
     uint32_t len = static_cast<uint32_t>(seg->payload.size());
     if (len > 0) {
       b.cost += p.rx_per_seg * SegCount(len) + static_cast<Cycles>(p.rx_per_byte * len);
     } else {
       b.cost += p.rx_per_ack;
     }
-    b.segs.emplace_back(std::move(seg), pkts[i].ce_marked);
+    if (b.segs.capacity() == 0 && !spare_rx_segs_.empty()) {
+      b.segs = std::move(spare_rx_segs_.back());
+      spare_rx_segs_.pop_back();
+    }
+    b.segs.emplace_back(std::move(seg), pkt.ce_marked);
   }
 
-  for (size_t c = 0; c < batches.size(); ++c) {
-    if (batches[c].segs.empty()) continue;
-    Cycles cost = batches[c].cost + p.rx_irq_fixed;
-    cores_[c]->Charge(cost, [this, segs = std::move(batches[c].segs)] {
+  for (size_t c = 0; c < rx_batches_.size(); ++c) {
+    RxBatch& b = rx_batches_[c];
+    if (b.segs.empty()) continue;
+    Cycles cost = b.cost + p.rx_irq_fixed;
+    b.cost = 0;
+    cores_[c]->Charge(cost, [this, segs = std::move(b.segs)]() mutable {
       for (const auto& [seg, ce] : segs) {
         ++stats_.segments_received;
         HandleSegment(*seg, ce);
       }
+      segs.clear();
+      spare_rx_segs_.push_back(std::move(segs));
     });
   }
 
@@ -1022,7 +1028,8 @@ void TcpStack::DestroySock(SocketId id) {
     auto it = demux_.find(s->tuple);
     if (it != demux_.end() && it->second == id) demux_.erase(it);
   }
-  socks_.erase(id);
+  // Moved out first: the socket's buffers may fire callbacks as they die.
+  std::unique_ptr<Sock> doomed = std::move(socks_[id]);
 }
 
 void TcpStack::ChargeWithSharedLock(int core_idx, Cycles work, sim::Callback fn) {

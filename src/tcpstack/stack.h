@@ -24,7 +24,6 @@
 #ifndef SRC_TCPSTACK_STACK_H_
 #define SRC_TCPSTACK_STACK_H_
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -38,6 +37,7 @@
 #include "src/netsim/nic.h"
 #include "src/sim/cpu.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/fifo.h"
 #include "src/tcpstack/byte_buffer.h"
 #include "src/tcpstack/cc.h"
 #include "src/tcpstack/cost_model.h"
@@ -155,7 +155,7 @@ class TcpStack {
 
   // ---- Introspection ----
 
-  bool Exists(SocketId id) const { return socks_.count(id) != 0; }
+  bool Exists(SocketId id) const { return Find(id) != nullptr; }
   TcpState State(SocketId id) const;
   FourTuple Tuple(SocketId id) const;
   uint64_t SendBufSpace(SocketId id) const;
@@ -197,7 +197,7 @@ class TcpStack {
     bool reuseport = false;
     int backlog = 0;
     int pending_children = 0;
-    std::deque<SocketId> accept_q;
+    sim::Fifo<SocketId> accept_q;
     SocketId parent = kInvalidSocket;
 
     // Transmit state.
@@ -287,13 +287,27 @@ class TcpStack {
   Rng rng_;
   sim::SimMutex table_lock_;
 
-  SocketId next_id_ = 1;
-  std::unordered_map<SocketId, std::unique_ptr<Sock>> socks_;
+  // Indexed by SocketId: ids are handed out in sequence from 1 and never
+  // reused, and nothing walks the table, so a lookup is one index. A closed
+  // socket leaves a null entry.
+  std::vector<std::unique_ptr<Sock>> socks_;
   std::unordered_map<FourTuple, SocketId, FourTupleHash> demux_;
   // port -> listeners (reuseport group when >1).
   std::unordered_map<uint16_t, std::vector<SocketId>> listeners_;
   uint16_t next_ephemeral_ = 32768;
   bool rx_drain_scheduled_ = false;
+  // DrainRx's buffers, reused call after call: the NIC batch, and per core
+  // the batch of segments its Charge will handle. A core's segment vector
+  // travels with that Charge and comes back to spare_rx_segs_ once its
+  // segments are handled.
+  using RxSegs = std::vector<std::pair<SegmentPtr, bool>>;  // (segment, CE mark)
+  struct RxBatch {
+    Cycles cost = 0;
+    RxSegs segs;
+  };
+  std::vector<netsim::Packet> rx_pkts_;
+  std::vector<RxBatch> rx_batches_;
+  std::vector<RxSegs> spare_rx_segs_;
   std::function<void(netsim::Packet)> raw_packet_handler_;
   TcpStackStats stats_;
 };

@@ -82,6 +82,8 @@ struct Segment {
   bool Has(TcpFlags f) const { return (flags & f) != 0; }
 };
 
+// Segments are built with sim::MakePooled, so the segment and its control
+// block come from the small-object pool.
 using SegmentPtr = std::shared_ptr<const Segment>;
 
 enum class TcpState {
@@ -97,8 +99,6 @@ enum class TcpState {
   kClosing,
   kTimeWait,
 };
-
-const char* TcpStateName(TcpState s);
 
 // Socket-level error codes surfaced through the API (values mirror errno).
 enum TcpError : int {

@@ -5,30 +5,33 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/sim/pool.h"
 
 namespace netkernel::udp {
 
 UdpStack::UdpStack(sim::EventLoop* loop, netsim::Nic* nic, std::vector<sim::CpuCore*> cores,
                    UdpStackConfig config)
-    : loop_(loop), nic_(nic), cores_(std::move(cores)), config_(std::move(config)) {
+    : loop_(loop),
+      nic_(nic),
+      cores_(std::move(cores)),
+      config_(std::move(config)),
+      socks_(1) {  // SocketId 0 is kInvalidSocket
   NK_CHECK(!cores_.empty());
 }
 
 UdpStack::Sock* UdpStack::Find(SocketId id) {
-  auto it = socks_.find(id);
-  return it == socks_.end() ? nullptr : it->second.get();
+  return id < socks_.size() ? socks_[id].get() : nullptr;
 }
 
 const UdpStack::Sock* UdpStack::Find(SocketId id) const {
-  auto it = socks_.find(id);
-  return it == socks_.end() ? nullptr : it->second.get();
+  return id < socks_.size() ? socks_[id].get() : nullptr;
 }
 
 SocketId UdpStack::CreateSocket() {
   auto s = std::make_unique<Sock>();
-  s->id = next_id_++;
-  SocketId id = s->id;
-  socks_[id] = std::move(s);
+  const SocketId id = static_cast<SocketId>(socks_.size());
+  s->id = id;
+  socks_.push_back(std::move(s));
   return id;
 }
 
@@ -77,7 +80,7 @@ int UdpStack::SendTo(SocketId id, IpAddr dst_ip, uint16_t dst_port, const uint8_
     if (r != 0) return r;
   }
 
-  auto dgram = std::make_shared<Datagram>();
+  auto dgram = sim::MakePooled<Datagram>();
   dgram->src_ip = s->local_ip != 0 ? s->local_ip : nic_->ip();
   dgram->dst_ip = dst_ip;
   dgram->src_port = s->local_port;
@@ -116,7 +119,7 @@ int UdpStack::SendToZc(SocketId id, IpAddr dst_ip, uint16_t dst_port, const uint
     int r = BindInternal(*s, 0, 0);
     if (r != 0) return r;
   }
-  auto dgram = std::make_shared<Datagram>();
+  auto dgram = sim::MakePooled<Datagram>();
   dgram->src_ip = s->local_ip != 0 ? s->local_ip : nic_->ip();
   dgram->dst_ip = dst_ip;
   dgram->src_port = s->local_port;
@@ -202,7 +205,7 @@ void UdpStack::Close(SocketId id) {
   if (s == nullptr) return;
   for (RxDgram& d : s->rx) ReleaseRxDgram(*s, d);
   if (s->bound) bindings_.erase(BindKey(s->local_ip, s->local_port));
-  socks_.erase(id);
+  socks_[id].reset();
 }
 
 void UdpStack::SetCallbacks(SocketId id, UdpSocketCallbacks cbs) {
@@ -224,11 +227,6 @@ size_t UdpStack::RxQueuedDatagrams(SocketId id) const {
 uint64_t UdpStack::RxQueuedBytes(SocketId id) const {
   const Sock* s = Find(id);
   return s == nullptr ? 0 : s->rx_bytes;
-}
-
-uint16_t UdpStack::LocalPort(SocketId id) const {
-  const Sock* s = Find(id);
-  return s == nullptr ? 0 : s->local_port;
 }
 
 int UdpStack::CoreIndex(SocketId id) const {

@@ -135,12 +135,11 @@ class UdpStack {
 
   // ---- Introspection ----
 
-  bool Exists(SocketId id) const { return socks_.count(id) != 0; }
+  bool Exists(SocketId id) const { return Find(id) != nullptr; }
   // Payload size of the next queued datagram, or 0 when the queue is empty.
   uint32_t NextDatagramSize(SocketId id) const;
   size_t RxQueuedDatagrams(SocketId id) const;
   uint64_t RxQueuedBytes(SocketId id) const;
-  uint16_t LocalPort(SocketId id) const;
   int CoreIndex(SocketId id) const;
 
   // RX entry point: the host TCP stack's softirq hands over IP packets whose
@@ -205,8 +204,9 @@ class UdpStack {
   std::vector<sim::CpuCore*> cores_;
   UdpStackConfig config_;
 
-  SocketId next_id_ = 1;
-  std::unordered_map<SocketId, std::unique_ptr<Sock>> socks_;
+  // Indexed by SocketId, like TcpStack's: sequential ids, never reused,
+  // never walked. A closed socket leaves a null entry.
+  std::vector<std::unique_ptr<Sock>> socks_;
   std::unordered_map<uint64_t, SocketId> bindings_;  // <ip, port> -> socket
   uint16_t next_ephemeral_ = 32768;
   UdpStackStats stats_;

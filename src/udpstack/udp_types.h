@@ -50,6 +50,8 @@ struct Datagram {
   std::vector<uint8_t> payload;
 };
 
+// Datagrams are built with sim::MakePooled, so the datagram and its control
+// block come from the small-object pool.
 using DatagramPtr = std::shared_ptr<const Datagram>;
 
 // Socket-level error codes surfaced through the API (values mirror errno).

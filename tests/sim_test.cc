@@ -51,6 +51,26 @@ TEST(EventLoop, RunUntilStopsAtHorizon) {
   EXPECT_EQ(fired, 2);
 }
 
+TEST(EventLoop, HorizonInThePastNeverMovesClockBackwards) {
+  EventLoop loop;
+  bool fired = false;
+  loop.Schedule(100, [&] { fired = true; });
+  loop.Run(50);
+  EXPECT_EQ(loop.Now(), 50);
+  loop.Run(40);  // already past: nothing runs and the clock stays put
+  EXPECT_EQ(loop.Now(), 50);
+  EXPECT_FALSE(fired);
+  // An event scheduled at Now() still comes after time already simulated.
+  SimTime ran_at = -1;
+  loop.ScheduleAfter(0, [&] { ran_at = loop.Now(); });
+  loop.Run(40);
+  EXPECT_EQ(ran_at, -1);  // due at 50, beyond the horizon
+  loop.Run();
+  EXPECT_EQ(ran_at, 50);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(loop.Now(), 100);
+}
+
 TEST(EventLoop, CancelledEventDoesNotFireNorAdvanceClock) {
   EventLoop loop;
   bool fired = false;
