@@ -21,9 +21,10 @@
 //                         stalls);
 //   * nsm_failovers     — must be exactly one per upgrade step.
 //
-// --smoke gates: >= 99% datagram survival per step, exact stream-connection
-// accounting, chunk conservation (pools empty, allocs == frees) at the end
-// of every step, and exactly 2 failovers with 1 wedged detection.
+// Gates (exit 1 on any violation): >= 99% datagram survival per step, exact
+// stream-connection accounting, chunk conservation (pools empty, allocs ==
+// frees) at the end of every step, and exactly 2 failovers with 1 wedged
+// detection.
 
 #include <cstdio>
 #include <memory>
@@ -160,12 +161,10 @@ StepResult RunStep(BenchState& s, const std::function<void()>& fail) {
 int main(int argc, char** argv) {
   using namespace netkernel;
   bench::ParseBenchFlags(argc, argv);
-  const bool smoke = bench::HasFlag(argc, argv, "--smoke");
 
   bench::PrintHeader("NSM rolling live upgrade under full load",
                      "robustness extension (no paper figure): heartbeat failover controller");
 
-  core::Host::ResetIpAllocator();
   bench::BenchState s;
   s.nsm_udp = s.host_a.CreateNsm("nsm_udp", 2, core::NsmKind::kKernel);
   s.nsm_stream = s.host_a.CreateNsm("nsm_stream", 2, core::NsmKind::kKernel);
@@ -230,44 +229,42 @@ int main(int argc, char** argv) {
   bench::GlobalJson().Add("nsm_failover", "rolling_upgrade", "nsm_failovers",
                           static_cast<double>(fs.nsm_failovers));
 
-  if (smoke) {
-    bool ok = true;
-    auto gate = [&ok](bool cond, const char* what) {
-      if (!cond) {
-        std::fprintf(stderr, "SMOKE FAIL: %s\n", what);
-        ok = false;
-      }
-    };
-    // Rolling upgrade of both NSMs actually happened, one of them detected.
-    gate(fs.nsm_failovers == 2, "expected exactly 2 failovers");
-    gate(fs.wedged_detections == 1, "expected the wedged NSM to be flagged");
-    gate(fs.vms_rehomed == 2, "expected both VMs re-homed");
-    gate(blackout.Count() == 2, "expected a blackout sample per failover");
-    gate(blackout_p99 < 1000.0, "blackout (detection latency) must stay under 1 ms");
-    // Datagram flows survive each step (losses bounded by the blackout).
-    gate(step1.survival_rate >= 0.99, "step1 datagram survival below 99%");
-    gate(step2.survival_rate >= 0.99, "step2 datagram survival below 99%");
-    // Every stream connection is accounted for: survived or errored, never
-    // silently stalled; the host-side FIN count pairs with the guest-side.
-    auto accounted = [](const bench::StreamOutcome& o) {
-      return o.connect_failed == 0 &&
-             o.survived + o.errored == bench::kStreamConns &&
-             o.closed == bench::kStreamConns;
-    };
-    gate(accounted(step1.streams), "step1 stream connections unaccounted");
-    gate(accounted(step2.streams), "step2 stream connections unaccounted");
-    gate(step1.streams.errored == 0, "step1 must not error streams (their NSM untouched)");
-    gate(step2.streams.errored > 0, "step2 must error the wedged NSM's streams");
-    gate(fs.reconnects_required == guest_reconnects,
-         "host FIN count must pair with guest-applied FINs");
-    gate(static_cast<uint64_t>(step1.streams.errored + step2.streams.errored) <=
-             guest_reconnects,
-         "app-observed stream errors exceed guest FIN count");
-    // Chunk conservation at the end of every upgrade step.
-    gate(step1.pool_in_use == 0 && step1.pools_balanced, "step1 chunk conservation broken");
-    gate(step2.pool_in_use == 0 && step2.pools_balanced, "step2 chunk conservation broken");
-    if (!ok) return 1;
-    std::printf("smoke: OK\n");
-  }
-  return bench::GlobalJson().Write() ? 0 : 2;
+  bool ok = true;
+  auto gate = [&ok](bool cond, const char* what) {
+    if (!cond) {
+      std::fprintf(stderr, "FAIL: %s\n", what);
+      ok = false;
+    }
+  };
+  // Rolling upgrade of both NSMs actually happened, one of them detected.
+  gate(fs.nsm_failovers == 2, "expected exactly 2 failovers");
+  gate(fs.wedged_detections == 1, "expected the wedged NSM to be flagged");
+  gate(fs.vms_rehomed == 2, "expected both VMs re-homed");
+  gate(blackout.Count() == 2, "expected a blackout sample per failover");
+  gate(blackout_p99 < 1000.0, "blackout (detection latency) must stay under 1 ms");
+  // Datagram flows survive each step (losses bounded by the blackout).
+  gate(step1.survival_rate >= 0.99, "step1 datagram survival below 99%");
+  gate(step2.survival_rate >= 0.99, "step2 datagram survival below 99%");
+  // Every stream connection is accounted for: survived or errored, never
+  // silently stalled; the host-side FIN count pairs with the guest-side.
+  auto accounted = [](const bench::StreamOutcome& o) {
+    return o.connect_failed == 0 &&
+           o.survived + o.errored == bench::kStreamConns &&
+           o.closed == bench::kStreamConns;
+  };
+  gate(accounted(step1.streams), "step1 stream connections unaccounted");
+  gate(accounted(step2.streams), "step2 stream connections unaccounted");
+  gate(step1.streams.errored == 0, "step1 must not error streams (their NSM untouched)");
+  gate(step2.streams.errored > 0, "step2 must error the wedged NSM's streams");
+  gate(fs.reconnects_required == guest_reconnects,
+       "host FIN count must pair with guest-applied FINs");
+  gate(static_cast<uint64_t>(step1.streams.errored + step2.streams.errored) <=
+           guest_reconnects,
+       "app-observed stream errors exceed guest FIN count");
+  // Chunk conservation at the end of every upgrade step.
+  gate(step1.pool_in_use == 0 && step1.pools_balanced, "step1 chunk conservation broken");
+  gate(step2.pool_in_use == 0 && step2.pools_balanced, "step2 chunk conservation broken");
+  if (ok) std::printf("gates: OK\n");
+  if (!bench::GlobalJson().Write()) return 2;
+  return ok ? 0 : 1;
 }

@@ -25,7 +25,6 @@ struct Row {
 };
 
 Row RunOne(bool netkernel_server, double offered_rps) {
-  core::Host::ResetIpAllocator();
   Testbed tb;
   core::Vm* server = netkernel_server
                          ? tb.MakeNkVm(/*vm_cores=*/1, /*nsm_cores=*/1, core::NsmKind::kKernel)

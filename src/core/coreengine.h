@@ -228,7 +228,6 @@ class CoreEngineShard {
  public:
   CoreEngineShard(CoreEngine* engine, int index, sim::CpuCore* core);
 
-  sim::CpuCore* core() { return core_; }
   int index() const { return index_; }
   // This shard's slice of the switch counters (aggregate via CoreEngine).
   const CoreEngineStats& stats() const { return stats_; }
@@ -525,7 +524,6 @@ class CoreEngine {
   // Shard currently owning a queue set (-1 if unknown).
   int ShardOfVmQset(uint8_t vm_id, uint8_t qset) const;
   int ShardOfNsmQset(uint8_t nsm_id, uint8_t qset) const;
-  sim::CpuCore* core() { return shards_[0]->core(); }
 
  private:
   friend class CoreEngineShard;

@@ -8,8 +8,6 @@
 
 namespace netkernel::core {
 
-uint32_t Host::next_ip_suffix_ = 1;
-
 Host::Host(sim::EventLoop* loop, netsim::Fabric* fabric, std::string name, Options options)
     : loop_(loop), fabric_(fabric), name_(std::move(name)), options_(options) {
   const int shards = options_.ce.shards > 1 ? options_.ce.shards : 1;
@@ -35,12 +33,6 @@ Host::Host(sim::EventLoop* loop, netsim::Fabric* fabric, std::string name, Optio
       }
     }
   });
-}
-
-netsim::IpAddr Host::AllocIp() {
-  uint32_t s = next_ip_suffix_++;
-  return netsim::MakeIp(10, static_cast<uint8_t>(s >> 16), static_cast<uint8_t>(s >> 8),
-                        static_cast<uint8_t>(s));
 }
 
 Nsm* Host::CreateNsm(const std::string& name, int vcpus, NsmKind kind,
@@ -76,8 +68,7 @@ Nsm* Host::CreateNsm(const std::string& name, int vcpus, NsmKind kind,
     } else if (stack_config.profile.syscall == 0) {
       stack_config.profile = tcp::KernelProfile();
     }
-    netsim::IpAddr nsm_ip = AllocIp();
-    netsim::HostPort port = fabric_->AddHost(name + ".vnic", nsm_ip, options_.port);
+    netsim::HostPort port = fabric_->AddHost(name + ".vnic", fabric_->AllocIp(), options_.port);
     nsm->vnic_ = port.nic;
     nsm->down_link_ = port.down;
     if (kind == NsmKind::kFairShare) {
@@ -111,7 +102,7 @@ Vm* Host::CreateNetkernelVm(const std::string& name, int vcpus, Nsm* nsm,
   auto vm = std::make_unique<Vm>();
   vm->name_ = name;
   vm->id_ = next_vm_id_++;
-  vm->ip_ = AllocIp();
+  vm->ip_ = fabric_->AllocIp();
   vm->nsm_ = nsm;
   for (int i = 0; i < vcpus; ++i) {
     vm->cores_.push_back(
@@ -151,7 +142,7 @@ Vm* Host::CreateBaselineVm(const std::string& name, int vcpus,
   auto vm = std::make_unique<Vm>();
   vm->name_ = name;
   vm->id_ = next_vm_id_++;
-  vm->ip_ = AllocIp();
+  vm->ip_ = fabric_->AllocIp();
   for (int i = 0; i < vcpus; ++i) {
     vm->cores_.push_back(
         std::make_unique<sim::CpuCore>(loop_, name + ".vcpu" + std::to_string(i)));
@@ -286,11 +277,6 @@ std::string Host::DumpFlightRecorder(size_t last_k) const {
   return obs::FlightRecorder::DumpMerged(recorders, last_k);
 }
 
-void Host::SetVmWeight(Vm* vm, uint32_t weight) {
-  NK_CHECK(vm->netkernel_mode());
-  ce_->SetVmWeight(vm->id(), weight);
-}
-
 PerVmStats Host::VmNkStats(const Vm* vm) const { return ce_->VmStats(vm->id()); }
 
 void Host::SwitchNsm(Vm* vm, Nsm* nsm) {
@@ -300,7 +286,7 @@ void Host::SwitchNsm(Vm* vm, Nsm* nsm) {
     // An alias address per vNIC-backed NSM keeps return traffic routable:
     // connections created while assigned to this NSM bind the alias, and the
     // fabric steers the alias to this NSM's vNIC.
-    AttachVm(vm, nsm, nsm->pool_copy() ? vm->ip_ : AllocIp());
+    AttachVm(vm, nsm, nsm->pool_copy() ? vm->ip_ : fabric_->AllocIp());
   }
   vm->nsm_ = nsm;
 }

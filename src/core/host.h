@@ -163,8 +163,7 @@ class Host {
 
   CoreEngine& ce() { return *ce_; }
   // CE switching cores: one per shard (Options::ce.shards), named
-  // "<host>.ce0", "<host>.ce1", ... ce_core() is shard 0 for compatibility.
-  sim::CpuCore* ce_core() { return ce_cores_[0].get(); }
+  // "<host>.ce0", "<host>.ce1", ...
   sim::CpuCore* ce_core(int shard) { return ce_cores_[static_cast<size_t>(shard)].get(); }
   int num_ce_cores() const { return static_cast<int>(ce_cores_.size()); }
   sim::EventLoop* loop() { return loop_; }
@@ -257,15 +256,9 @@ class Host {
   // took over, in microseconds.
   const obs::Histogram& blackout_histogram() const { return blackout_us_; }
 
-  // DRR weight of a NetKernel VM at this host's CoreEngine (default 1): a
-  // weight-w VM receives w/sum(weights) of the switch's NQE service under
-  // contention (§4.4).
-  void SetVmWeight(Vm* vm, uint32_t weight);
   // This VM's slice of the CoreEngine per-VM stats (observability surface
   // for the Fig 9/21 fairness and isolation claims).
   PerVmStats VmNkStats(const Vm* vm) const;
-
-  netsim::IpAddr AllocIp();
 
   // ---- Observability (nkobs) ----
   // The host-wide NQE lifecycle tracer. Wired into CoreEngine, every
@@ -289,9 +282,11 @@ class Host {
   // all CoreEngine shards plus every ServiceLib.
   std::string DumpFlightRecorder(size_t last_k = 32) const;
 
-  // Resets the process-wide IP allocator. Tests that compare two runs for
-  // bit-identical determinism need both runs to see identical addresses.
-  static void ResetIpAllocator() { next_ip_suffix_ = 1; }
+  // Does nothing: each netsim::Fabric numbers its own addresses. Kept only
+  // because bench/nkbench/nkbench.cc:898 still calls it, and the benchmark's
+  // sources stayed as they were when the allocator moved; delete it once
+  // that call is gone.
+  static void ResetIpAllocator() {}
 
  private:
   void ScheduleFailoverCheck();
@@ -325,7 +320,6 @@ class Host {
   sim::EventHandle failover_timer_;
   std::unordered_map<uint8_t, int> hb_misses_;
   std::unique_ptr<obs::FlightRecorder> failover_recorder_;
-  static uint32_t next_ip_suffix_;
 };
 
 }  // namespace netkernel::core

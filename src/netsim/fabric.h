@@ -2,7 +2,7 @@
 // Convenience assembly of a small datacenter fabric: N host-facing ports on
 // one switch, each port a full-duplex pair of links to a NIC. All benchmark
 // topologies (two hosts on 100G, fan-in onto a 10G bottleneck, ...) are built
-// from this.
+// from this. The fabric also numbers the addresses its hosts use.
 
 #ifndef SRC_NETSIM_FABRIC_H_
 #define SRC_NETSIM_FABRIC_H_
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/netsim/link.h"
 #include "src/netsim/nic.h"
 #include "src/netsim/switch.h"
@@ -27,6 +28,17 @@ struct HostPort {
 class Fabric {
  public:
   explicit Fabric(sim::EventLoop* loop) : loop_(loop), switch_("fabric") {}
+
+  // Hands out this fabric's next unused address: 10.0.0.1, 10.0.0.2, ...,
+  // 10.0.1.0, ... Numbering is per fabric, so a topology's addresses (and
+  // the flow hashes that pick stack cores) depend on its own construction
+  // order only, never on what else the process built.
+  IpAddr AllocIp() {
+    NK_CHECK(next_ip_suffix_ < (1u << 24));  // the 10.0.0.0/8 space is spent
+    const uint32_t s = next_ip_suffix_++;
+    return MakeIp(10, static_cast<uint8_t>(s >> 16), static_cast<uint8_t>(s >> 8),
+                  static_cast<uint8_t>(s));
+  }
 
   // Adds a host port: creates a NIC with `ip` connected to the fabric switch
   // by a full-duplex link pair with the given per-direction config.
@@ -77,6 +89,7 @@ class Fabric {
   std::vector<std::unique_ptr<Nic>> nics_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<std::unique_ptr<Switch>> shims_;
+  uint32_t next_ip_suffix_ = 1;
 };
 
 }  // namespace netkernel::netsim

@@ -83,14 +83,6 @@ void Histogram::Merge(const Histogram& other) {
   sum_ += other.sum_;
 }
 
-void Histogram::Reset() {
-  for (auto& b : bins_) b = 0;
-  count_ = 0;
-  max_ = 0;
-  min_ = 0;
-  sum_ = 0.0;
-}
-
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 
@@ -133,15 +125,6 @@ double MetricsRegistry::Value(const std::string& name) const {
 const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
   auto it = hists_.find(name);
   return it == hists_.end() ? nullptr : it->second.hist;
-}
-
-std::vector<std::string> MetricsRegistry::Names() const {
-  std::vector<std::string> out;
-  out.reserve(size());
-  for (const auto& [name, s] : scalars_) out.push_back(name);
-  for (const auto& [name, h] : hists_) out.push_back(name);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::string MetricsRegistry::Sanitize(const std::string& dotted) {

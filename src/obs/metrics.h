@@ -62,8 +62,6 @@ class Histogram {
   // only loss is the within-bin position each sample already gave up).
   void Merge(const Histogram& other);
 
-  void Reset();
-
   // Bin geometry, exposed for the exposition formats and tests.
   static size_t BinIndex(uint64_t value);
   static uint64_t BinLower(size_t bin);
@@ -119,7 +117,6 @@ class MetricsRegistry {
   // Current value of a counter/gauge; NK_CHECKs that the name exists.
   double Value(const std::string& name) const;
   const Histogram* FindHistogram(const std::string& name) const;
-  std::vector<std::string> Names() const;
   size_t size() const { return scalars_.size() + hists_.size(); }
 
   // Prometheus text exposition format v0.0.4: `# HELP` / `# TYPE` comments,

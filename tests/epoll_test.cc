@@ -22,7 +22,7 @@ using core::Vm;
 
 class EpollTest : public ::testing::Test {
  protected:
-  EpollTest() : fabric_(&loop_) { Host::ResetIpAllocator(); }
+  EpollTest() : fabric_(&loop_) {}
 
   Host& HostA() {
     if (!host_a_) host_a_ = std::make_unique<Host>(&loop_, &fabric_, "hostA");

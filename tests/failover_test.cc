@@ -29,7 +29,6 @@ struct Topo {
   Vm* peer = nullptr;
 
   Topo() : fabric(&loop), host_a(&loop, &fabric, "hostA"), host_b(&loop, &fabric, "hostB") {
-    Host::ResetIpAllocator();
     nsm = host_a.CreateNsm("nsm", 2, NsmKind::kKernel);
     nk = host_a.CreateNetkernelVm("nk", 2, nsm);
     peer = host_b.CreateBaselineVm("peer", 2);
@@ -47,7 +46,6 @@ struct ShmTopo {
   Vm* b = nullptr;
 
   ShmTopo() : fabric(&loop), host(&loop, &fabric, "host") {
-    Host::ResetIpAllocator();
     nsm = host.CreateNsm("shm", 2, NsmKind::kShm);
     a = host.CreateNetkernelVm("a", 2, nsm);
     b = host.CreateNetkernelVm("b", 2, nsm);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "src/netsim/fabric.h"
@@ -223,6 +224,28 @@ TEST(Fabric, PortSpeedLimitsHostInjection) {
   for (int i = 0; i < 10; ++i) a.nic->Transmit(MakePacket(MakeIp(10, 0, 0, 2), 1250));
   loop.Run();
   EXPECT_EQ(last, 11 * kMicrosecond);
+}
+
+TEST(Fabric, NumbersAddressesPerFabric) {
+  // A topology's addresses depend on its own construction order only: a
+  // second fabric in the same process starts from 10.0.0.1 again.
+  sim::EventLoop loop;
+  Fabric first(&loop);
+  EXPECT_EQ(first.AllocIp(), MakeIp(10, 0, 0, 1));
+  EXPECT_EQ(first.AllocIp(), MakeIp(10, 0, 0, 2));
+  Fabric second(&loop);
+  EXPECT_EQ(second.AllocIp(), MakeIp(10, 0, 0, 1));
+  EXPECT_EQ(first.AllocIp(), MakeIp(10, 0, 0, 3));
+}
+
+TEST(Fabric, NeverHandsOutAnAddressTwice) {
+  // Past 10.0.0.255 and 10.0.255.255 the numbering carries into the next
+  // octet instead of wrapping onto an address already in use.
+  sim::EventLoop loop;
+  Fabric fabric(&loop);
+  std::set<IpAddr> seen;
+  for (int i = 0; i < 70000; ++i) ASSERT_TRUE(seen.insert(fabric.AllocIp()).second) << i;
+  EXPECT_EQ(fabric.AllocIp(), MakeIp(10, 1, 17, 113));  // suffix 70001
 }
 
 }  // namespace

@@ -287,7 +287,6 @@ sim::Task<void> DgramProbe(Vm* vm, netsim::IpAddr dst, uint16_t port, bool* echo
 }
 
 TEST(NkGuard, QuarantineReclaimsChunksSparesCoTenantAndUnwindsCleanly) {
-  Host::ResetIpAllocator();
   sim::EventLoop loop;
   netsim::Fabric fabric(&loop);
   Host::Options opts;
@@ -364,7 +363,6 @@ TEST(NkGuard, QuarantineReclaimsChunksSparesCoTenantAndUnwindsCleanly) {
 // host's own ring sweep, not by a switching round; the sweep must count it,
 // or the chaos checker's rejects + quarantine_drops >= violations fails.
 TEST(NkGuard, QuarantineSweepCountsWhatItDrains) {
-  Host::ResetIpAllocator();
   sim::EventLoop loop;
   netsim::Fabric fabric(&loop);
   Host host(&loop, &fabric, "host");

@@ -99,7 +99,6 @@ TEST(ObsSoak, FlightRecorderSurvivesSustainedRarePathPressure) {
     const uint64_t seed = 0x0b5e55ull + i;
     SCOPED_TRACE(::testing::Message() << "soak seed " << seed);
     Rng rng(seed);
-    Host::ResetIpAllocator();
     sim::EventLoop loop;
     netsim::Fabric fabric(&loop);
     Host::Options opts;

@@ -348,7 +348,7 @@ TEST(ObsTracerTest, NeverEnabledTracerIgnoresForgedTraceIds) {
 
 class ObsHostTest : public ::testing::Test {
  protected:
-  ObsHostTest() : fabric_(&loop_) { Host::ResetIpAllocator(); }
+  ObsHostTest() : fabric_(&loop_) {}
 
   Host& TheHost() {
     if (!host_) host_ = std::make_unique<Host>(&loop_, &fabric_, "host");

@@ -23,7 +23,7 @@ using core::Vm;
 
 class UdpTest : public ::testing::Test {
  protected:
-  UdpTest() : fabric_(&loop_) { Host::ResetIpAllocator(); }
+  UdpTest() : fabric_(&loop_) {}
 
   Host& HostA() {
     if (!host_a_) host_a_ = std::make_unique<Host>(&loop_, &fabric_, "hostA");
@@ -596,7 +596,6 @@ struct KvRunResult {
 // Runs the identical UdpKvServer + UdpLoadGen pair with the server either on
 // a Baseline VM or on a NetKernel VM. Everything else is byte-identical.
 KvRunResult RunKvWorkload(bool netkernel_server, bool zerocopy = false) {
-  Host::ResetIpAllocator();
   sim::EventLoop loop;
   netsim::Fabric fabric(&loop);
   Host host_a(&loop, &fabric, "hostA");

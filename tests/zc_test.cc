@@ -91,7 +91,7 @@ TEST(ByteBufferZc, ClearAndDestructionFireCallbacks) {
 
 class ZcTest : public ::testing::Test {
  protected:
-  ZcTest() : fabric_(&loop_) { Host::ResetIpAllocator(); }
+  ZcTest() : fabric_(&loop_) {}
 
   Host& HostA() {
     if (!host_a_) host_a_ = std::make_unique<Host>(&loop_, &fabric_, "hostA");
@@ -647,7 +647,6 @@ TEST_F(ZcTest, RxLoanDoubleReleaseAndReleaseAfterCloseError) {
 // SendBuf and free the block under the stack's feet. Each placement gets its
 // own event loop so the forever-running sink tasks die with it.
 void RunTxLoanMisuse(bool netkernel) {
-  Host::ResetIpAllocator();
   sim::EventLoop loop;
   netsim::Fabric fabric(&loop);
   Host host_a(&loop, &fabric, "hostA");

@@ -111,7 +111,6 @@ std::string Report(const SweepSpec& spec, uint64_t seed, const Ledger& l) {
 // ---- topology -------------------------------------------------------------
 
 Topology::Topology(const TopologySpec& spec) {
-  Host::ResetIpAllocator();
   Host::Options opts;
   opts.ce.shards = 2;
   opts.ce.guard = spec.guard;
