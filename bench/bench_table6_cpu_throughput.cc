@@ -8,7 +8,10 @@
 // same workload over the zero-copy loaning datapath (AcquireTxBuf/SendBuf):
 // the app fills hugepage chunks in place and the NSM stack transmits from
 // them directly, so both copies the paper planned to optimize away (§7.8)
-// are actually gone — not ablated via a cost knob.
+// are actually gone — not ablated via a cost knob. Each mode's achieved
+// goodput is printed beside its cycles/byte and written as an ungated
+// `achieved_gbps` metric: a mode that falls short of the target is not
+// compared at matched throughput.
 //
 // Exits 1 unless, at every point it runs, the zero-copy path's cycles/byte
 // is below 0.9x the copy path's in both directions.
@@ -16,6 +19,9 @@
 // Flags:
 //   --json <path>   write machine-readable results
 //   --smoke         the 40G point only (CI's zero-copy gate)
+
+#include <string>
+#include <utility>
 
 #include "bench/harness.h"
 
@@ -25,11 +31,16 @@ namespace {
 
 enum class Mode { kBaseline, kNetkernel, kNetkernelZc };
 
-// Returns cycles consumed by the measured side per delivered byte. With
-// `measure_rx` the measured VM is the *receiver* (the peer sends paced
-// streams at it); zc mode then drains through RecvBuf/ReleaseBuf loans while
-// the NSM ships detached pool chunks (the RX zero-copy datapath).
-double MeasureCycles(Mode mode, double target_gbps, bool measure_rx = false) {
+struct Point {
+  double cycles_per_byte;  // cycles of the measured side per delivered byte
+  double achieved_gbps;    // delivered goodput, which may fall short of target
+};
+
+// Measures one mode at one paced target. With `measure_rx` the measured VM is
+// the *receiver* (the peer sends paced streams at it); zc mode then drains
+// through RecvBuf/ReleaseBuf loans while the NSM ships detached pool chunks
+// (the RX zero-copy datapath).
+Point MeasureCycles(Mode mode, double target_gbps, bool measure_rx = false) {
   core::Host::Options opts;
   // The RX copy baseline is the pre-zc receive path: inbound bytes stage in
   // the stack's own rcvbuf and ShipRecv pays the rcvbuf->hugepage copy.
@@ -64,13 +75,9 @@ double MeasureCycles(Mode mode, double target_gbps, bool measure_rx = false) {
   tb.Run(60 * kMillisecond);
   SimTime span = tb.loop().Now() - t0;
   uint64_t bytes = sink.bytes_received - b0;
-  double achieved = RateOf(bytes, span) / kGbps;
-  if (achieved < target_gbps * 0.85) {
-    std::printf("  (warn: achieved %.1fG of %.0fG target)\n", achieved, target_gbps);
-  }
   Cycles total = vm->TotalBusyCycles();
   if (mode != Mode::kBaseline) total += tb.nsm()->TotalBusyCycles();
-  return static_cast<double>(total) / static_cast<double>(bytes);
+  return {static_cast<double>(total) / static_cast<double>(bytes), RateOf(bytes, span) / kGbps};
 }
 
 }  // namespace
@@ -102,19 +109,29 @@ int main(int argc, char** argv) {
                   " pool chunks + RecvBuf loans)",
                   "_rx"}}) {
     std::printf("%s\n", d.title);
-    std::printf("%12s %12s %12s %9s %12s %9s\n", "target Gbps", "Base cyc/B", "NK cyc/B",
-                "NK/Base", "NKzc cyc/B", "NKzc/Base");
+    std::printf("%12s %12s %9s %12s %9s %9s %12s %9s %9s\n", "target Gbps", "Base cyc/B",
+                "Base Gbps", "NK cyc/B", "NK Gbps", "NK/Base", "NKzc cyc/B", "NKzc Gbps",
+                "NKzc/Base");
     for (double g : targets) {
-      double base = MeasureCycles(Mode::kBaseline, g, d.rx);
-      double nk = MeasureCycles(Mode::kNetkernel, g, d.rx);
-      double zc = MeasureCycles(Mode::kNetkernelZc, g, d.rx);
-      std::printf("%12.0f %12.3f %12.3f %8.2fx %12.3f %8.2fx\n", g, base, nk, nk / base, zc,
-                  zc / base);
+      const Point base_p = MeasureCycles(Mode::kBaseline, g, d.rx);
+      const Point nk_p = MeasureCycles(Mode::kNetkernel, g, d.rx);
+      const Point zc_p = MeasureCycles(Mode::kNetkernelZc, g, d.rx);
+      const double base = base_p.cycles_per_byte;
+      const double nk = nk_p.cycles_per_byte;
+      const double zc = zc_p.cycles_per_byte;
+      std::printf("%12.0f %12.3f %9.1f %12.3f %9.1f %8.2fx %12.3f %9.1f %8.2fx\n", g, base,
+                  base_p.achieved_gbps, nk, nk_p.achieved_gbps, nk / base, zc,
+                  zc_p.achieved_gbps, zc / base);
+      // Each mode's achieved goodput rides along ungated: where a mode falls
+      // short of the target, its cycles/byte is not at matched throughput.
       const std::string cfg = "target=" + std::to_string(static_cast<int>(g)) + "g mode=";
-      bench::GlobalJson().Add("table6_cpu", cfg + "base" + d.suffix, "cycles_per_byte", base);
-      bench::GlobalJson().Add("table6_cpu", cfg + "nk" + d.suffix, "cycles_per_byte", nk);
-      bench::GlobalJson().Add("table6_cpu", cfg + "nk" + d.suffix + "_zc", "cycles_per_byte",
-                              zc);
+      const std::pair<std::string, Point> rows[] = {{cfg + "base" + d.suffix, base_p},
+                                                    {cfg + "nk" + d.suffix, nk_p},
+                                                    {cfg + "nk" + d.suffix + "_zc", zc_p}};
+      for (const auto& [config, p] : rows) {
+        bench::GlobalJson().Add("table6_cpu", config, "cycles_per_byte", p.cycles_per_byte);
+        bench::GlobalJson().Add("table6_cpu", config, "achieved_gbps", p.achieved_gbps);
+      }
       if (zc >= nk * kMaxZcRatio) {
         std::printf("FAIL: %s zerocopy %.3f cyc/B at %.0fG not < %.2fx of copy path %.3f\n",
                     d.rx ? "RX" : "TX", zc, g, kMaxZcRatio, nk);

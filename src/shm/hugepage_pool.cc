@@ -4,9 +4,14 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "src/common/check.h"
+
+#ifndef MADV_POPULATE_WRITE
+#define MADV_POPULATE_WRITE 23  // Linux 5.14; older C libraries lack the name
+#endif
 
 namespace netkernel::shm {
 
@@ -80,6 +85,15 @@ uint64_t HugepagePool::Alloc(uint32_t size) {
     }
     uint64_t header_at = bump_;
     bump_ += kHeader + chunk;
+    if (bump_ > committed_) {
+      // One call commits the stretches the carve reaches into. The result is
+      // ignored: before Linux 5.14 the advice fails with EINVAL, and the
+      // pages fault in on first write instead.
+      const uint64_t end = std::min(
+          region_bytes_, (bump_ + kCommitBytes - 1) / kCommitBytes * kCommitBytes);
+      (void)madvise(region_ + committed_, end - committed_, MADV_POPULATE_WRITE);
+      committed_ = end;
+    }
     offset = header_at + kHeader;
     std::memcpy(&region_[header_at], &idx, sizeof(int));
   }

@@ -8,11 +8,16 @@
 // size is configurable here). Exhaustion is reported to the caller, which
 // models the finite socket-buffer backpressure of the real system.
 //
-// The region is a demand-zero anonymous mapping: a page costs memory from the
-// first write to it, and only carved chunks are written, so a pool's RSS
-// tracks its carve high-water mark, not region_bytes(). Pages never written
-// read as zero, which IsAllocated() and Generation() rely on for offsets past
-// the carve point.
+// The region is a demand-zero anonymous mapping, with transparent hugepages
+// refused (MADV_NOHUGEPAGE), so memory is committed only where chunks are
+// carved: when a carve passes the committed mark, Alloc commits the 64 KiB
+// stretches (kCommitBytes) it reaches into with one
+// madvise(MADV_POPULATE_WRITE), instead of one page fault per 4 KiB. A
+// pool's RSS is therefore its carve high-water mark rounded up to 64 KiB,
+// not region_bytes(). (Before Linux 5.14 the advice fails with EINVAL, and
+// pages are committed on first write instead.) Committed pages nothing has
+// written read as zero, which IsAllocated() and Generation() rely on for
+// offsets past the carve point.
 
 #ifndef SRC_SHM_HUGEPAGE_POOL_H_
 #define SRC_SHM_HUGEPAGE_POOL_H_
@@ -30,6 +35,8 @@ class HugepagePool {
   static constexpr uint64_t kDefaultRegionBytes = 64 * kMiB;
   // Largest allocatable chunk (one TSO-sized unit).
   static constexpr uint32_t kMaxChunk = 64 * 1024;
+  // Memory is committed in stretches of this many bytes, aligned to it.
+  static constexpr uint64_t kCommitBytes = 64 * 1024;
 
   explicit HugepagePool(uint64_t region_bytes = kDefaultRegionBytes);
   ~HugepagePool();
@@ -79,7 +86,8 @@ class HugepagePool {
 
   uint8_t* region_ = nullptr;  // mmap'd, region_bytes_ long
   uint64_t region_bytes_;
-  uint64_t bump_ = 0;  // carve point for fresh blocks
+  uint64_t bump_ = 0;       // carve point for fresh blocks
+  uint64_t committed_ = 0;  // bytes from region_ committed; >= bump_
   std::vector<std::vector<uint64_t>> free_lists_;
   uint64_t bytes_in_use_ = 0;
   uint64_t allocs_ = 0;

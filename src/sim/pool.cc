@@ -2,6 +2,8 @@
 
 #include "src/sim/pool.h"
 
+#include <sys/mman.h>
+
 #include <cstdint>
 #include <new>
 
@@ -22,10 +24,15 @@
 #define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
 #endif
 
+#ifndef MADV_POPULATE_WRITE
+#define MADV_POPULATE_WRITE 23  // Linux 5.14; older C libraries lack the name
+#endif
+
 namespace netkernel::sim {
 namespace {
 
-constexpr size_t kClasses = kPoolMaxBlock / kPoolGranule;
+constexpr size_t kSmallClasses = kPoolSmallMax / kPoolGranule;
+constexpr size_t kClasses = kSmallClasses + kPoolMaxBlock / kPoolPage;
 
 enum class ListState : uint8_t {
   kUnarmed,  // no block parked yet, so nothing to give back at thread exit
@@ -43,14 +50,33 @@ struct FreeLists {
 // without a thread-local guard.
 thread_local FreeLists tls_lists{};
 
-size_t ClassOf(size_t block) { return block / kPoolGranule - 1; }
+size_t ClassOf(size_t block) {
+  return block <= kPoolSmallMax ? block / kPoolGranule - 1
+                                : kSmallClasses + block / kPoolPage - 1;
+}
+
+size_t BlockOf(size_t cls) {
+  return cls < kSmallClasses ? (cls + 1) * kPoolGranule
+                             : (cls - kSmallClasses + 1) * kPoolPage;
+}
+
+// Commits the pages a fresh block spans with one call. Prefaulting a page
+// leaves its bytes as they are, so the partial pages at either end, which
+// other blocks may share, are safe to include. The result is ignored: before
+// Linux 5.14 the advice fails with EINVAL and the pages fault in on first
+// touch instead.
+void Populate(void* p, size_t n) {
+  const auto lo = reinterpret_cast<uintptr_t>(p) & ~(kPoolPage - 1);
+  const auto hi = (reinterpret_cast<uintptr_t>(p) + n + kPoolPage - 1) & ~(kPoolPage - 1);
+  (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_POPULATE_WRITE);
+}
 
 // Gives this thread's parked blocks back at thread exit.
 struct Reaper {
   ~Reaper() {
     tls_lists.state = ListState::kGone;
     for (size_t c = 0; c < kClasses; ++c) {
-      const size_t block = (c + 1) * kPoolGranule;
+      const size_t block = BlockOf(c);
       while (void* p = tls_lists.head[c]) {
         ASAN_UNPOISON_MEMORY_REGION(p, block);
         tls_lists.head[c] = *static_cast<void**>(p);
@@ -79,6 +105,7 @@ void* PoolAllocate(size_t n) {
     head = *static_cast<void**>(p);
   } else {
     p = ::operator new(block);
+    if (block > kPoolSmallMax) Populate(p, block);
   }
   ASAN_POISON_MEMORY_REGION(static_cast<char*>(p) + n, block - n);
   return p;

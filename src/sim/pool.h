@@ -1,15 +1,25 @@
 // Copyright (c) NetKernel reproduction authors.
-// sim pool: size-class free lists for the simulator's small heap objects
-// whose lifetimes churn with the traffic: coroutine frames (one per spawned
-// or awaited Task), tcp::Segment and udp::Datagram (one per packet).
+// sim pool: size-class free lists for the simulator's heap objects whose
+// lifetimes churn with the traffic: coroutine frames (one per spawned or
+// awaited Task), tcp::Segment and udp::Datagram (one per packet), and the
+// refcounted TCP payload blocks (tcp::Block: a small header, and bytes in a
+// page class when the send is bulk).
 //
-// Size classes. A request of up to kPoolMaxBlock (2 KiB) bytes is rounded up
-// to a multiple of kPoolGranule (64 B) and served from that class's free
+// Size classes. A request of up to kPoolSmallMax (2 KiB) bytes is rounded up
+// to a multiple of kPoolGranule (64 B); a larger one, up to kPoolMaxBlock
+// (64 KiB), to a multiple of kPoolPage (4 KiB). Each class has its own free
 // list; a freed block goes back on it, and the next request of the class
 // takes the most recently freed block first (LIFO, so it is likely still in
-// cache). Coroutine frames, segments and datagrams cluster in a few classes,
-// so after warm-up nearly every request is a list pop. Larger requests go
-// straight to ::operator new and come back through ::operator delete.
+// cache). Coroutine frames, segments and datagrams cluster in a few small
+// classes and payload blocks in a few page classes, so after warm-up nearly
+// every request is a list pop. Larger requests go straight to ::operator new
+// and come back through ::operator delete.
+//
+// Fresh page-class blocks. A page-class block the pool takes fresh from
+// ::operator new is committed with one madvise(MADV_POPULATE_WRITE) over the
+// whole pages it spans, instead of one page fault per 4 KiB on first touch.
+// Kernels before Linux 5.14 reject the advice (EINVAL); the pages then fault
+// in on first touch.
 //
 // thread_local. Each thread has its own free lists, so threads share nothing
 // through the pool and need no lock: a block may be freed on another thread
@@ -40,12 +50,15 @@
 namespace netkernel::sim {
 
 inline constexpr size_t kPoolGranule = 64;
-inline constexpr size_t kPoolMaxBlock = 2048;
+inline constexpr size_t kPoolSmallMax = 2048;
+inline constexpr size_t kPoolPage = 4096;
+inline constexpr size_t kPoolMaxBlock = 64 * 1024;
 
 // The block size a request of `n` bytes is served from, or 0 when the
 // request bypasses the free lists (n > kPoolMaxBlock).
 constexpr size_t PoolBlockSize(size_t n) {
   if (n > kPoolMaxBlock) return 0;
+  if (n > kPoolSmallMax) return (n + kPoolPage - 1) / kPoolPage * kPoolPage;
   return n == 0 ? kPoolGranule : (n + kPoolGranule - 1) / kPoolGranule * kPoolGranule;
 }
 

@@ -345,7 +345,7 @@ void TcpStack::EmitSegment(Sock& s, uint8_t flags, SeqNum seq, uint64_t offset, 
   seg->rwnd = AdvertisedWindow(s);
   seg->ts = loop_->Now();
   seg->ts_echo = s.last_rx_ts;
-  if (len > 0) s.sndbuf.AppendTo(offset, len, &seg->payload);
+  if (len > 0) s.sndbuf.SliceInto(offset, len, &seg->payload);
   s.last_advertised_wnd = seg->rwnd;
 
   netsim::Packet pkt;
@@ -802,7 +802,7 @@ void TcpStack::HandleEstablishedData(Sock& s, const Segment& seg, bool ce_marked
 
   if (len > 0) {
     SeqNum seq = seg.seq;
-    const uint8_t* data = seg.payload.data();
+    uint32_t trim = 0;
     uint32_t remaining = len;
     if (seq + remaining <= s2.rcv_nxt) {
       // Entirely duplicate: re-ACK.
@@ -810,13 +810,12 @@ void TcpStack::HandleEstablishedData(Sock& s, const Segment& seg, bool ce_marked
       return;
     }
     if (seq < s2.rcv_nxt) {
-      uint32_t trim = static_cast<uint32_t>(s2.rcv_nxt - seq);
-      data += trim;
+      trim = static_cast<uint32_t>(s2.rcv_nxt - seq);
       remaining -= trim;
       seq = s2.rcv_nxt;
     }
     if (seq == s2.rcv_nxt) {
-      s2.rcvbuf.Append(data, remaining);
+      s2.rcvbuf.Append(seg.payload, trim, remaining);
       s2.rcv_nxt += remaining;
       stats_.bytes_received += remaining;
       advanced = true;
@@ -825,11 +824,11 @@ void TcpStack::HandleEstablishedData(Sock& s, const Segment& seg, bool ce_marked
         auto oit = s2.ooo.begin();
         if (oit->first > s2.rcv_nxt) break;
         SeqNum oseq = oit->first;
-        std::vector<uint8_t>& opay = oit->second;
+        const SliceList& opay = oit->second;
         if (oseq + opay.size() > s2.rcv_nxt) {
-          uint64_t trim = s2.rcv_nxt - oseq;
-          uint64_t keep = opay.size() - trim;
-          s2.rcvbuf.Append(opay.data() + trim, keep);
+          uint64_t otrim = s2.rcv_nxt - oseq;
+          uint64_t keep = opay.size() - otrim;
+          s2.rcvbuf.Append(opay, otrim, keep);
           s2.rcv_nxt += keep;
           stats_.bytes_received += keep;
         }
@@ -837,10 +836,11 @@ void TcpStack::HandleEstablishedData(Sock& s, const Segment& seg, bool ce_marked
         s2.ooo.erase(oit);
       }
     } else {
-      // Out of order: hold for reassembly, send a duplicate ACK.
+      // Out of order: hold the segment's slices for reassembly, send a
+      // duplicate ACK.
       if (s2.ooo.count(seq) == 0) {
         s2.ooo_bytes += remaining;
-        s2.ooo.emplace(seq, std::vector<uint8_t>(data, data + remaining));
+        s2.ooo.emplace(seq, seg.payload);
       }
       SendAck(s2, false);
       return;

@@ -226,7 +226,7 @@ class TcpStack {
     uint64_t rcvbuf_limit = 0;
     SeqNum irs = 0;
     SeqNum rcv_nxt = 0;
-    std::map<SeqNum, std::vector<uint8_t>> ooo;
+    std::map<SeqNum, SliceList> ooo;  // by reference, like the receive buffer
     uint64_t ooo_bytes = 0;
     bool fin_rcvd = false;
     bool fin_delivered = false;

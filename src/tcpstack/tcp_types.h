@@ -11,10 +11,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "src/common/units.h"
 #include "src/netsim/packet.h"
+#include "src/tcpstack/byte_buffer.h"
 
 namespace netkernel::tcp {
 
@@ -68,7 +68,10 @@ enum TcpFlags : uint8_t {
 
 // A TCP segment. May carry up to kTsoChunk payload bytes; the fabric treats it
 // as the equivalent back-to-back train of MSS-sized packets (wire_bytes
-// accounts for per-MSS header overhead).
+// accounts for per-MSS header overhead). The payload is a list of slices of
+// the sender's send-buffer blocks, not a copy of their bytes. A busy
+// stream's appends fill 64 KiB blocks, so its 64 KiB segments hold at most
+// two slices.
 struct Segment {
   FourTuple tuple;  // from the *sender's* perspective
   uint8_t flags = 0;
@@ -77,13 +80,13 @@ struct Segment {
   uint64_t rwnd = 0;           // advertised receive window, bytes
   SimTime ts = 0;              // timestamp option (echoed for RTT)
   SimTime ts_echo = 0;
-  std::vector<uint8_t> payload;
+  SliceList payload;
 
   bool Has(TcpFlags f) const { return (flags & f) != 0; }
 };
 
 // Segments are built with sim::MakePooled, so the segment and its control
-// block come from the small-object pool.
+// block come from the small-object pool, as does its slice list.
 using SegmentPtr = std::shared_ptr<const Segment>;
 
 enum class TcpState {

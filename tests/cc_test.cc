@@ -39,20 +39,71 @@ TEST(ByteBuffer, SpansChunks) {
   for (int c = 0; c < 10; ++c) {
     std::vector<uint8_t> chunk(100);
     for (int i = 0; i < 100; ++i) chunk[static_cast<size_t>(i)] = static_cast<uint8_t>(c);
-    buf.Append(std::move(chunk));
+    buf.Append(chunk.data(), chunk.size());
   }
   uint8_t out[250];
-  buf.CopyOut(50, 250, out);  // crosses chunks 0,1,2,3
+  buf.CopyOut(50, 250, out);  // crosses chunks 0, 1 and 2
   EXPECT_EQ(out[0], 0);
   EXPECT_EQ(out[49], 0);
   EXPECT_EQ(out[50], 1);
   EXPECT_EQ(out[249], 2);
-  // AppendTo reads the same bytes, after what the vector already holds.
-  std::vector<uint8_t> seg = {42};
-  buf.AppendTo(50, 250, &seg);
+  // SliceInto reads the same bytes, after what the list already holds.
+  SliceList seg;
+  BlockRef head = BlockRef::Make(1);
+  *head->Grow(1) = 42;
+  seg.Add(head, 0, 1);
+  buf.SliceInto(50, 250, &seg);
   ASSERT_EQ(seg.size(), 251u);
-  EXPECT_EQ(seg[0], 42);
-  EXPECT_TRUE(std::equal(out, out + 250, seg.begin() + 1));
+  std::vector<uint8_t> flat(seg.size());
+  seg.CopyOut(0, seg.size(), flat.data());
+  EXPECT_EQ(flat[0], 42);
+  EXPECT_TRUE(std::equal(out, out + 250, flat.begin() + 1));
+  // The slices outlive the bytes' departure from the buffer.
+  buf.Drop(buf.size());
+  seg.CopyOut(0, seg.size(), flat.data());
+  EXPECT_TRUE(std::equal(out, out + 250, flat.begin() + 1));
+}
+
+TEST(ByteBuffer, BlocksGrowWithTheBacklog) {
+  // A fresh block is as large as the append or the bytes already buffered,
+  // up to 64 KiB: eight 16 KiB appends fill blocks of 16, 16, 32 and 64 KiB.
+  constexpr uint64_t kAppend = 16 * 1024;
+  std::vector<uint8_t> data(8 * kAppend);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i * 7);
+  ByteBuffer buf;
+  for (int i = 0; i < 8; ++i) buf.Append(data.data() + i * kAppend, kAppend);
+  SliceList first, second;
+  buf.SliceInto(0, 4 * kAppend, &first);
+  buf.SliceInto(4 * kAppend, 4 * kAppend, &second);
+  EXPECT_EQ(first.num_slices(), 3u);
+  EXPECT_EQ(second.num_slices(), 1u);
+  std::vector<uint8_t> got(second.size());
+  second.CopyOut(0, second.size(), got.data());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + 4 * kAppend));
+  // Small appends behind that backlog share one block too.
+  for (int i = 0; i < 16; ++i) buf.Append(data.data() + i * 64, 64);
+  SliceList rpc;
+  buf.SliceInto(8 * kAppend, 16 * 64, &rpc);
+  EXPECT_EQ(rpc.num_slices(), 1u);
+}
+
+TEST(ByteBuffer, AppendOfSlicesSharesBlocksAndMergesAdjacentPieces) {
+  ByteBuffer snd;
+  std::vector<uint8_t> data(300);
+  for (size_t i = 0; i < data.size(); ++i) data[i] = static_cast<uint8_t>(i * 7);
+  snd.Append(data.data(), 300);
+  // Two segments cut mid-block, as TCP does; the receiver appends both.
+  SliceList a, b;
+  snd.SliceInto(0, 150, &a);
+  snd.SliceInto(150, 150, &b);
+  ByteBuffer rcv;
+  rcv.Append(a, 10, 140);  // the first 10 bytes arrived earlier
+  rcv.Append(b, 0, 150);
+  snd.Drop(300);  // ACKed: the receiver's references keep the bytes
+  ASSERT_EQ(rcv.size(), 290u);
+  std::vector<uint8_t> got(290);
+  EXPECT_EQ(rcv.ReadInto(got.data(), got.size()), 290u);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), data.begin() + 10));
 }
 
 TEST(ByteBuffer, RandomizedFifoEquivalence) {

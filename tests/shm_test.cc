@@ -329,16 +329,23 @@ size_t ResidentPages(const HugepagePool& pool) {
 
 TEST(HugepagePool, FreshRegionIsNotResident) {
   // The region is demand-zero: building a 64 MiB pool commits no memory, and
-  // a carved chunk costs the pages it spans, not region_bytes(). Only writes
-  // are counted: reading a never-written page maps the shared zero page,
-  // which mincore() also reports as resident.
+  // carving commits the 64 KiB stretches the carve point has reached, not
+  // region_bytes(). Nothing reads an uncarved offset here: reading a
+  // never-touched page maps the shared zero page, which mincore() also
+  // reports as resident.
   HugepagePool pool;
   ASSERT_EQ(pool.region_bytes(), HugepagePool::kDefaultRegionBytes);
   EXPECT_EQ(ResidentPages(pool), 0u);
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t stretch = HugepagePool::kCommitBytes / page;
   const uint64_t off = pool.Alloc(4096);
   ASSERT_NE(off, HugepagePool::kInvalidOffset);
+  EXPECT_EQ(ResidentPages(pool), stretch);  // committed before any write
   std::memset(pool.Data(off), 0x5a, pool.ChunkCapacity(off));
-  EXPECT_LE(ResidentPages(pool), 2u);
+  EXPECT_EQ(ResidentPages(pool), stretch);
+  // A 64 KiB chunk carves past the first stretch: one more is committed.
+  ASSERT_NE(pool.Alloc(HugepagePool::kMaxChunk), HugepagePool::kInvalidOffset);
+  EXPECT_EQ(ResidentPages(pool), 2 * stretch);
 }
 
 TEST(HugepagePool, DistinctAllocationsDoNotOverlap) {

@@ -3,10 +3,9 @@
 // heap and same-instant lane have grown to their peak, scheduling and firing
 // events with captures of up to 48 bytes (this + a netsim::Packet) performs
 // no heap allocation, whether through EventLoop::Schedule or CpuCore::Charge,
-// at the current instant or later. Likewise, once the small-object pool and
-// the FIFOs have grown, coroutine frames, segments, datagrams and a byte
-// buffer's chunk queue cost nothing, and a TCP request/response exchange
-// allocates only the payload buffers the model copies.
+// at the current instant or later. Likewise, once the pool and the FIFOs
+// have grown, coroutine frames, segments, datagrams, a byte buffer's chunk
+// queue and a TCP request/response exchange cost nothing.
 //
 // Its own binary, because it replaces the global operator new and delete to
 // count calls.
@@ -307,20 +306,17 @@ TEST(SimAlloc, TcpExchangeAllocatesOnlyTheCopiedPayloads) {
   exchange(1000);
   const size_t allocs = g_allocs - before;
   ASSERT_EQ(responses - responses_before, 1000);
-  // Each message, request or response, is copied three times by the model,
-  // and each copy is one payload vector:
-  //   1. Send copies the app's bytes into a send-buffer chunk (ByteBuffer
-  //      Append of owned bytes);
-  //   2. EmitSegment copies them from the send buffer into the segment's
-  //      payload (the wire copy);
-  //   3. the receiver's HandleEstablishedData appends them to its receive
-  //      buffer as a chunk of its own (no pool allocator is installed here).
-  // Everything else on the path is reused: the Segment and its control
-  // block (pool), the ACK segments (pool, no payload), the NIC and link
-  // queues, DrainRx's batches, the byte buffers' chunk FIFOs and every
-  // event's callable (inline).
-  constexpr size_t kCopiesPerMessage = 3;
-  EXPECT_EQ(allocs, 2 * 1000 * kCopiesPerMessage);
+  // Each message, request or response, is copied once: Send copies the
+  // app's bytes into one block, whose header and bytes come from the pool's
+  // free lists. From there it moves by reference: EmitSegment hands the
+  // segment a slice of the block, and the receiver's HandleEstablishedData
+  // keeps that slice in its receive buffer (no pool allocator is installed
+  // here). Everything else on the path is reused too: the Segment, its
+  // control block and its slice list (pool), the ACK segments (pool, no
+  // payload), the NIC and link queues, DrainRx's batches, the byte buffers'
+  // chunk FIFOs and every event's callable (inline).
+  constexpr size_t kAllocsPerMessage = 0;
+  EXPECT_EQ(allocs, 2 * 1000 * kAllocsPerMessage);
 }
 
 }  // namespace

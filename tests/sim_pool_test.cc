@@ -1,5 +1,5 @@
 // Copyright (c) NetKernel reproduction authors.
-// Contracts of the simulator's small-object pool (src/sim/pool.h) and its
+// Contracts of the simulator's pool (src/sim/pool.h) and its
 // allocation-free FIFO (src/sim/fifo.h).
 //
 // Its own binary, because it replaces the global operator new and delete to
@@ -7,6 +7,8 @@
 // the poisoning cases only under AddressSanitizer.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -60,7 +62,13 @@ TEST(SimPool, RoundsRequestsUpToSizeClasses) {
   EXPECT_EQ(PoolBlockSize(65), 128u);
   EXPECT_EQ(PoolBlockSize(1000), 1024u);
   EXPECT_EQ(PoolBlockSize(2048), 2048u);
-  EXPECT_EQ(PoolBlockSize(2049), 0u);  // bypasses the free lists
+  // Past 2 KiB the classes are whole pages, up to 64 KiB.
+  EXPECT_EQ(PoolBlockSize(2049), 4096u);
+  EXPECT_EQ(PoolBlockSize(4096), 4096u);
+  EXPECT_EQ(PoolBlockSize(4097), 8192u);
+  EXPECT_EQ(PoolBlockSize(16 * 1024), 16u * 1024);
+  EXPECT_EQ(PoolBlockSize(kPoolMaxBlock), kPoolMaxBlock);
+  EXPECT_EQ(PoolBlockSize(kPoolMaxBlock + 1), 0u);  // bypasses the free lists
 }
 
 TEST(SimPool, ReusesFreedBlocksLastInFirstOutWithinAClass) {
@@ -92,16 +100,53 @@ TEST(SimPool, FreedBlocksStayWithThePoolUntilReused) {
   PoolFree(q, 1800);
 }
 
+TEST(SimPool, PageClassesReuseFreedBlocksLastInFirstOut) {
+  void* a = PoolAllocate(5000);  // both in the 8 KiB class, which no other
+  void* b = PoolAllocate(8192);  // test in this binary touches
+  const size_t deletes = Deletes();
+  PoolFree(a, 5000);
+  PoolFree(b, 8192);
+  EXPECT_EQ(Deletes(), deletes);  // parked, not deleted
+  const size_t news = News();
+  EXPECT_EQ(PoolAllocate(4097), b);
+  EXPECT_EQ(PoolAllocate(6000), a);
+  EXPECT_EQ(News(), news);
+  PoolFree(a, 6000);
+  PoolFree(b, 4097);
+}
+
+// A page-class block taken fresh from operator new is committed before its
+// first write, so touching it takes no page fault. Several are held at once,
+// so at least the later ones are memory the heap had not touched before.
+TEST(SimPool, FreshPageClassBlocksAreResidentBeforeTheirFirstWrite) {
+  const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+  constexpr int kBlocks = 8;
+  constexpr size_t kSize = 60 * 1024;  // the 60 KiB class, used nowhere else
+  std::vector<void*> blocks;
+  blocks.reserve(kBlocks);
+  for (int i = 0; i < kBlocks; ++i) blocks.push_back(PoolAllocate(kSize));
+  for (void* p : blocks) {
+    const uintptr_t begin = reinterpret_cast<uintptr_t>(p) & ~(page - 1);
+    const uintptr_t end = reinterpret_cast<uintptr_t>(p) + kSize;
+    std::vector<unsigned char> vec((end - begin + page - 1) / page);
+    ASSERT_EQ(mincore(reinterpret_cast<void*>(begin), end - begin, vec.data()), 0);
+    size_t resident = 0;
+    for (unsigned char v : vec) resident += v & 1;
+    EXPECT_EQ(resident, vec.size());
+  }
+  for (void* p : blocks) PoolFree(p, kSize);
+}
+
 TEST(SimPool, LargeRequestsGoStraightToOperatorNewAndDelete) {
   const size_t news = News();
   const size_t deletes = Deletes();
-  void* p = PoolAllocate(4096);
+  void* p = PoolAllocate(kPoolMaxBlock + 1);
   EXPECT_EQ(News(), news + 1);
-  PoolFree(p, 4096);
+  PoolFree(p, kPoolMaxBlock + 1);
   EXPECT_EQ(Deletes(), deletes + 1);  // not parked
-  void* q = PoolAllocate(kPoolMaxBlock + 1);
+  void* q = PoolAllocate(4 * kPoolMaxBlock);
   EXPECT_EQ(News(), news + 2);
-  PoolFree(q, kPoolMaxBlock + 1);
+  PoolFree(q, 4 * kPoolMaxBlock);
   EXPECT_EQ(Deletes(), deletes + 2);
 }
 
@@ -164,6 +209,17 @@ TEST(SimPoolDeathTest, ReadOfAFreedPooledBlockIsReported) {
         p[8] = 1;
         PoolFree(const_cast<char*>(p), 64);
         std::fprintf(stderr, "%d\n", p[8]);
+      },
+      "use-after-poison");
+}
+
+TEST(SimPoolDeathTest, ReadOfAFreedPageClassBlockIsReported) {
+  EXPECT_DEATH(
+      {
+        auto* p = static_cast<volatile char*>(PoolAllocate(12 * 1024));
+        p[9000] = 1;
+        PoolFree(const_cast<char*>(p), 12 * 1024);
+        std::fprintf(stderr, "%d\n", p[9000]);
       },
       "use-after-poison");
 }

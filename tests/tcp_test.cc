@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -354,6 +355,66 @@ TEST_F(TcpPairTest, ZeroWindowProbeResumesAfterStall) {
     loop_->Run(loop_->Now() + 20 * kMillisecond);
   }
   EXPECT_EQ(got, data.size());
+}
+
+// The receive buffer holds slices of the sender's send-buffer blocks, not
+// copies. A receiver that reads nothing until its window has closed keeps
+// those blocks alive while the sender drops the ACKed bytes and refills its
+// buffer with fresh Sends, whose blocks come from the same pool. Were a block
+// reused while a receive buffer still held a slice of it, the fresh bytes
+// would overwrite the held ones (and an ASan build would report the read as
+// use-after-poison).
+TEST_F(TcpPairTest, HeldReceiveSlicesSurviveTheSendersRefill) {
+  TcpStackConfig acfg, bcfg;
+  acfg.sndbuf_bytes = 256 * kKiB;  // the sender refills several times over
+  bcfg.rcvbuf_bytes = 1 * kMiB;    // before the receiver's window closes
+  Build(acfg, bcfg);
+  auto [cli, srv] = Connect();
+  constexpr uint64_t kTotal = 3 * kMiB;
+  constexpr uint64_t kAppend = 16 * kKiB;
+  Rng rng(21);
+  std::vector<uint8_t> data(kTotal);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+
+  uint64_t sent = 0;
+  auto refill = [&] {
+    while (sent < kTotal) {
+      uint64_t n = stack_a_->Send(cli, data.data() + sent, std::min(kAppend, kTotal - sent));
+      if (n == 0) break;
+      sent += n;
+    }
+  };
+  SocketCallbacks acb;
+  acb.on_writable = refill;
+  stack_a_->SetCallbacks(cli, std::move(acb));
+  bool reading = false;
+  std::vector<uint8_t> received;
+  auto drain = [&] {
+    uint8_t buf[7000];  // reads end mid-block
+    uint64_t n;
+    while ((n = stack_b_->Recv(srv, buf, sizeof(buf))) > 0) {
+      received.insert(received.end(), buf, buf + n);
+    }
+  };
+  SocketCallbacks bcb;
+  bcb.on_readable = [&] {
+    if (reading) drain();
+  };
+  stack_b_->SetCallbacks(srv, std::move(bcb));
+
+  refill();
+  loop_->Run(loop_->Now() + 300 * kMillisecond);
+  // The window has closed with nothing read, and the sender has refilled
+  // its buffer several times over.
+  EXPECT_GT(stack_b_->RecvAvailable(srv), bcfg.rcvbuf_bytes - kMss);
+  EXPECT_GE(sent, 4 * acfg.sndbuf_bytes);
+  EXPECT_TRUE(received.empty());
+
+  reading = true;
+  drain();
+  loop_->Run(loop_->Now() + 2 * kSecond);
+  ASSERT_EQ(received.size(), kTotal);
+  EXPECT_EQ(received, data);
 }
 
 TEST_F(TcpPairTest, StatsCountSegmentsAndBytes) {

@@ -85,6 +85,68 @@ TEST(ByteBufferZc, ClearAndDestructionFireCallbacks) {
   EXPECT_EQ(freed, 2);
 }
 
+// A segment's payload arrives as slices; a receive buffer with a chunk
+// allocator copies them in one pass, so it holds the very chunks one
+// contiguous Append of the same bytes produces: same count, same sizes,
+// same bytes. (Slice by slice, each 16 KiB slice would open a chunk of its
+// own, and the guest would see different kRecvData NQEs.)
+TEST(ByteBufferZc, SlicedPayloadFillsTheSameChunksAsOneContiguousAppend) {
+  constexpr uint32_t kSlice = 16 * 1024;
+  std::vector<uint8_t> bytes(3 * kSlice);
+  Rng rng(9);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  tcp::SliceList payload;
+  for (int i = 0; i < 3; ++i) {
+    tcp::BlockRef block = tcp::BlockRef::Make(kSlice);
+    std::memcpy(block->Grow(kSlice), bytes.data() + i * kSlice, kSlice);
+    payload.Add(std::move(block), 0, kSlice);
+  }
+  ASSERT_EQ(payload.num_slices(), 3u);
+
+  struct Received {
+    shm::HugepagePool pool{1 * kMiB};
+    tcp::ByteBuffer buf;
+    std::vector<uint32_t> chunk_sizes;
+    std::vector<uint8_t> landed;
+
+    Received() {
+      auto allocator = std::make_shared<tcp::ChunkAllocator>();
+      allocator->alloc = [this](uint32_t size, uint64_t* handle, uint8_t** data,
+                                uint32_t* cap) {
+        const uint64_t off = pool.Alloc(size);
+        if (off == shm::HugepagePool::kInvalidOffset) return false;
+        *handle = off;
+        *data = pool.Data(off);
+        *cap = pool.ChunkCapacity(off);
+        return true;
+      };
+      allocator->free = [this](uint64_t handle) { pool.Free(handle); };
+      buf.SetChunkAllocator(std::move(allocator));
+    }
+    void DetachAll() {
+      tcp::DetachedChunk chunk;
+      while (buf.DetachFront(&chunk)) {
+        chunk_sizes.push_back(chunk.size);
+        landed.insert(landed.end(), pool.Data(chunk.handle),
+                      pool.Data(chunk.handle) + chunk.size);
+        pool.Free(chunk.handle);
+      }
+    }
+  };
+  Received contiguous, sliced;
+  contiguous.buf.Append(bytes.data(), bytes.size());
+  sliced.buf.Append(payload, 0, payload.size());
+  EXPECT_EQ(sliced.pool.allocs(), contiguous.pool.allocs());
+  contiguous.DetachAll();
+  sliced.DetachAll();
+  EXPECT_TRUE(contiguous.buf.empty());
+  EXPECT_TRUE(sliced.buf.empty());
+  EXPECT_EQ(contiguous.chunk_sizes, std::vector<uint32_t>{3 * kSlice});
+  EXPECT_EQ(sliced.chunk_sizes, contiguous.chunk_sizes);
+  EXPECT_EQ(sliced.landed, bytes);
+  EXPECT_EQ(contiguous.landed, bytes);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end over the simulated datapath
 // ---------------------------------------------------------------------------
