@@ -1,5 +1,7 @@
 // Copyright (c) NetKernel reproduction authors.
-// Ablations of NetKernel's own design choices (DESIGN.md §7):
+// Ablations of NetKernel's own design choices. Each sets one knob of
+// Host::Options::ce: the CE batch, or a field of ce.costs, the host's one
+// NetKernel cost table, which CoreEngine, GuestLib and ServiceLib all read.
 //
 //  A. Hugepage copy cost (the paper's planned zerocopy, §7.8): sweep the
 //     per-byte copy cost of the GuestLib/ServiceLib datapath and report
@@ -26,8 +28,7 @@ double SendGbpsWithCopyCost(double copy_per_byte, bool zerocopy_path = false) {
   sim::EventLoop loop;
   netsim::Fabric fabric(&loop);
   core::Host::Options opt;
-  opt.guestlib.costs.hugepage_copy_per_byte = copy_per_byte;
-  opt.servicelib.costs.hugepage_copy_per_byte = copy_per_byte;
+  opt.ce.costs.hugepage_copy_per_byte = copy_per_byte;
   core::Host host_a(&loop, &fabric, "A", opt);
   core::Host host_b(&loop, &fabric, "B");
   core::Nsm* nsm = host_a.CreateNsm("nsm", 1, core::NsmKind::kKernel);
@@ -110,7 +111,7 @@ int main(int argc, char** argv) {
     sim::EventLoop loop;
     netsim::Fabric fabric(&loop);
     core::Host::Options opt;
-    opt.guestlib.costs.guest_poll_period = window;
+    opt.ce.costs.guest_poll_period = window;
     core::Host host_a(&loop, &fabric, "A", opt);
     core::Host host_b(&loop, &fabric, "B");
     core::Nsm* nsm = host_a.CreateNsm("nsm", 1, core::NsmKind::kKernel);

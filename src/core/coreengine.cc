@@ -34,49 +34,47 @@ CoreEngine::CoreEngine(sim::EventLoop* loop, std::vector<sim::CpuCore*> cores,
 }
 
 CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
+  // Every refusal breaks out of the switch to the one kError reply.
+  const auto ok = [](uint32_t data) { return CeMessage{static_cast<uint32_t>(CeOp::kOk), data}; };
   switch (static_cast<CeOp>(req.ce_op)) {
-    case CeOp::kDeregisterVm:
-      DeregisterVmDevice(static_cast<uint8_t>(req.ce_data));
-      return {static_cast<uint32_t>(CeOp::kOk), req.ce_data};
-    case CeOp::kDeregisterNsm:
-      DeregisterNsmDevice(static_cast<uint8_t>(req.ce_data));
-      return {static_cast<uint32_t>(CeOp::kOk), req.ce_data};
+    case CeOp::kDeregisterVm: {
+      uint8_t vm = static_cast<uint8_t>(req.ce_data);
+      if (!vms_[vm]) break;
+      DeregisterVmDevice(vm);
+      return ok(req.ce_data);
+    }
+    case CeOp::kDeregisterNsm: {
+      uint8_t nsm = static_cast<uint8_t>(req.ce_data);
+      if (!HasNsm(nsm)) break;
+      DeregisterNsmDevice(nsm);
+      return ok(req.ce_data);
+    }
     case CeOp::kAssignVmToNsm: {
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t nsm = static_cast<uint8_t>(req.ce_data & 0xff);
-      if (!vms_[vm] || !HasNsm(nsm)) {
-        return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
-      }
+      if (!vms_[vm] || !HasNsm(nsm)) break;
       AssignVmToNsm(vm, nsm);
-      return {static_cast<uint32_t>(CeOp::kOk), req.ce_data};
+      return ok(req.ce_data);
     }
     case CeOp::kAssignQsetToShard: {
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 16);
       uint8_t qs = static_cast<uint8_t>(req.ce_data >> 8);
       int shard = static_cast<int>(req.ce_data & 0xff);
-      if (!AssignQueueSetToShard(vm, qs, shard)) {
-        return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
-      }
-      return {static_cast<uint32_t>(CeOp::kOk), req.ce_data};
+      if (!AssignQueueSetToShard(vm, qs, shard)) break;
+      return ok(req.ce_data);
     }
     case CeOp::kQueryVmStats: {
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t field = static_cast<uint8_t>(req.ce_data & 0xff);
-      if (field >= std::size(kPerVmCounters)) {
-        return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
-      }
+      if (field >= std::size(kPerVmCounters)) break;
       uint64_t v = QueryVmStat(vm, static_cast<VmStatField>(field));
-      uint32_t saturated =
-          v > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(v);
-      return {static_cast<uint32_t>(CeOp::kOk), saturated};
+      return ok(v > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(v));
     }
     case CeOp::kHeartbeat: {
       uint8_t nsm = static_cast<uint8_t>(req.ce_data);
-      if (!HasNsm(nsm)) {
-        return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
-      }
+      if (!HasNsm(nsm)) break;
       RecordNsmHeartbeat(nsm);
-      return {static_cast<uint32_t>(CeOp::kOk), req.ce_data};
+      return ok(req.ce_data);
     }
     case CeOp::kQueryVmStatWide: {
       // Two-word read of the raw 64-bit counter: word 0 returns the low 32
@@ -84,19 +82,17 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 16);
       uint8_t field = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t word = static_cast<uint8_t>(req.ce_data & 0xff);
-      if (field >= std::size(kPerVmCounters) || word > 1) {
-        return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
-      }
+      if (field >= std::size(kPerVmCounters) || word > 1) break;
       uint64_t v = QueryVmStatRaw(vm, static_cast<VmStatField>(field));
-      uint32_t out = word == 0 ? static_cast<uint32_t>(v) : static_cast<uint32_t>(v >> 32);
-      return {static_cast<uint32_t>(CeOp::kOk), out};
+      return ok(word == 0 ? static_cast<uint32_t>(v) : static_cast<uint32_t>(v >> 32));
     }
     // ce_op arrives as a raw uint32 from the guest-facing control channel;
-    // register ops need a device pointer and use the direct API below, and
+    // registration needs a device pointer and uses the direct API below, and
     // malformed values must land on kError, not UB.
     default:
-      return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
+      break;
   }
+  return {static_cast<uint32_t>(CeOp::kError), req.ce_data};
 }
 
 void CoreEngine::RegisterVmDevice(uint8_t vm_id, shm::NkDevice* dev) {

@@ -73,10 +73,10 @@
 
 namespace netkernel::core {
 
-// Control-plane operations (8-byte network messages, paper §5).
+// Control-plane operations (8-byte network messages, paper §5). Registration
+// needs a device pointer, so it has no op: it is CoreEngine's direct API.
 enum class CeOp : uint32_t {
-  kRegisterVm = 1,
-  kRegisterNsm = 2,
+  // ce_data = the VM or NSM id; kError if it is not registered.
   kDeregisterVm = 3,
   kDeregisterNsm = 4,
   kAssignVmToNsm = 5,
@@ -152,6 +152,7 @@ struct CoreEngineConfig {
   // src/guard/nqe_validator.h for the threat model and checks). Enabled by
   // default; the bench harness turns it off for the guard-off column.
   guard::GuardConfig guard;
+  // The host's one cost table: the GuestLibs and ServiceLibs read it too.
   tcp::NetkernelCosts costs;
 };
 
@@ -519,6 +520,7 @@ class CoreEngine {
   size_t DgramTableSize() const;
   size_t ParkedDeliveries() const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
+  const tcp::NetkernelCosts& costs() const { return config_.costs; }
   CoreEngineShard& shard(int i) { return *shards_[static_cast<size_t>(i)]; }
   const CoreEngineShard& shard(int i) const { return *shards_[static_cast<size_t>(i)]; }
   // Shard currently owning a queue set (-1 if unknown).

@@ -14,6 +14,9 @@ using shm::MakeNqe;
 using shm::Nqe;
 using shm::NqeOp;
 
+// The kernel the guest still runs: its syscall and epoll costs are a Baseline guest's.
+constexpr tcp::CostProfile kGuestKernel = tcp::KernelProfile();
+
 GuestLib::GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkDevice* dev,
                    shm::HugepagePool* pool, std::vector<sim::CpuCore*> vcpus, Config config)
     : loop_(loop),
@@ -31,10 +34,6 @@ GuestLib::GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkD
   NK_CHECK(static_cast<int>(vcpus_.size()) == dev->num_queue_sets());
   dev_->SetWakeCallback([this] { OnDeviceWake(); });
 }
-
-GuestLib::GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkDevice* dev,
-                   shm::HugepagePool* pool, std::vector<sim::CpuCore*> vcpus)
-    : GuestLib(loop, vm_id, ce, dev, pool, std::move(vcpus), Config()) {}
 
 GuestLib::GSock* GuestLib::FindByFd(int fd) {
   return fd >= 0 && static_cast<size_t>(fd) < by_fd_.size() ? by_fd_[static_cast<size_t>(fd)]
@@ -139,7 +138,7 @@ void GuestLib::FlushOverflow(int qset) {
 }
 
 sim::Task<int> GuestLib::DoControlOp(sim::CpuCore* core, GSock& g, Nqe nqe) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kGuestKernel.syscall + ce_->costs().guestlib_translate);
   g.op_done = false;
   uint32_t handle = g.handle;
   EnqueueJob(g, nqe);
@@ -196,7 +195,7 @@ sim::Task<int> GuestLib::Listen(sim::CpuCore* core, int fd, int backlog, bool re
 sim::Task<int> GuestLib::Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, uint16_t port) {
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return tcp::kNotConnected;
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kGuestKernel.syscall + ce_->costs().guestlib_translate);
   uint32_t handle = g->handle;
   EnqueueJob(*g, MakeNqe(NqeOp::kConnect, vm_id_, 0, g->handle, shm::PackAddr(ip, port)));
   for (;;) {
@@ -211,7 +210,7 @@ sim::Task<int> GuestLib::Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, 
 }
 
 sim::Task<int> GuestLib::Accept(sim::CpuCore* core, int fd) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kGuestKernel.syscall);
   for (;;) {
     GSock* g = FindByFd(fd);
     if (g == nullptr) co_return tcp::kNotConnected;
@@ -224,7 +223,7 @@ sim::Task<int> GuestLib::Accept(sim::CpuCore* core, int fd) {
       GSock& child = NewSock(core);
       child.connected = true;
       child.connect_done = true;
-      co_await core->Work(config_.costs.guestlib_translate);
+      co_await core->Work(ce_->costs().guestlib_translate);
       EnqueueJob(child, MakeNqe(NqeOp::kAccept, vm_id_, 0, child.handle, nsm_sock));
       co_return child.fd;
     }
@@ -234,7 +233,7 @@ sim::Task<int> GuestLib::Accept(sim::CpuCore* core, int fd) {
 
 sim::Task<int64_t> GuestLib::Sendv(sim::CpuCore* core, int fd, const NkConstIoVec* iov,
                                    int iovcnt) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kGuestKernel.syscall + ce_->costs().guestlib_translate);
   uint64_t total = 0;
   for (int i = 0; i < iovcnt; ++i) total += iov[i].len;
   uint64_t sent = 0;
@@ -271,7 +270,7 @@ sim::Task<int64_t> GuestLib::Sendv(sim::CpuCore* core, int fd, const NkConstIoVe
     // across the iovecs. This is the copy the zero-copy path (AcquireTxBuf +
     // SendBuf) eliminates by having the app fill the chunk in place.
     co_await core->Work(
-        static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * chunk));
+        static_cast<Cycles>(ce_->costs().hugepage_copy_per_byte * chunk));
     g = FindByHandle(handle);
     if (g == nullptr) {
       pool_->Free(off);
@@ -302,7 +301,7 @@ sim::Task<int64_t> GuestLib::Sendv(sim::CpuCore* core, int fd, const NkConstIoVe
 // ---------------------------------------------------------------------------
 
 sim::Task<int> GuestLib::AcquireTxBuf(sim::CpuCore* core, int fd, uint32_t len, NkBuf* out) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kGuestKernel.syscall);
   uint32_t handle;
   {
     GSock* g = FindByFd(fd);
@@ -343,7 +342,7 @@ sim::Task<int> GuestLib::AcquireTxBuf(sim::CpuCore* core, int fd, uint32_t len, 
 }
 
 sim::Task<int64_t> GuestLib::SendBuf(sim::CpuCore* core, int fd, NkBuf buf) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kGuestKernel.syscall + ce_->costs().guestlib_translate);
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return tcp::kNotConnected;  // Close() revoked the loan
   auto it = g->tx_loans.find(buf.handle);
@@ -373,7 +372,7 @@ sim::Task<int64_t> GuestLib::SendBuf(sim::CpuCore* core, int fd, NkBuf buf) {
 }
 
 sim::Task<int64_t> GuestLib::RecvBuf(sim::CpuCore* core, int fd, NkBuf* out) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kGuestKernel.syscall);
   uint32_t handle;
   {
     GSock* g = FindByFd(fd);
@@ -404,7 +403,7 @@ sim::Task<int64_t> GuestLib::RecvBuf(sim::CpuCore* core, int fd, NkBuf* out) {
 }
 
 sim::Task<int> GuestLib::ReleaseBuf(sim::CpuCore* core, int fd, NkBuf buf) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kGuestKernel.syscall);
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return tcp::kNotConnected;  // Close() revoked the loan
   auto rit = g->rx_loans.find(buf.handle);
@@ -457,7 +456,7 @@ sim::Task<int> GuestLib::SocketDgram(sim::CpuCore* core) {
 
 sim::Task<int64_t> GuestLib::SendTo(sim::CpuCore* core, int fd, netsim::IpAddr dst_ip,
                                     uint16_t dst_port, const uint8_t* data, uint64_t len) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kGuestKernel.syscall + ce_->costs().guestlib_translate);
   uint32_t handle;
   {
     GSock* g = FindByFd(fd);
@@ -488,7 +487,7 @@ sim::Task<int64_t> GuestLib::SendTo(sim::CpuCore* core, int fd, netsim::IpAddr d
       continue;
     }
     // Copy payload from userspace into the shared hugepages (§4.5).
-    co_await core->Work(static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * size));
+    co_await core->Work(static_cast<Cycles>(ce_->costs().hugepage_copy_per_byte * size));
     g = FindByHandle(handle);
     if (g == nullptr) {
       pool_->Free(off);
@@ -504,7 +503,7 @@ sim::Task<int64_t> GuestLib::SendTo(sim::CpuCore* core, int fd, netsim::IpAddr d
 
 sim::Task<int64_t> GuestLib::RecvFrom(sim::CpuCore* core, int fd, uint8_t* out, uint64_t max,
                                       netsim::IpAddr* src_ip, uint16_t* src_port) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kGuestKernel.syscall);
   uint32_t handle;
   {
     GSock* g = FindByFd(fd);
@@ -519,7 +518,7 @@ sim::Task<int64_t> GuestLib::RecvFrom(sim::CpuCore* core, int fd, uint8_t* out, 
       g->drx.pop_front();
       g->drx_bytes -= c.size;
       uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(c.size, max));
-      co_await core->Work(static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * n));
+      co_await core->Work(static_cast<Cycles>(ce_->costs().hugepage_copy_per_byte * n));
       if (n > 0 && out != nullptr) std::memcpy(out, pool_->Data(c.ptr), n);
       pool_->Free(c.ptr);
       if (src_ip != nullptr) *src_ip = shm::AddrIp(c.src);
@@ -539,7 +538,7 @@ sim::Task<int64_t> GuestLib::RecvFrom(sim::CpuCore* core, int fd, uint8_t* out, 
 
 sim::Task<int64_t> GuestLib::SendToBuf(sim::CpuCore* core, int fd, netsim::IpAddr dst_ip,
                                        uint16_t dst_port, NkBuf buf) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kGuestKernel.syscall + ce_->costs().guestlib_translate);
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return udp::kBadSocket;  // Close() revoked the loan
   auto it = g->tx_loans.find(buf.handle);
@@ -571,7 +570,7 @@ sim::Task<int64_t> GuestLib::SendToBuf(sim::CpuCore* core, int fd, netsim::IpAdd
 
 sim::Task<int64_t> GuestLib::RecvFromBuf(sim::CpuCore* core, int fd, NkBuf* out,
                                          netsim::IpAddr* src_ip, uint16_t* src_port) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kGuestKernel.syscall);
   uint32_t handle;
   {
     GSock* g = FindByFd(fd);
@@ -603,7 +602,7 @@ sim::Task<int64_t> GuestLib::RecvFromBuf(sim::CpuCore* core, int fd, NkBuf* out,
 
 sim::Task<int64_t> GuestLib::Recvv(sim::CpuCore* core, int fd, const NkIoVec* iov,
                                    int iovcnt) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kGuestKernel.syscall);
   uint64_t total = 0;
   for (int i = 0; i < iovcnt; ++i) total += iov[i].len;
   if (total == 0) co_return 0;  // zero-capacity read never blocks
@@ -620,7 +619,7 @@ sim::Task<int64_t> GuestLib::Recvv(sim::CpuCore* core, int fd, const NkIoVec* io
       uint64_t target = std::min(g->rx_bytes, total);
       // Copy from hugepages to the application buffers (§4.5) — the copy the
       // zero-copy path (RecvBuf/ReleaseBuf) eliminates by loaning the chunk.
-      co_await core->Work(static_cast<Cycles>(config_.costs.hugepage_copy_per_byte * target));
+      co_await core->Work(static_cast<Cycles>(ce_->costs().hugepage_copy_per_byte * target));
       g = FindByHandle(handle);
       if (g == nullptr) co_return 0;
       target = std::min(target, g->rx_bytes);  // consumed concurrently?
@@ -661,7 +660,7 @@ sim::Task<int64_t> GuestLib::Recvv(sim::CpuCore* core, int fd, const NkIoVec* io
 }
 
 sim::Task<int> GuestLib::Close(sim::CpuCore* core, int fd) {
-  co_await core->Work(config_.syscall + config_.costs.guestlib_translate);
+  co_await core->Work(kGuestKernel.syscall + ce_->costs().guestlib_translate);
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return tcp::kNotConnected;
   // A listening socket may hold accepted-but-unclaimed connections: link each
@@ -695,9 +694,9 @@ sim::Task<int> GuestLib::Close(sim::CpuCore* core, int fd) {
 
 sim::Task<std::vector<EpollEvent>> GuestLib::EpollWait(sim::CpuCore* core, int epfd,
                                                        size_t max_events, SimTime timeout) {
-  co_await core->Work(config_.syscall);
+  co_await core->Work(kGuestKernel.syscall);
   std::vector<EpollEvent> evs = co_await epolls_.Wait(epfd, max_events, timeout);
-  co_await core->Work(config_.epoll_wakeup + config_.epoll_fetch * evs.size());
+  co_await core->Work(kGuestKernel.epoll_wakeup + kGuestKernel.epoll_fetch * evs.size());
   co_return evs;
 }
 
@@ -730,14 +729,14 @@ void GuestLib::ProcessInbound(int qs) {
   // picked up by the poll loop; outside it CoreEngine's wakeup interrupt
   // costs device_wakeup cycles.
   const SimTime now = loop_->Now();
-  Cycles cost = config_.nqe_parse * static_cast<Cycles>(n);
-  if (now >= poll_until_[qs]) cost += config_.costs.device_wakeup;
+  Cycles cost = ce_->costs().nqe_parse * static_cast<Cycles>(n);
+  if (now >= poll_until_[qs]) cost += ce_->costs().device_wakeup;
 
   // drain_scheduled_ keeps this queue set to one batch in flight, so its
   // buffer is free again by the time the next batch is taken.
   batches_[qs].assign(buf, buf + n);
   vcpus_[qs]->Charge(cost, [this, qs] {
-    poll_until_[qs] = loop_->Now() + config_.costs.guest_poll_period;
+    poll_until_[qs] = loop_->Now() + ce_->costs().guest_poll_period;
     for (const Nqe& nqe : batches_[qs]) {
       // T4: completion reached the guest; closes out the traced sample.
       if (tracer_ != nullptr) {

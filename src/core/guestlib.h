@@ -40,13 +40,9 @@ namespace netkernel::core {
 
 class GuestLib : public SocketApi {
  public:
+  // Costs come from CoreEngine::costs(), and the guest kernel's syscall and
+  // epoll costs from tcp::KernelProfile(), as a Baseline guest's.
   struct Config {
-    tcp::NetkernelCosts costs;
-    // Guest syscall/copy costs (the guest still runs a kernel).
-    Cycles syscall = 450;
-    Cycles nqe_parse = 60;   // per inbound NQE
-    Cycles epoll_wakeup = 1500;  // guest-kernel epoll wake (same as Baseline)
-    Cycles epoll_fetch = 250;    // per returned event
     uint64_t sndbuf_bytes = 4 * kMiB;  // per-socket send-credit limit
   };
 
@@ -54,8 +50,6 @@ class GuestLib : public SocketApi {
   // shared with this VM's NSM.
   GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkDevice* dev,
            shm::HugepagePool* pool, std::vector<sim::CpuCore*> vcpus, Config config);
-  GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkDevice* dev,
-           shm::HugepagePool* pool, std::vector<sim::CpuCore*> vcpus);
 
   // Shared-memory receive-credit channel: ServiceLib observes freed chunks.
   void SetRecvCreditCallback(std::function<void(uint32_t vm_sock, uint32_t bytes)> cb) {

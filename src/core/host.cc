@@ -65,8 +65,6 @@ Nsm* Host::CreateNsm(const std::string& name, int vcpus, NsmKind kind,
     if (kind == NsmKind::kMtcp) {
       stack_config.profile = tcp::MtcpProfile();
       stack_config.per_core_tables = true;
-    } else if (stack_config.profile.syscall == 0) {
-      stack_config.profile = tcp::KernelProfile();
     }
     netsim::HostPort port = fabric_->AddHost(name + ".vnic", fabric_->AllocIp(), options_.port);
     nsm->vnic_ = port.nic;
@@ -152,7 +150,6 @@ Vm* Host::CreateBaselineVm(const std::string& name, int vcpus,
   std::vector<sim::CpuCore*> core_ptrs;
   for (auto& c : vm->cores_) core_ptrs.push_back(c.get());
   stack_config.name = name + ".stack";
-  if (stack_config.profile.syscall == 0) stack_config.profile = tcp::KernelProfile();
   udp::UdpStackConfig udp_config;
   udp_config.name = name + ".udp";
   udp_config.profile = stack_config.profile;
@@ -316,12 +313,9 @@ void Host::AttachVm(Vm* vm, Nsm* nsm, netsim::IpAddr ip) {
 
 void Host::SetStandbyNsm(Nsm* nsm) { standby_ = nsm; }
 
-void Host::StartFailoverController(FailoverConfig config) {
-  NK_CHECK(config.heartbeat_period > 0 && config.check_period > 0);
-  NK_CHECK(config.miss_threshold >= 1);
-  failover_config_ = config;
+void Host::StartFailoverController() {
   failover_running_ = true;
-  for (auto& nsm : nsms_) nsm->slib_->StartHeartbeat(config.heartbeat_period);
+  for (auto& nsm : nsms_) nsm->slib_->StartHeartbeat(kHeartbeatPeriod);
   failover_timer_.Cancel();
   ScheduleFailoverCheck();
 }
@@ -334,7 +328,7 @@ void Host::StopFailoverController() {
 
 void Host::ScheduleFailoverCheck() {
   if (!failover_running_) return;
-  failover_timer_ = loop_->ScheduleAfter(failover_config_.check_period, [this] {
+  failover_timer_ = loop_->ScheduleAfter(kFailoverCheckPeriod, [this] {
     RunFailoverCheck();
     ScheduleFailoverCheck();
   });
@@ -342,7 +336,7 @@ void Host::ScheduleFailoverCheck() {
 
 void Host::RunFailoverCheck() {
   const SimTime now = loop_->Now();
-  const SimTime window = failover_config_.heartbeat_period + failover_config_.grace;
+  const SimTime window = kHeartbeatPeriod + kHeartbeatGrace;
   for (auto& owned : nsms_) {
     Nsm* nsm = owned.get();
     if (nsm == standby_) continue;  // the spare idles by design
@@ -356,7 +350,7 @@ void Host::RunFailoverCheck() {
     ++failover_stats_.heartbeat_misses;
     failover_recorder_->Record(obs::FlightEventType::kHeartbeatMiss, 0, 0, 0, 0,
                                static_cast<uint64_t>(misses));
-    if (misses < failover_config_.miss_threshold) continue;
+    if (misses < kMissThreshold) continue;
     const uint64_t backlog = ce_->NsmBacklog(nsm->id());
     if (backlog > 0) {
       // Silent but with unconsumed ring backlog: the process is wedged

@@ -152,9 +152,9 @@ class Host {
  public:
   struct Options {
     netsim::Link::Config port;  // per-vNIC/pNIC link parameters
+    // ce.costs is the host's one cost table (the ablation knobs): CoreEngine
+    // and every GuestLib and ServiceLib this host creates read it.
     CoreEngineConfig ce;
-    // NetKernel-plumbing cost overrides (ablation knobs): applied to every
-    // GuestLib / ServiceLib this host creates.
     GuestLib::Config guestlib;
     ServiceLib::Config servicelib;
   };
@@ -170,7 +170,7 @@ class Host {
   netsim::Fabric* fabric() { return fabric_; }
 
   // Creates an NSM with `vcpus` cores. `stack_config` tunes the NSM's stack
-  // (profile/cc are overridden to match `kind` unless pre-set).
+  // (an mTCP NSM sets its profile and per-core tables, a FairShare NSM ECN).
   Nsm* CreateNsm(const std::string& name, int vcpus, NsmKind kind,
                  tcp::TcpStackConfig stack_config = {});
 
@@ -186,12 +186,10 @@ class Host {
   void SwitchNsm(Vm* vm, Nsm* nsm);
 
   // ---- NSM failover & rolling live upgrade ----
-  struct FailoverConfig {
-    SimTime heartbeat_period = 20 * kMicrosecond;  // NSM liveness beacon interval
-    SimTime check_period = 25 * kMicrosecond;      // controller poll interval
-    SimTime grace = 50 * kMicrosecond;             // slack past one beacon period
-    int miss_threshold = 3;  // consecutive silent checks before failover
-  };
+  static constexpr SimTime kHeartbeatPeriod = 20 * kMicrosecond;  // NSM liveness beacon
+  static constexpr SimTime kFailoverCheckPeriod = 25 * kMicrosecond;  // controller poll
+  static constexpr SimTime kHeartbeatGrace = 50 * kMicrosecond;  // slack past one beacon
+  static constexpr int kMissThreshold = 3;  // consecutive silent checks before failover
   // Controller counters, exported as ce.<name> (failover acts on the switch).
   struct FailoverStats {
     uint64_t nsm_failovers = 0;       // NSMs drained and replaced
@@ -221,13 +219,12 @@ class Host {
   void SetStandbyNsm(Nsm* nsm);
   Nsm* standby_nsm() { return standby_; }
 
-  // Starts heartbeats on every NSM and polls their health every
-  // check_period: an NSM silent (no beacon, no doorbell) for longer than
-  // heartbeat_period + grace accrues a miss; miss_threshold consecutive
-  // misses trigger FailoverNsm. Silent-with-backlog is flagged as wedged
-  // (stalled process) before the failover.
-  void StartFailoverController(FailoverConfig config);
-  void StartFailoverController() { StartFailoverController(FailoverConfig()); }
+  // Starts heartbeats (every kHeartbeatPeriod) on every NSM and polls their
+  // health every kFailoverCheckPeriod: an NSM silent (no beacon, no doorbell)
+  // for longer than kHeartbeatPeriod + kHeartbeatGrace accrues a miss;
+  // kMissThreshold consecutive misses trigger FailoverNsm. Silent-with-backlog
+  // is flagged as wedged (stalled process) before the failover.
+  void StartFailoverController();
   void StopFailoverController();
 
   // Drain-and-replace of `sick` onto the registered standby — the rolling
@@ -314,7 +311,6 @@ class Host {
   // Failover controller state.
   Nsm* standby_ = nullptr;
   bool failover_running_ = false;
-  FailoverConfig failover_config_;
   FailoverStats failover_stats_;
   obs::Histogram blackout_us_;
   sim::EventHandle failover_timer_;

@@ -209,7 +209,7 @@ void ServiceLib::ProcessQueueSet(int qs) {
   // buffer is free again by the time the next batch is taken.
   batches_[qs].assign(buf, buf + n);
   sim::CpuCore* core = cores_[static_cast<size_t>(qs) % cores_.size()];
-  Cycles cost = config_.costs.servicelib_translate * static_cast<Cycles>(n);
+  Cycles cost = ce_->costs().servicelib_translate * static_cast<Cycles>(n);
   core->Charge(cost, [this, qs, core] {
     for (Nqe& nqe : batches_[qs]) {
       if (shutdown_) {

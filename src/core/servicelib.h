@@ -38,8 +38,8 @@ namespace netkernel::core {
 
 class ServiceLib {
  public:
+  // Costs come from CoreEngine::costs().
   struct Config {
-    tcp::NetkernelCosts costs;
     // Per-connection cap on bytes shipped to the VM but not yet consumed.
     uint64_t rx_outstanding_cap = 1 * kMiB;
     // RX zero-copy (stack-backed NSMs): land inbound payload directly in the

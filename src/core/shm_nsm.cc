@@ -209,7 +209,7 @@ void ServiceLib::PoolCopyTransport::PumpCopy(uint64_t src_ep_id) {
   src->copy_pending = true;
 
   sim::CpuCore* core = slib_->cores_[src->ep_id % slib_->cores_.size()];
-  Cycles copy = static_cast<Cycles>(config.costs.hugepage_copy_per_byte * chunk.size);
+  Cycles copy = static_cast<Cycles>(slib_->ce_->costs().hugepage_copy_per_byte * chunk.size);
   core->Charge(copy, [this, src_ep_id, chunk, doff, spool, dpool] {
     Endpoint* src2 = FindByEp(src_ep_id);
     if (src2 == nullptr) {

@@ -284,7 +284,7 @@ void ServiceLib::StackTransport::DoSend(const Nqe& nqe, StackConn& c) {
   // The copy from hugepages into the stack's socket buffer happens on the
   // connection's stack core (this is the overhead Table 6 quantifies; the
   // zero-copy kSendZc path removes it).
-  Cycles copy = static_cast<Cycles>(slib_->config_.costs.hugepage_copy_per_byte * size);
+  Cycles copy = static_cast<Cycles>(slib_->ce_->costs().hugepage_copy_per_byte * size);
   ++c.sends_in_flight;
   stack_->ChargeOnSocketCore(sid, copy, [this, sid, ptr, size, pool] {
     StackConn* c2 = FindBySid(sid);
@@ -466,7 +466,7 @@ void ServiceLib::StackTransport::ShipRecv(tcp::SocketId sid) {
     uint64_t off = pool->Alloc(chunk);
     if (off == shm::HugepagePool::kInvalidOffset) return;  // resumes on credit
     c->ship_pending = true;
-    Cycles copy = static_cast<Cycles>(config.costs.hugepage_copy_per_byte * chunk);
+    Cycles copy = static_cast<Cycles>(slib_->ce_->costs().hugepage_copy_per_byte * chunk);
     stack_->ChargeOnSocketCore(sid, copy, [this, sid, off, chunk, pool] {
       StackConn* c2 = FindBySid(sid);
       if (c2 == nullptr) {
@@ -602,7 +602,7 @@ void ServiceLib::StackTransport::SendTo(const Nqe& nqe, Conn& c) {
   // Copy from hugepages into the stack on the socket's core (Table 6's
   // overhead), then transmit. UDP never parks data: the credit returns as
   // soon as the datagram is handed to the stack.
-  Cycles copy = static_cast<Cycles>(slib_->config_.costs.hugepage_copy_per_byte * size);
+  Cycles copy = static_cast<Cycles>(slib_->ce_->costs().hugepage_copy_per_byte * size);
   udp_stack_->ChargeOnSocketCore(usid, copy, [this, usid, ptr, size, dst, pool] {
     StackConn* c2 = FindByUsid(usid);
     if (c2 == nullptr) {
@@ -677,7 +677,7 @@ void ServiceLib::StackTransport::ShipDgrams(udp::SocketId usid) {
     return;
   }
   c->ship_pending = true;
-  Cycles copy = static_cast<Cycles>(config.costs.hugepage_copy_per_byte * next);
+  Cycles copy = static_cast<Cycles>(slib_->ce_->costs().hugepage_copy_per_byte * next);
   udp_stack_->ChargeOnSocketCore(usid, copy, [this, usid, off, next, pool] {
     StackConn* c2 = FindByUsid(usid);
     if (c2 == nullptr) {

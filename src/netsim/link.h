@@ -25,15 +25,16 @@ class Link {
     SimTime propagation_delay = 2 * kMicrosecond;
     uint64_t queue_limit_bytes = 16 * kMiB;  // drop-tail beyond this backlog
     uint64_t ecn_threshold_bytes = 0;        // 0 = ECN disabled
-    // RED-style early drop: above this fraction of the queue limit, packets
-    // are dropped with a probability ramping quadratically to max_early_drop.
-    // Real switches drop individual MTU packets; our TSO-chunk packets make
-    // pure drop-tail too coarse (whole 64KB bursts vanish), which causes
-    // flow-capture artifacts. Randomized early drop restores per-flow
-    // desynchronization. Set early_drop_fraction >= 1.0 to disable.
-    double early_drop_fraction = 0.8;
-    double max_early_drop = 0.25;
   };
+
+  // RED-style early drop: above this fraction of the queue limit, packets
+  // are dropped with a probability ramping quadratically to kMaxEarlyDrop.
+  // Real switches drop individual MTU packets; our TSO-chunk packets make
+  // pure drop-tail too coarse (whole 64KB bursts vanish), which causes
+  // flow-capture artifacts. Randomized early drop restores per-flow
+  // desynchronization.
+  static constexpr double kEarlyDropFraction = 0.8;
+  static constexpr double kMaxEarlyDrop = 0.25;
 
   using DeliverFn = std::function<void(Packet)>;
 
@@ -71,12 +72,12 @@ class Link {
         backlog_bytes >= config_.ecn_threshold_bytes) {
       pkt.ce_marked = true;
       ++ce_marks_;
-    } else if (config_.early_drop_fraction < 1.0) {
+    } else {
       double frac = static_cast<double>(backlog_bytes) /
                     static_cast<double>(config_.queue_limit_bytes);
-      if (frac > config_.early_drop_fraction) {
-        double x = (frac - config_.early_drop_fraction) / (1.0 - config_.early_drop_fraction);
-        if (rng_.NextBool(x * x * config_.max_early_drop)) {
+      if (frac > kEarlyDropFraction) {
+        double x = (frac - kEarlyDropFraction) / (1.0 - kEarlyDropFraction);
+        if (rng_.NextBool(x * x * kMaxEarlyDrop)) {
           ++drops_;
           dropped_bytes_ += pkt.wire_bytes;
           return;

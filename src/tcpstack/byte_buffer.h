@@ -32,13 +32,14 @@
 //
 // The receive-side zero-copy datapath adds a third flavor: a pluggable
 // ChunkAllocator (the NSM installs one backed by the VM's hugepage pool) makes
-// Append land incoming bytes directly into allocator-owned chunks. Successive
+// Append land incoming bytes directly into allocator-owned chunks, which the
+// buffer frees through that allocator when it is done with them. Successive
 // appends tail-pack into the open chunk, and one Append of a segment's
 // slices is one copy into the same chunks a contiguous Append of its bytes
 // would fill. The front chunk can then be *detached* — ownership (the
 // allocator handle) transfers to the caller without copying and without
-// firing the free callback, which is how ServiceLib ships a received chunk
-// to the guest as-is. When the allocator is exhausted, Append copies the
+// being freed, which is how ServiceLib ships a received chunk to the guest
+// as-is. When the allocator is exhausted, Append copies the
 // rest into blocks, which the consumer ships with a copy.
 
 #ifndef SRC_TCPSTACK_BYTE_BUFFER_H_
@@ -207,7 +208,7 @@ struct ChunkAllocator {
 };
 
 // An allocator-backed chunk detached from the front of a ByteBuffer: the
-// caller now owns `handle` (the free callback will NOT fire).
+// caller now owns `handle` (the buffer will NOT free it).
 struct DetachedChunk {
   uint64_t handle = 0;
   uint32_t size = 0;  // valid bytes
@@ -224,8 +225,11 @@ class ByteBuffer {
   bool empty() const { return size_ == 0; }
 
   // Installs (or clears) the allocator future Append calls draw chunks from.
-  // Typically set once, right after socket creation, before data arrives.
+  // Typically set once, right after socket creation, before data arrives; it
+  // may change only while no chunk of the old one is live.
   void SetChunkAllocator(std::shared_ptr<ChunkAllocator> allocator) {
+    auto live = [](const Chunk& c) { return c.allocator != nullptr; };
+    NK_CHECK(allocator == allocator_ || std::none_of(chunks_.begin(), chunks_.end(), live));
     allocator_ = std::move(allocator);
   }
   bool has_chunk_allocator() const { return allocator_ != nullptr; }
@@ -286,12 +290,12 @@ class ByteBuffer {
   // True when the front chunk is allocator-backed and no byte of it has been
   // consumed — i.e. it can be handed off whole, by reference.
   bool FrontDetachable() const {
-    return head_offset_ == 0 && !chunks_.empty() && chunks_.front().pooled;
+    return head_offset_ == 0 && !chunks_.empty() && chunks_.front().allocator != nullptr;
   }
 
   // Transfers ownership of the front chunk's allocator handle to the caller:
-  // the bytes leave the buffer without a copy and the chunk's free callback
-  // is disarmed (the caller frees the handle when done). Fails when the front
+  // the bytes leave the buffer without a copy and the buffer no longer frees
+  // the handle (the caller frees it when done). Fails when the front
   // chunk is heap-backed or partially consumed — ship those with a copy.
   bool DetachFront(DetachedChunk* out) {
     if (!FrontDetachable()) return false;
@@ -300,7 +304,7 @@ class ByteBuffer {
     size_ -= c.size;
     out->handle = c.handle;
     out->size = static_cast<uint32_t>(c.size);
-    c.on_free = nullptr;  // ownership moved: Release() must not free it
+    c.allocator = nullptr;  // ownership moved: Release() must not free it
     return true;
   }
 
@@ -333,7 +337,7 @@ class ByteBuffer {
   }
 
   // Removes `n` bytes from the front. Chunks fully passed fire their free
-  // callbacks and let go of their blocks.
+  // callbacks, return their allocator chunks and let go of their blocks.
   void Drop(uint64_t n) {
     NK_CHECK(n <= size_);
     size_ -= n;
@@ -370,11 +374,12 @@ class ByteBuffer {
     uint64_t size = 0;
     BlockRef block;  // set for a slice of a shared block
     bool fills_block = false;  // this chunk made `block` and appends to it
-    // Set for an external or allocator-backed chunk.
+    // Set for an external chunk.
     std::function<void()> on_free;
-    // Allocator-backed chunk state: handle for detach/free, writable pointer
-    // and capacity for tail-packing later appends.
-    bool pooled = false;
+    // Allocator-backed chunk state: the buffer's allocator, which frees the
+    // handle (null once detached), and writable pointer and capacity for
+    // tail-packing later appends.
+    ChunkAllocator* allocator = nullptr;
     uint64_t handle = 0;
     uint8_t* wdata = nullptr;
     uint32_t cap = 0;
@@ -397,7 +402,7 @@ class ByteBuffer {
         block = std::move(o.block);
         fills_block = std::exchange(o.fills_block, false);
         on_free = std::exchange(o.on_free, nullptr);
-        pooled = std::exchange(o.pooled, false);
+        allocator = std::exchange(o.allocator, nullptr);
         handle = std::exchange(o.handle, 0);
         wdata = std::exchange(o.wdata, nullptr);
         cap = std::exchange(o.cap, 0);
@@ -410,6 +415,7 @@ class ByteBuffer {
 
     void Release() {
       if (on_free) std::exchange(on_free, nullptr)();
+      if (allocator != nullptr) std::exchange(allocator, nullptr)->free(handle);
     }
   };
 
@@ -468,7 +474,7 @@ class ByteBuffer {
     uint64_t off = 0;
     if (!chunks_.empty()) {
       Chunk& tail = chunks_.back();
-      if (tail.pooled && tail.size < tail.cap) {
+      if (tail.allocator != nullptr && tail.size < tail.cap) {
         uint64_t take = std::min<uint64_t>(n, tail.cap - tail.size);
         copy(0, take, tail.wdata + tail.size);
         tail.size += take;
@@ -492,13 +498,12 @@ class ByteBuffer {
       uint64_t take = std::min<uint64_t>(n - off, cap);
       copy(off, take, wdata);
       Chunk c;
-      c.pooled = true;
+      c.allocator = allocator_.get();
       c.handle = handle;
       c.wdata = wdata;
       c.data = wdata;
       c.cap = cap;
       c.size = take;
-      c.on_free = [allocator = allocator_, handle] { allocator->free(handle); };
       chunks_.push_back(std::move(c));
       size_ += take;
       off += take;

@@ -60,12 +60,16 @@ struct CostProfile {
   SimTime tx_completion_delay = 25 * kMicrosecond;
 };
 
+// NIC-ring overflow model (TcpStack and UdpStack): an arriving packet is
+// dropped when its owning core is backlogged beyond this horizon.
+inline constexpr SimTime kRxBacklogCap = 3 * kMillisecond;
+
 // Linux kernel TCP stack (guest kernel in Baseline; kernel-stack NSM in
 // NetKernel). Calibration anchors:
 //   ~55 Gbps 1-core 8-stream send (Fig 15), ~31 Gbps single stream (Fig 13),
 //   ~14 Gbps 1-core receive (Fig 14), ~70 K RPS/core and 5.7x at 8 cores
 //   (Fig 17/20), 100 G send with 3 cores (Fig 18).
-inline CostProfile KernelProfile() {
+constexpr CostProfile KernelProfile() {
   CostProfile p;
   p.syscall = 450;
   p.copy_per_byte = 0.05;
@@ -131,10 +135,13 @@ inline CostProfile SinkProfile() {
 
 // NetKernel-plumbing costs (GuestLib / CoreEngine / ServiceLib), independent
 // of which stack runs in the NSM. Anchors: Fig 11 (NQE switching rate vs
-// batch), Fig 12 (hugepage copy path), Table 6/7 CPU overheads.
+// batch), Fig 12 (hugepage copy path), Table 6/7 CPU overheads. A host has
+// one table, CoreEngineConfig::costs, that all three read.
 struct NetkernelCosts {
   // GuestLib: translate one socket call into an NQE and enqueue it.
   Cycles guestlib_translate = 100;
+  // GuestLib: parse one inbound (completion or receive) NQE.
+  Cycles nqe_parse = 60;
   // ServiceLib: parse one NQE and invoke the stack API.
   Cycles servicelib_translate = 120;
   // Hugepage copy, cycles/byte (userspace <-> hugepage, hugepage <-> stack).
@@ -155,7 +162,6 @@ struct NetkernelCosts {
   Cycles ce_guard_check = 1;
   // GuestLib NK device interrupt-driven polling (paper §4.6).
   SimTime guest_poll_period = 20 * kMicrosecond;  // poll before sleeping
-  SimTime guest_poll_interval = 1 * kMicrosecond;
   // Cost to deliver a wakeup interrupt to a sleeping NK device.
   Cycles device_wakeup = 700;
 

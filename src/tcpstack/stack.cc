@@ -13,7 +13,11 @@ namespace netkernel::tcp {
 namespace {
 
 constexpr int kMaxSynRetries = 6;
+constexpr SimTime kMinRto = 5 * kMillisecond;
 constexpr SimTime kMaxRto = 2 * kSecond;
+constexpr size_t kRxBatch = 64;  // packets one softirq round takes off the NIC
+constexpr BitRate kNicRateHint = 100 * kGbps;  // times TX completions (TSQ release)
+constexpr uint64_t kIssSeed = 1;  // seeds the initial sequence numbers
 
 uint64_t SymmetricFlowHash(const FourTuple& t) {
   uint64_t a = (static_cast<uint64_t>(t.local_ip) << 16) ^ t.local_port;
@@ -38,10 +42,10 @@ TcpStack::TcpStack(sim::EventLoop* loop, netsim::Nic* nic, std::vector<sim::CpuC
       nic_(nic),
       cores_(std::move(cores)),
       config_(std::move(config)),
-      rng_(config_.seed),
+      rng_(kIssSeed),
       table_lock_(loop),
       socks_(1),  // SocketId 0 is kInvalidSocket
-      rx_pkts_(static_cast<size_t>(config_.rx_batch)),
+      rx_pkts_(kRxBatch),
       rx_batches_(cores_.size()) {
   NK_CHECK(!cores_.empty());
   if (!config_.cc_factory) {
@@ -81,7 +85,7 @@ SocketId TcpStack::CreateSocket() {
   sock->sndbuf_limit = config_.sndbuf_bytes;
   sock->rcvbuf_limit = config_.rcvbuf_bytes;
   sock->cc = config_.cc_factory();
-  sock->rto = config_.min_rto;
+  sock->rto = kMinRto;
   socks_.push_back(std::move(sock));
   return id;
 }
@@ -467,7 +471,7 @@ void TcpStack::PumpTx(SocketId id) {
         // TSQ: hold the socket's qdisc occupancy until the (coalesced) TX
         // completion fires.
         s3->tsq_outstanding += len;
-        SimTime completion = TransmitTime(WireBytes(len), config_.nic_rate_hint) +
+        SimTime completion = TransmitTime(WireBytes(len), kNicRateHint) +
                              config_.profile.tx_completion_delay;
         loop_->ScheduleAfter(completion, [this, id, len] {
           Sock* s4 = Find(id);
@@ -518,7 +522,7 @@ void TcpStack::UpdateRtt(Sock& s, SimTime rtt) {
     s.rttvar = (3 * s.rttvar + err) / 4;
     s.srtt = (7 * s.srtt + rtt) / 8;
   }
-  s.rto = std::max(config_.min_rto, s.srtt + 4 * s.rttvar);
+  s.rto = std::max(kMinRto, s.srtt + 4 * s.rttvar);
   if (s.rto > kMaxRto) s.rto = kMaxRto;
 }
 
@@ -626,7 +630,7 @@ void TcpStack::DrainRx() {
     if (!seg) continue;
     int cidx = static_cast<int>(pkt.flow_hash % cores_.size());
     // NIC-ring overflow: the owning core is hopelessly backlogged.
-    if (cores_[cidx]->IdleAt() - now > config_.rx_backlog_cap) {
+    if (cores_[cidx]->IdleAt() - now > kRxBacklogCap) {
       ++stats_.rx_ring_drops;
       continue;
     }
@@ -711,9 +715,12 @@ void TcpStack::HandleSegment(const Segment& seg, bool ce_marked) {
         s->peer_rwnd = seg.rwnd;
         s->dupacks = 0;
         CancelRto(*s);
+        const SocketId id = s->id;
         EstablishChild(*s);
+        // EstablishChild aborts (and frees) a child whose listener is gone.
+        s = Find(id);
         // Fall through to data handling if the ACK carried payload.
-        if (!seg.payload.empty()) HandleEstablishedData(*s, seg, ce_marked);
+        if (s != nullptr && !seg.payload.empty()) HandleEstablishedData(*s, seg, ce_marked);
       }
       return;
     }

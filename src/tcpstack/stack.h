@@ -63,15 +63,7 @@ struct TcpStackConfig {
   uint64_t sndbuf_bytes = 4 * kMiB;
   uint64_t rcvbuf_bytes = 1 * kMiB;
   bool ecn = false;  // send ECN-capable packets (DCTCP)
-  int rx_batch = 64;
-  SimTime min_rto = 5 * kMillisecond;
   SimTime time_wait = 0;  // 2MSL hold; 0 frees immediately (sim default)
-  // NIC-ring overflow model: drop arriving packets when the owning core is
-  // backlogged beyond this horizon.
-  SimTime rx_backlog_cap = 3 * kMillisecond;
-  // NIC line rate hint used to model TX-completion timing (TSQ release).
-  BitRate nic_rate_hint = 100 * kGbps;
-  uint64_t seed = 1;
 };
 
 // Exported as nsm<id>.tcp.<name>.

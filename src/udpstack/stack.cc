@@ -263,7 +263,7 @@ void UdpStack::OnPacket(netsim::Packet pkt) {
   sim::CpuCore* core = cores_[static_cast<size_t>(s->core_idx)];
   const SimTime now = loop_->Now();
   // NIC-ring overflow: the owning core is hopelessly backlogged.
-  if (core->IdleAt() - now > config_.rx_backlog_cap) {
+  if (core->IdleAt() - now > tcp::kRxBacklogCap) {
     ++stats_.rx_ring_drops;
     return;
   }

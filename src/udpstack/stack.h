@@ -51,9 +51,6 @@ struct UdpStackConfig {
   // Per-socket receive queue cap in bytes; datagrams arriving beyond it are
   // dropped (SO_RCVBUF semantics).
   uint64_t rcvbuf_bytes = 256 * kKiB;
-  // NIC-ring overflow model: drop arriving datagrams when the owning core is
-  // backlogged beyond this horizon (same model as TcpStackConfig).
-  SimTime rx_backlog_cap = 3 * kMillisecond;
 };
 
 // Exported as nsm<id>.udp.<name>.
@@ -66,7 +63,7 @@ struct UdpStackStats {
   uint64_t fragments_received = 0;
   uint64_t rx_queue_drops = 0;   // per-socket receive-queue overflow
   uint64_t no_socket_drops = 0;  // no bound socket for the destination
-  uint64_t rx_ring_drops = 0;    // owning core backlogged past rx_backlog_cap
+  uint64_t rx_ring_drops = 0;    // owning core backlogged past tcp::kRxBacklogCap
   uint64_t zc_sends = 0;         // SendToZc datagrams (TX straight from chunk)
   uint64_t rx_zc_landed = 0;     // datagrams landed in allocator chunks
   uint64_t rx_pool_fallbacks = 0;  // allocator dry: datagram held as heap copy

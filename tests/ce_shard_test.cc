@@ -91,6 +91,41 @@ TEST(CeShardTest, PlacementHashAndExplicitOverride) {
   EXPECT_FALSE(h.ce_->AssignQueueSetToShard(1, 0, 7));
 }
 
+TEST(CeShardTest, DeregisterOpsOverTheControlChannel) {
+  ShardHarness h(1, CoreEngineConfig{});
+  NkDevice vm_dev("vm", 1);
+  NkDevice nsm_dev("nsm", 1);
+  h.ce_->RegisterVmDevice(1, &vm_dev);
+  h.ce_->RegisterNsmDevice(2, &nsm_dev);
+  auto op = [&](uint32_t ce_op, uint32_t ce_data) {
+    return h.ce_->HandleControlMessage({ce_op, ce_data}).ce_op;
+  };
+  const auto ok = static_cast<uint32_t>(CeOp::kOk);
+  const auto error = static_cast<uint32_t>(CeOp::kError);
+  const auto dereg_vm = static_cast<uint32_t>(CeOp::kDeregisterVm);
+  const auto dereg_nsm = static_cast<uint32_t>(CeOp::kDeregisterNsm);
+
+  // Registration needs a device pointer, so no op byte registers: 1 and 2
+  // answer kError.
+  EXPECT_EQ(op(1, 3), error);
+  EXPECT_EQ(op(2, 3), error);
+  EXPECT_FALSE(h.ce_->HasNsm(3));
+
+  // Ids that are not registered are refused.
+  EXPECT_EQ(op(dereg_vm, 9), error);
+  EXPECT_EQ(op(dereg_nsm, 9), error);
+  EXPECT_EQ(op(dereg_vm, 2), error);  // an NSM's id is not a VM's
+  EXPECT_EQ(op(dereg_nsm, 1), error);
+
+  // Registered ids deregister once.
+  EXPECT_EQ(op(dereg_vm, 1), ok);
+  EXPECT_EQ(h.ce_->ShardOfVmQset(1, 0), -1);
+  EXPECT_EQ(op(dereg_vm, 1), error);
+  EXPECT_EQ(op(dereg_nsm, 2), ok);
+  EXPECT_FALSE(h.ce_->HasNsm(2));
+  EXPECT_EQ(op(dereg_nsm, 2), error);
+}
+
 // ---------------------------------------------------------------------------
 // Conservation + ordering across a work-stealing migration.
 // ---------------------------------------------------------------------------

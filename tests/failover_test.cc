@@ -148,15 +148,14 @@ sim::Task<void> DgramPinger(Vm* vm, netsim::IpAddr dst, uint16_t port, int count
 
 TEST(Failover, HeartbeatsReachCoreEngineAndHealthyNsmIsNeverFlagged) {
   Topo t;
-  Host::FailoverConfig cfg;
-  t.host_a.StartFailoverController(cfg);
+  t.host_a.StartFailoverController();
   t.loop.Run(t.loop.Now() + 5 * kMillisecond);
 
   EXPECT_GT(t.host_a.ce().NsmHeartbeats(t.nsm->id()), 100u);
   EXPECT_GT(t.nsm->servicelib()->heartbeats_sent(), 100u);
   // Liveness stamp is fresh: within one beacon period of "now".
   EXPECT_GE(t.host_a.ce().NsmLastActivity(t.nsm->id()),
-            t.loop.Now() - 2 * cfg.heartbeat_period);
+            t.loop.Now() - 2 * Host::kHeartbeatPeriod);
   // A healthy, heartbeating NSM never accrues misses or failovers.
   EXPECT_EQ(t.host_a.failover_stats().heartbeat_misses, 0u);
   EXPECT_EQ(t.host_a.failover_stats().nsm_failovers, 0u);
@@ -300,8 +299,7 @@ TEST(Failover, ControllerDetectsWedgedNsmAndFailsOver) {
 
   Nsm* spare = t.host_a.CreateNsm("spare", 2, NsmKind::kKernel);
   t.host_a.SetStandbyNsm(spare);
-  Host::FailoverConfig cfg;
-  t.host_a.StartFailoverController(cfg);
+  t.host_a.StartFailoverController();
   t.loop.Run(t.loop.Now() + 5 * kMillisecond);
   EXPECT_EQ(t.host_a.failover_stats().nsm_failovers, 0u);
 
@@ -313,13 +311,13 @@ TEST(Failover, ControllerDetectsWedgedNsmAndFailsOver) {
   const Host::FailoverStats& fs = t.host_a.failover_stats();
   EXPECT_EQ(fs.nsm_failovers, 1u);
   EXPECT_EQ(fs.wedged_detections, 1u) << "silent NSM with backlog must be flagged wedged";
-  EXPECT_GE(fs.heartbeat_misses, static_cast<uint64_t>(cfg.miss_threshold));
+  EXPECT_GE(fs.heartbeat_misses, static_cast<uint64_t>(Host::kMissThreshold));
   EXPECT_EQ(t.nk->nsm(), spare);
   // Detection latency: at least the liveness window, well under a blackout
   // users would notice.
   EXPECT_EQ(t.host_a.blackout_histogram().Count(), 1u);
   EXPECT_GE(t.host_a.blackout_histogram().MaxValue(),
-            (cfg.heartbeat_period + cfg.grace) / kMicrosecond);
+            (Host::kHeartbeatPeriod + Host::kHeartbeatGrace) / kMicrosecond);
   EXPECT_LT(t.host_a.blackout_histogram().MaxValue(), 1000u);
   (void)wedged_at;
 
@@ -339,7 +337,7 @@ TEST(Failover, ControllerDetectsWedgedNsmAndFailsOver) {
 
 TEST(Failover, ShmNsmHeartbeatsReachCoreEngine) {
   ShmTopo t;
-  t.host.StartFailoverController(Host::FailoverConfig());
+  t.host.StartFailoverController();
   t.loop.Run(t.loop.Now() + 5 * kMillisecond);
   t.host.StopFailoverController();
 
@@ -376,8 +374,7 @@ TEST(Failover, ControllerFailsAWedgedShmNsmOverOntoAShmStandby) {
 
   Nsm* spare = t.host.CreateNsm("spare", 2, NsmKind::kShm);
   t.host.SetStandbyNsm(spare);
-  Host::FailoverConfig cfg;
-  t.host.StartFailoverController(cfg);
+  t.host.StartFailoverController();
   t.loop.Run(t.loop.Now() + 5 * kMillisecond);
   EXPECT_EQ(t.host.failover_stats().nsm_failovers, 0u);
   EXPECT_GT(t.nsm->servicelib()->bytes_copied(), 0u) << "the stream flows before the wedge";
@@ -458,8 +455,7 @@ TEST(Failover, MetricsAndFlightEventsAreEmitted) {
 
   Nsm* spare = t.host_a.CreateNsm("spare", 2, NsmKind::kKernel);
   t.host_a.SetStandbyNsm(spare);
-  Host::FailoverConfig cfg;
-  t.host_a.StartFailoverController(cfg);
+  t.host_a.StartFailoverController();
   t.loop.Run(t.loop.Now() + 5 * kMillisecond);
   // A wedged NSM's network stack can keep ringing the doorbell for a while
   // (ACK-driven completions, retransmits); give detection time for the RTO

@@ -98,6 +98,45 @@ sim::Task<void> OneEcho(Vm* vm, netsim::IpAddr ip, uint16_t port, uint64_t bytes
   *ok = good && got == bytes && back == data;
 }
 
+// Busy cycles of a NetKernel VM and of its NSM over one fixed exchange: the
+// VM echoes 256 KiB off a Baseline peer, on a host built with `options`.
+struct EchoCycles {
+  Cycles vm = 0;
+  Cycles nsm = 0;
+};
+EchoCycles FixedEchoCycles(const Host::Options& options) {
+  sim::EventLoop loop;
+  netsim::Fabric fabric(&loop);
+  Host host_a(&loop, &fabric, "hostA", options);
+  Host host_b(&loop, &fabric, "hostB");
+  Nsm* nsm = host_a.CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* nk = host_a.CreateNetkernelVm("nk", 1, nsm);
+  Vm* base = host_b.CreateBaselineVm("base", 1);
+  int handled = 0;
+  bool ok = false;
+  sim::Spawn(EchoNServer(base, 7000, 1, &handled));
+  sim::Spawn(OneEcho(nk, base->ip(), 7000, 256 * 1024, 4, &ok));
+  loop.Run(5 * kSecond);
+  EXPECT_TRUE(ok);
+  return {nk->TotalBusyCycles(), nsm->TotalBusyCycles()};
+}
+
+TEST(NetkernelCostTable, OneTablePricesGuestLibAndServiceLib) {
+  // Options::ce.costs is the host's one cost table: the copy cost set there
+  // prices GuestLib's copies in the VM and ServiceLib's in the NSM, and the
+  // polling window set there is GuestLib's.
+  const EchoCycles base = FixedEchoCycles({});
+  Host::Options no_copy;
+  no_copy.ce.costs.hugepage_copy_per_byte = 0;
+  const EchoCycles copy_free = FixedEchoCycles(no_copy);
+  EXPECT_LT(copy_free.vm, base.vm);
+  EXPECT_LT(copy_free.nsm, base.nsm);
+  // With no polling window every inbound batch pays a device wakeup.
+  Host::Options no_poll;
+  no_poll.ce.costs.guest_poll_period = 0;
+  EXPECT_GT(FixedEchoCycles(no_poll).vm, base.vm);
+}
+
 TEST_F(NetkernelE2eTest, NkClientToNkServerSameNsm) {
   // Two VMs multiplexed on one kernel NSM, talking through the fabric.
   Nsm* nsm = HostA().CreateNsm("nsm", 2, NsmKind::kKernel);

@@ -245,6 +245,40 @@ TEST_F(TcpPairTest, AbortSendsRst) {
   EXPECT_FALSE(stack_b_->Exists(srv));
 }
 
+TEST_F(TcpPairTest, DataThatCompletesAnOrphanedHandshakeResetsTheClient) {
+  // A's pure ACK is lost, and B's listener closes before A's first data
+  // segment lands. That segment completes the SYN_RCVD child's handshake
+  // with no listener to queue it on: B aborts (frees) the child and must not
+  // go on to process the payload on it.
+  bool ack_dropped = false;
+  fabric_->up_link(0)->SetDropFn([&](const netsim::Packet& p) {
+    const auto* seg = static_cast<const Segment*>(p.payload.get());
+    if (ack_dropped || seg->flags != kAck || !seg->payload.empty()) return false;
+    ack_dropped = true;
+    return true;
+  });
+  SocketId lst = stack_b_->CreateSocket();
+  ASSERT_EQ(stack_b_->Bind(lst, 0, 9000), kOk);
+  ASSERT_EQ(stack_b_->Listen(lst, 16), kOk);
+  SocketId cli = stack_a_->CreateSocket();
+  const std::vector<uint8_t> data(100, 7);
+  int connected = -1, err = 0;
+  SocketCallbacks cbs;
+  cbs.on_connect = [&](int e) {
+    connected = e;
+    stack_b_->Close(lst);
+    stack_a_->Send(cli, data.data(), data.size());
+  };
+  cbs.on_error = [&](int e) { err = e; };
+  stack_a_->SetCallbacks(cli, std::move(cbs));
+  ASSERT_EQ(stack_a_->Connect(cli, MakeIp(10, 0, 0, 2), 9000), kOk);
+  loop_->Run(loop_->Now() + 100 * kMillisecond);
+  EXPECT_TRUE(ack_dropped);
+  EXPECT_EQ(connected, 0);
+  EXPECT_EQ(err, kConnReset);
+  EXPECT_FALSE(stack_a_->Exists(cli));
+}
+
 TEST_F(TcpPairTest, ListenerBacklogDropsExcessSyns) {
   SocketId lst = stack_b_->CreateSocket();
   stack_b_->Bind(lst, 0, 9000);

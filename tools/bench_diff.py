@@ -39,6 +39,7 @@ LOWER_IS_BETTER = {
     "latency_us",
     "loss_rate",
     "blackout_p99_us",
+    "ns_per_msg",
 }
 
 # (bench, metric) -> max allowed relative regression. These gate CI; keep the

@@ -132,7 +132,7 @@ Topology::Topology(const TopologySpec& spec) {
     // from t0.
     spares.push_back(host_->CreateNsm("spare1", 2, spec.kind));
     host_->SetStandbyNsm(host_->CreateNsm("spare0", 2, spec.kind));
-    host_->StartFailoverController(Host::FailoverConfig());
+    host_->StartFailoverController();
   }
 }
 
