@@ -6,6 +6,7 @@
 // FairShare NSM — VM-level shared congestion window + per-VM scheduling at
 // the vNIC it owns — splits the port 50/50.
 
+#include <cinttypes>
 #include <cstdio>
 
 #include "src/core/netkernel.h"
@@ -63,19 +64,24 @@ int main() {
   }
 
   // Operators (and guests) read their own isolation counters at runtime over
-  // the same 8-byte CE control channel used for registration: a
-  // kQueryVmStats message returns one saturated 32-bit counter per query.
-  std::printf("\nPer-VM CoreEngine counters via CeOp::kQueryVmStats:\n");
+  // the same 8-byte CE control channel used for registration: two
+  // kQueryVmStatWide messages return a 64-bit counter's low and high words.
+  std::printf("\nPer-VM CoreEngine counters via CeOp::kQueryVmStatWide:\n");
   for (core::Vm* vm : {polite, selfish}) {
     auto query = [&](core::VmStatField f) {
-      core::CeMessage resp = host.ce().HandleControlMessage(
-          {static_cast<uint32_t>(core::CeOp::kQueryVmStats),
-           (static_cast<uint32_t>(vm->id()) << 8) | static_cast<uint32_t>(f)});
-      return resp.ce_data;
+      const uint32_t sel =
+          (static_cast<uint32_t>(vm->id()) << 16) | (static_cast<uint32_t>(f) << 8);
+      auto word = [&](uint32_t w) {
+        return host.ce()
+            .HandleControlMessage({static_cast<uint32_t>(core::CeOp::kQueryVmStatWide), sel | w})
+            .ce_data;
+      };
+      return core::WideVmStat(word(0), word(1));
     };
-    std::printf("  %-7s  switched=%u  bytes=%u KiB  throttled=%u  deferred=%u  dropped=%u\n",
+    std::printf("  %-7s  switched=%" PRIu64 "  bytes=%" PRIu64 " KiB  throttled=%" PRIu64
+                "  deferred=%" PRIu64 "  dropped=%" PRIu64 "\n",
                 vm->name().c_str(), query(core::VmStatField::kSwitched),
-                query(core::VmStatField::kBytesKiB), query(core::VmStatField::kThrottled),
+                query(core::VmStatField::kBytes) >> 10, query(core::VmStatField::kThrottled),
                 query(core::VmStatField::kDeferred), query(core::VmStatField::kDropped));
   }
   return 0;

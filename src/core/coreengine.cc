@@ -17,9 +17,6 @@ using shm::NqeOp;
 // CoreEngine facade: construction, registries, placement, control plane.
 // ===========================================================================
 
-CoreEngine::CoreEngine(sim::EventLoop* loop, sim::CpuCore* core, CoreEngineConfig config)
-    : CoreEngine(loop, std::vector<sim::CpuCore*>{core}, config) {}
-
 CoreEngine::CoreEngine(sim::EventLoop* loop, std::vector<sim::CpuCore*> cores,
                        CoreEngineConfig config)
     : loop_(loop), config_(config), validator_(config.guard) {
@@ -63,13 +60,6 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
       if (!AssignQueueSetToShard(vm, qs, shard)) break;
       return ok(req.ce_data);
     }
-    case CeOp::kQueryVmStats: {
-      uint8_t vm = static_cast<uint8_t>(req.ce_data >> 8);
-      uint8_t field = static_cast<uint8_t>(req.ce_data & 0xff);
-      if (field >= std::size(kPerVmCounters)) break;
-      uint64_t v = QueryVmStat(vm, static_cast<VmStatField>(field));
-      return ok(v > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(v));
-    }
     case CeOp::kHeartbeat: {
       uint8_t nsm = static_cast<uint8_t>(req.ce_data);
       if (!HasNsm(nsm)) break;
@@ -77,8 +67,8 @@ CeMessage CoreEngine::HandleControlMessage(CeMessage req) {
       return ok(req.ce_data);
     }
     case CeOp::kQueryVmStatWide: {
-      // Two-word read of the raw 64-bit counter: word 0 returns the low 32
-      // bits, word 1 the high 32 bits. No saturation, no KiB scaling.
+      // Two-word read of the 64-bit counter: word 0 returns the low 32 bits,
+      // word 1 the high 32 bits.
       uint8_t vm = static_cast<uint8_t>(req.ce_data >> 16);
       uint8_t field = static_cast<uint8_t>(req.ce_data >> 8);
       uint8_t word = static_cast<uint8_t>(req.ce_data & 0xff);
@@ -189,11 +179,6 @@ uint64_t PerVmStats::*VmStatCounter(VmStatField field) {
 }
 
 }  // namespace
-
-uint64_t CoreEngine::QueryVmStat(uint8_t vm_id, VmStatField field) const {
-  const uint64_t v = QueryVmStatRaw(vm_id, field);
-  return field == VmStatField::kBytesKiB ? v >> 10 : v;
-}
 
 uint64_t CoreEngine::QueryVmStatRaw(uint8_t vm_id, VmStatField field) const {
   return VmStats(vm_id).*VmStatCounter(field);
@@ -307,13 +292,7 @@ PerVmStats CoreEngine::VmStats(uint8_t vm_id) const {
 
 size_t CoreEngine::ConnectionTableSize() const {
   size_t n = 0;
-  for (const auto& s : shards_) n += s->conn_table_.size();
-  return n;
-}
-
-size_t CoreEngine::DgramTableSize() const {
-  size_t n = 0;
-  for (const auto& s : shards_) n += s->dgram_table_.size();
+  for (const auto& s : shards_) n += s->sock_table_.size();
   return n;
 }
 
@@ -339,29 +318,20 @@ int CoreEngine::ShardOfNsmQset(uint8_t nsm_id, uint8_t qset) const {
 
 void CoreEngine::CompleteConnHandshake(const Nqe& nqe, Cycles& cost) {
   const uint64_t key = ConnKey(nqe.vm_id, nqe.vm_sock);
-  int owner = ShardOfVmQset(nqe.vm_id, nqe.queue_set);
-  if (owner >= 0) {
-    auto& table = shards_[static_cast<size_t>(owner)]->conn_table_;
-    auto eit = table.find(key);
-    if (eit != table.end()) {
-      if (!eit->second.complete) {
-        eit->second.nsm_sock = nqe.op_data;
-        eit->second.complete = true;
-        cost += config_.costs.ce_table_lookup;
-      }
-      return;
-    }
-  }
-  // Rare: the entry's queue set migrated mid-handshake. Scan the shards.
-  for (auto& s : shards_) {
-    auto eit = s->conn_table_.find(key);
-    if (eit == s->conn_table_.end()) continue;
-    if (!eit->second.complete) {
-      eit->second.nsm_sock = nqe.op_data;
-      eit->second.complete = true;
+  const auto complete = [&](CoreEngineShard& s) {
+    auto it = s.sock_table_.find(key);
+    if (it == s.sock_table_.end()) return false;
+    if (!it->second.complete) {
+      it->second.complete = true;
       cost += config_.costs.ce_table_lookup;
     }
-    return;
+    return true;
+  };
+  int owner = ShardOfVmQset(nqe.vm_id, nqe.queue_set);
+  if (owner >= 0 && complete(*shards_[static_cast<size_t>(owner)])) return;
+  // Rare: the entry's queue set migrated mid-handshake. Scan the shards.
+  for (auto& s : shards_) {
+    if (complete(*s)) return;
   }
 }
 
@@ -442,18 +412,10 @@ void CoreEngine::MigrateVmQset(uint8_t vm_id, uint8_t qset, CoreEngineShard* fro
   from->RemoveVmQset(vm_id, qset);
   to->AddVmQset(vm_id, qset);
   // Table entries routed through the queue set travel with it.
-  for (auto it = from->conn_table_.begin(); it != from->conn_table_.end();) {
+  for (auto it = from->sock_table_.begin(); it != from->sock_table_.end();) {
     if (static_cast<uint8_t>(it->first >> 32) == vm_id && it->second.vm_qset == qset) {
-      to->conn_table_.emplace(it->first, it->second);
-      it = from->conn_table_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = from->dgram_table_.begin(); it != from->dgram_table_.end();) {
-    if (static_cast<uint8_t>(it->first >> 32) == vm_id && it->second.vm_qset == qset) {
-      to->dgram_table_.emplace(it->first, it->second);
-      it = from->dgram_table_.erase(it);
+      to->sock_table_.emplace(it->first, it->second);
+      it = from->sock_table_.erase(it);
     } else {
       ++it;
     }
@@ -536,11 +498,8 @@ void CoreEngineShard::RemoveVm(uint8_t vm_id, shm::NkDevice* dev) {
   // Parked deliveries to the dead device would dangle; the VM is gone, so
   // there is no guest to return completions to — count and discard.
   if (dev != nullptr) PurgePark(dev, /*synthesize_errors=*/false);
-  for (auto it = conn_table_.begin(); it != conn_table_.end();) {
-    it = (it->first >> 32) == vm_id ? conn_table_.erase(it) : std::next(it);
-  }
-  for (auto it = dgram_table_.begin(); it != dgram_table_.end();) {
-    it = (it->first >> 32) == vm_id ? dgram_table_.erase(it) : std::next(it);
+  for (auto it = sock_table_.begin(); it != sock_table_.end();) {
+    it = (it->first >> 32) == vm_id ? sock_table_.erase(it) : std::next(it);
   }
   sched_.erase(vm_id);
   vm_rr_order_.erase(std::remove(vm_rr_order_.begin(), vm_rr_order_.end(), vm_id),
@@ -570,7 +529,7 @@ size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev) {
   // boundary, so dropping the entry lets the next datagram op re-home to the
   // VM's current NSM.
   std::vector<Delivery> fins;
-  for (auto it = conn_table_.begin(); it != conn_table_.end();) {
+  for (auto it = sock_table_.begin(); it != sock_table_.end();) {
     if (it->second.nsm_id != nsm_id) {
       ++it;
       continue;
@@ -578,7 +537,7 @@ size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev) {
     uint8_t vm_id = static_cast<uint8_t>(it->first >> 32);
     uint32_t vm_sock = static_cast<uint32_t>(it->first);
     CoreEngine::VmReg* reg = engine_->FindVm(vm_id);
-    if (reg != nullptr && reg->dev != nullptr) {
+    if (!it->second.dgram && reg != nullptr && reg->dev != nullptr) {
       Delivery d;
       d.dst = reg->dev;
       d.qset = it->second.vm_qset < d.dst->num_queue_sets() ? it->second.vm_qset : 0;
@@ -588,10 +547,7 @@ size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev) {
                       static_cast<uint32_t>(kCeNetUnreach));
       PlanDelivery(d, fins);
     }
-    it = conn_table_.erase(it);
-  }
-  for (auto it = dgram_table_.begin(); it != dgram_table_.end();) {
-    it = it->second.nsm_id == nsm_id ? dgram_table_.erase(it) : std::next(it);
+    it = sock_table_.erase(it);
   }
   if (!fins.empty()) DeliverPlan(fins);
   return fins.size();
@@ -687,42 +643,29 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
     shm::QueueSet& q = reg->dev->queue_set(qsi);
     // Send ring before job ring: a close NQE must not overtake the data
     // NQEs the guest enqueued before it.
-    obs::Tracer* tracer = engine_->tracer_;
-    if (!*send_blocked) {
-      while (taken < limit && q.send.Peek(&nqe)) {
+    for (const bool from_send : {true, false}) {
+      bool* blocked = from_send ? send_blocked : job_blocked;
+      shm::SpscRing<Nqe>& ring = from_send ? q.send : q.job;
+      while (!*blocked && taken < limit && ring.Peek(&nqe)) {
         // nkguard admission on the peeked copy: what routes (and what any
         // reject answers) is the scrubbed, identity-pinned NQE, never raw
         // guest-written ring bytes. A reject consumes the NQE here and still
         // spends deficit + CPU — the offender pays for its own garbage.
-        if (!GuardAdmit(&nqe, &q.send, true, vm_id, qsi, plan, cost)) {
+        if (!GuardAdmit(&nqe, &ring, from_send, vm_id, qsi, plan, cost)) {
           ++taken;
           continue;
         }
-        if (!RouteVmNqe(nqe, true, q.send, plan, cost, retry_at)) {
-          *send_blocked = true;
+        if (!RouteVmNqe(nqe, from_send, q.send, plan, cost, retry_at)) {
+          *blocked = true;
           break;
         }
-        q.send.TryDequeue(&nqe);
+        ring.TryDequeue(&nqe);
         if (validator.enabled()) validator.CommitGuestNqe(vm_id, nqe);
         // T1 lifecycle stamp (sampled NQEs only); the stamp's modeled cost
         // rides the round's CPU charge like any other switching work.
-        if (tracer != nullptr) cost += tracer->OnCeDequeue(nqe, static_cast<uint32_t>(index_));
-        ++taken;
-      }
-    }
-    if (!*job_blocked) {
-      while (taken < limit && q.job.Peek(&nqe)) {
-        if (!GuardAdmit(&nqe, &q.job, false, vm_id, qsi, plan, cost)) {
-          ++taken;
-          continue;
+        if (engine_->tracer_ != nullptr) {
+          cost += engine_->tracer_->OnCeDequeue(nqe, static_cast<uint32_t>(index_));
         }
-        if (!RouteVmNqe(nqe, false, q.send, plan, cost, retry_at)) {
-          *job_blocked = true;
-          break;
-        }
-        q.job.TryDequeue(&nqe);
-        if (validator.enabled()) validator.CommitGuestNqe(vm_id, nqe);
-        if (tracer != nullptr) cost += tracer->OnCeDequeue(nqe, static_cast<uint32_t>(index_));
         ++taken;
       }
     }
@@ -822,154 +765,88 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
     return false;
   }
 
-  switch (RouteDgramNqe(nqe, from_send_ring, plan, cost)) {
-    case DgramRoute::kClaimed:
-      return true;
-    case DgramRoute::kDeferred:
-      return false;
-    case DgramRoute::kNotDgram:
-      break;
-  }
-
-  uint64_t key = CoreEngine::ConnKey(nqe.vm_id, nqe.vm_sock);
-  auto op = nqe.Op();
-  ConnEntry* entry = nullptr;
-  auto eit = conn_table_.find(key);
-  if (eit != conn_table_.end()) entry = &eit->second;
-
-  if (entry == nullptr) {
-    // New connection: map to the VM's current NSM (Fig 6 step 1-2).
-    shm::NkDevice* ndev = reg->has_nsm ? engine_->FindNsm(reg->nsm_id) : nullptr;
-    if (ndev == nullptr) return FailVmNqe(nqe, plan);  // no NSM to serve it
-    ConnEntry e;
-    e.nsm_id = reg->nsm_id;
-    e.nsm_qset = ChooseNsmQset(reg->nsm_id, ndev, key);
-    e.vm_qset = nqe.queue_set;
-    if (op == NqeOp::kAccept) {
-      // GuestLib announced the guest handle of an accepted connection; the
-      // NSM socket id rides in op_data (Fig 6 step 3).
-      e.nsm_sock = nqe.op_data;
-      e.complete = true;
+  // One socket table for both kinds (§4.3). A new entry maps the socket to
+  // the VM's current NSM (Fig 6 steps 1-2); later NQEs follow their entry,
+  // so switching the VM's NSM moves only new sockets.
+  const uint64_t key = CoreEngine::ConnKey(nqe.vm_id, nqe.vm_sock);
+  const NqeOp op = nqe.Op();
+  const shm::OpTraits* traits = shm::FindOpTraits(nqe.op);
+  const bool dgram_op = traits != nullptr && traits->kind == shm::SockKind::kDgram;
+  shm::NkDevice* home = reg->has_nsm ? engine_->FindNsm(reg->nsm_id) : nullptr;
+  auto it = sock_table_.find(key);
+  if (it != sock_table_.end() && op != NqeOp::kSocketUdp) {
+    cost += config.costs.ce_table_lookup;
+  } else if (dgram_op && op != NqeOp::kSocketUdp) {
+    // A datagram verb whose socket is not (or no longer) in the table: a
+    // kClose overtook it, or its NSM was deregistered. Forward it to the
+    // VM's current NSM without an entry (re-homing the datagram flow): the
+    // NSM side owns the hugepage accounting and must see the NQE to release
+    // its payload chunk.
+    if (home == nullptr) return FailVmNqe(nqe, plan);
+    if (Backpressured(home)) return false;
+    Delivery d;
+    d.dst = home;
+    d.nsm_id = reg->nsm_id;
+    d.qset = ChooseNsmQset(reg->nsm_id, home, key);
+    d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
+    d.nqe = nqe;
+    PlanDelivery(d, plan);
+    ++stats_.dgram_nqes_switched;
+    cost += config.costs.ce_table_lookup;
+    return true;
+  } else {
+    // A new socket. kSocketUdp keeps a live entry of the same handle but
+    // still pays the insert.
+    if (home == nullptr) return FailVmNqe(nqe, plan);  // no NSM to serve it
+    if (it == sock_table_.end()) {
+      SockEntry e;
+      e.nsm_id = reg->nsm_id;
+      e.nsm_qset = ChooseNsmQset(reg->nsm_id, home, key);
+      e.vm_qset = nqe.queue_set;
+      e.dgram = op == NqeOp::kSocketUdp;
+      // kAccept announces the guest handle of a connection the NSM already
+      // made (Fig 6 step 3), so it has no handshake left either.
+      e.complete = e.dgram || op == NqeOp::kAccept;
+      it = sock_table_.emplace(key, e).first;
     }
-    entry = &conn_table_.emplace(key, e).first->second;
     cost += config.costs.ce_table_insert;
     ++stats_.table_inserts;
-  } else {
-    cost += config.costs.ce_table_lookup;
   }
+  const SockEntry& entry = it->second;
 
-  shm::NkDevice* ndev = engine_->FindNsm(entry->nsm_id);
+  shm::NkDevice* ndev = engine_->FindNsm(entry.nsm_id);
   if (ndev == nullptr) {
     // NSM vanished between rounds (DeregisterNsmDevice also purges the
-    // table, so this is a same-round race): unwind the guest's state.
-    conn_table_.erase(key);
+    // table, so this is a same-round race): drop the stale mapping so the
+    // next op re-homes, and unwind the guest's state.
+    sock_table_.erase(it);
     return FailVmNqe(nqe, plan);
   }
   // Backpressure: the NSM's pending queue is at the bound, so the NQE stays
   // in the guest ring. (The token already spent on it is kept — conservative
   // policing, same as the byte-bucket path above.)
   if (Backpressured(ndev)) return false;
-  // Sends the guest queued before this close may still sit in its send ring
-  // (held by the byte bucket, or behind a send for another, backpressured
-  // NSM). Delivered first, the close would unlink the connection ahead of
-  // its last data, which the NSM would then park as orphans forever.
-  if (op == NqeOp::kClose && !from_send_ring &&
+  // Sends the guest queued before a stream socket's close may still sit in
+  // its send ring (held by the byte bucket, or behind a send for another,
+  // backpressured NSM). Delivered first, the close would unlink the
+  // connection ahead of its last data, which the NSM would then park as
+  // orphans forever.
+  if (op == NqeOp::kClose && !entry.dgram && !from_send_ring &&
       send_ring.AnyQueued([&nqe](const Nqe& s) { return s.vm_sock == nqe.vm_sock; })) {
     return false;
   }
 
   Delivery d;
   d.dst = ndev;
-  d.nsm_id = entry->nsm_id;
-  d.qset = entry->nsm_qset;
+  d.nsm_id = entry.nsm_id;
+  d.qset = entry.nsm_qset;
   d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
   d.nqe = nqe;
   PlanDelivery(d, plan);
+  if (entry.dgram) ++stats_.dgram_nqes_switched;
   if (from_send_ring) stats_.send_bytes_switched += nqe.size;
-  if (op == NqeOp::kClose) conn_table_.erase(key);
+  if (op == NqeOp::kClose) sock_table_.erase(it);
   return true;
-}
-
-CoreEngineShard::DgramRoute CoreEngineShard::RouteDgramNqe(const Nqe& nqe,
-                                                           bool from_send_ring,
-                                                           std::vector<Delivery>& plan,
-                                                           Cycles& cost) {
-  CoreEngine::VmReg* reg = engine_->FindVm(nqe.vm_id);
-  if (reg == nullptr) return DgramRoute::kNotDgram;
-  const CoreEngineConfig& config = engine_->config_;
-  const NqeOp op = nqe.Op();
-  const uint64_t key = CoreEngine::ConnKey(nqe.vm_id, nqe.vm_sock);
-  DgramEntry* entry = nullptr;
-  auto it = dgram_table_.find(key);
-  if (it != dgram_table_.end()) entry = &it->second;
-
-  if (op == NqeOp::kSocketUdp) {
-    // New datagram socket: map it to the VM's current NSM. The entry is
-    // complete immediately — connectionless sockets are keyed by the guest
-    // handle alone, with no NSM socket id to learn (contrast Fig 6 step 4).
-    shm::NkDevice* ndev = reg->has_nsm ? engine_->FindNsm(reg->nsm_id) : nullptr;
-    if (ndev == nullptr) {
-      FailVmNqe(nqe, plan);  // no NSM to serve it
-      return DgramRoute::kClaimed;
-    }
-    DgramEntry e;
-    e.nsm_id = reg->nsm_id;
-    e.nsm_qset = ChooseNsmQset(reg->nsm_id, ndev, key);
-    e.vm_qset = nqe.queue_set;
-    entry = &dgram_table_.emplace(key, e).first->second;
-    cost += config.costs.ce_table_insert;
-    ++stats_.table_inserts;
-  } else if (entry != nullptr) {
-    cost += config.costs.ce_table_lookup;
-  } else if (op == NqeOp::kBindUdp || op == NqeOp::kSendTo || op == NqeOp::kSendToZc ||
-             op == NqeOp::kRecvFrom) {
-    // Socket not (or no longer) in the table — e.g. a kClose through the job
-    // ring overtook kSendTo NQEs still queued on the send ring, or the
-    // socket's NSM was deregistered. Forward statelessly to the VM's current
-    // NSM (re-homing the datagram flow): the NSM side owns the hugepage
-    // accounting and must see the NQE to release its payload chunk.
-    shm::NkDevice* fdev = reg->has_nsm ? engine_->FindNsm(reg->nsm_id) : nullptr;
-    if (fdev == nullptr) {
-      FailVmNqe(nqe, plan);
-      return DgramRoute::kClaimed;
-    }
-    if (Backpressured(fdev)) return DgramRoute::kDeferred;
-    Delivery d;
-    d.dst = fdev;
-    d.nsm_id = reg->nsm_id;
-    d.qset = ChooseNsmQset(reg->nsm_id, fdev, key);
-    d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
-    d.nqe = nqe;
-    PlanDelivery(d, plan);
-    ++stats_.dgram_nqes_switched;
-    cost += config.costs.ce_table_lookup;
-    return DgramRoute::kClaimed;
-  } else {
-    // Not a datagram socket; fall through to connection routing.
-    return DgramRoute::kNotDgram;
-  }
-
-  shm::NkDevice* ndev = engine_->FindNsm(entry->nsm_id);
-  if (ndev == nullptr) {
-    // NSM vanished: drop the stale mapping so the next op re-homes to the
-    // VM's current NSM, and unwind this NQE's guest state.
-    dgram_table_.erase(key);
-    FailVmNqe(nqe, plan);
-    return DgramRoute::kClaimed;
-  }
-  if (Backpressured(ndev)) return DgramRoute::kDeferred;
-
-  Delivery d;
-  d.dst = ndev;
-  d.nsm_id = entry->nsm_id;
-  d.qset = entry->nsm_qset;
-  d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
-  d.nqe = nqe;
-  PlanDelivery(d, plan);
-  ++stats_.dgram_nqes_switched;
-  if (from_send_ring) stats_.send_bytes_switched += nqe.size;
-  if (op == NqeOp::kClose) dgram_table_.erase(key);
-  return DgramRoute::kClaimed;
 }
 
 bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, std::vector<Delivery>& plan, Cycles& cost) {
@@ -1027,34 +904,16 @@ bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, std::vector<Delivery>& plan, C
 // ---------------------------------------------------------------------------
 
 bool CoreEngineShard::BuildErrorCompletion(const Nqe& orig, Delivery* out) {
-  // Only guest->NSM requests carry an error completion. Close, accept and
-  // recvfrom hold no reclaimable guest state and no guest thread waits on
-  // them, so the drop counter is the whole story; a non-op byte off a
-  // hostile ring has no row at all and falls out harmlessly.
-  const shm::OpTraits* traits = shm::FindOpTraits(orig.op);
-  if (traits == nullptr || traits->error_completion == NqeOp::kInvalid) return false;
+  // Close, accept and recvfrom hold no reclaimable guest state and no guest
+  // thread waits on them, so the drop counter is the whole story; a non-op
+  // byte off a hostile ring has no row at all and falls out harmlessly.
+  if (!shm::BuildErrorCompletion(orig, orig.vm_id, kCeNetUnreach, &out->nqe)) return false;
   CoreEngine::VmReg* reg = engine_->FindVm(orig.vm_id);
   if (reg == nullptr || reg->dev == nullptr) return false;
-
-  // The completion mirrors a real NSM response: result code in `size`
-  // (negative errno, as ServiceLib::Respond encodes it), the original op in
-  // reserved[0] (which tells GuestLib the op it retires). Send-family errors
-  // return the credit in op_data and flag the untouched payload chunk so
-  // GuestLib frees it.
-  Nqe resp = MakeNqe(traits->error_completion, orig.vm_id, orig.queue_set, orig.vm_sock);
-  resp.size = static_cast<uint32_t>(kCeNetUnreach);
-  resp.reserved[0] = orig.op;
-  if (traits->carries_chunk) {
-    resp.op_data = orig.size;  // send credit to return
-    resp.data_ptr = orig.data_ptr;
-    resp.reserved[1] = shm::kNqeFlagChunkUnconsumed;
-  }
-
   out->dst = reg->dev;
   out->qset = orig.queue_set < out->dst->num_queue_sets() ? orig.queue_set : 0;
   out->ring = shm::RingKind::kCompletion;
   out->toward_vm = true;
-  out->nqe = resp;
   return true;
 }
 

@@ -3,8 +3,9 @@
 // VM and NSM NK devices (paper §4.3-§4.4).
 //
 // Responsibilities reproduced here:
-//   * NQE switching with a connection table mapping
-//     <VM id, queue set, socket id> <-> <NSM id, queue set, socket id>;
+//   * NQE switching with one socket table mapping
+//     <VM id, queue set, socket id> <-> <NSM id, queue set, socket id>, for
+//     stream and datagram sockets alike;
 //   * flexible VM -> NSM mapping (multiplexing several VMs onto one NSM and
 //     switching a VM's NSM on the fly);
 //   * weighted deficit-round-robin polling over the VM queue sets (per-VM
@@ -29,15 +30,15 @@
 // Multi-core switching (Fig 11's single-core wall): CoreEngine is an N-shard
 // switch. Each CoreEngineShard busy-polls on its own dedicated hypervisor
 // core and owns a *disjoint* set of VM queue sets and NSM queue sets, plus
-// the connection/datagram-table entries, parked deliveries, and DRR state
-// routed through them. No mutex is charged to a switched NQE: every queue
-// set has exactly one owning shard (single-writer state, in the spirit of
-// wait-free handoff constructions), and ownership moves only via explicit
-// handoff events executed at a shard's round boundary — work-stealing
-// rebalance migrates a queue set from an overloaded shard to an idle one,
-// carrying its table entries and parked deliveries so NQE conservation and
-// per-connection ordering survive the move. Placement defaults to a hash of
-// the <vm, queue set> id and can be pinned with AssignQueueSetToShard.
+// the socket-table entries, parked deliveries, and DRR state routed through
+// them. No mutex is charged to a switched NQE: every queue set has exactly
+// one owning shard (single-writer state, in the spirit of wait-free handoff
+// constructions), and ownership moves only via explicit handoff events
+// executed at a shard's round boundary — work-stealing rebalance migrates a
+// queue set from an overloaded shard to an idle one, carrying its table
+// entries and parked deliveries so NQE conservation and per-connection
+// ordering survive the move. Placement defaults to a hash of the <vm, queue
+// set> id and can be pinned with AssignQueueSetToShard.
 //
 // In this single-threaded DES the shards share the event loop, so cross-shard
 // interactions that a real implementation would carry on MPSC handoff rings
@@ -84,15 +85,10 @@ enum class CeOp : uint32_t {
   // switching shard (overrides hash placement and work-stealing moves it
   // back only if that shard overloads again).
   kAssignQsetToShard = 6,
-  // ce_data = vm_id << 8 | VmStatField. Response carries the (saturated)
-  // 32-bit counter in ce_data, so guests/operators read their own isolation
-  // counters over the same 8-byte channel used for registration.
-  kQueryVmStats = 7,
-  // Wide (64-bit) counter read over the same 8-byte channel: ce_data =
+  // Per-VM counter read, so guests/operators read their own isolation
+  // counters over the same 8-byte channel used for registration: ce_data =
   // vm_id << 16 | VmStatField << 8 | word, where word selects the low (0) or
-  // high (1) 32 bits of the raw counter. Two reads assemble the full value,
-  // so counters past 2^32 (or 4 TiB of bytes — here reported raw, not KiB)
-  // stay readable where kQueryVmStats saturates.
+  // high (1) 32 bits of the 64-bit counter. Two reads assemble the value.
   kQueryVmStatWide = 8,
   // ce_data = nsm_id. Periodic NSM liveness beacon: refreshes the NSM's health entry
   // so the failover controller can tell a quiet-but-alive NSM from a dead one.
@@ -106,14 +102,13 @@ constexpr uint64_t WideVmStat(uint32_t lo, uint32_t hi) {
   return (static_cast<uint64_t>(hi) << 32) | lo;
 }
 
-// Selector for kQueryVmStats: the row of kPerVmCounters to read, so the
-// enumerators follow PerVmStats' field order. Bytes are reported in KiB so
-// the 32-bit response field covers ~4 TiB before saturating.
+// Selector for kQueryVmStatWide: the row of kPerVmCounters to read, so the
+// enumerators follow PerVmStats' field order.
 enum class VmStatField : uint8_t {
   kSwitched = 0,
   kDropped = 1,
   kThrottled = 2,
-  kBytesKiB = 3,
+  kBytes = 3,
   kDeferred = 4,
 };
 
@@ -183,7 +178,7 @@ static_assert(kPerVmCounters[static_cast<size_t>(VmStatField::kSwitched)].field 
                       &PerVmStats::dropped &&
                   kPerVmCounters[static_cast<size_t>(VmStatField::kThrottled)].field ==
                       &PerVmStats::throttled &&
-                  kPerVmCounters[static_cast<size_t>(VmStatField::kBytesKiB)].field ==
+                  kPerVmCounters[static_cast<size_t>(VmStatField::kBytes)].field ==
                       &PerVmStats::bytes &&
                   kPerVmCounters[static_cast<size_t>(VmStatField::kDeferred)].field ==
                       &PerVmStats::deferred,
@@ -221,8 +216,8 @@ class CoreEngine;
 
 // One switching core of the N-shard CoreEngine. Owns a disjoint set of VM
 // queue sets (polled with weighted DRR against the engine-wide per-VM
-// weights) and NSM queue sets, the conn/dgram table entries routed through
-// them, and per-destination parked-delivery FIFOs. All datapath state here is
+// weights) and NSM queue sets, the socket-table entries routed through them,
+// and per-destination parked-delivery FIFOs. All datapath state here is
 // single-writer: only this shard touches it, except during an explicit
 // queue-set handoff executed at this shard's round boundary.
 class CoreEngineShard {
@@ -239,21 +234,18 @@ class CoreEngineShard {
  private:
   friend class CoreEngine;
 
-  struct ConnEntry {
-    uint8_t nsm_id = 0;
-    uint8_t nsm_qset = 0;
-    uint64_t nsm_sock = 0;  // filled by the NSM's response (Fig 6 step 4)
-    uint8_t vm_qset = 0;
-    bool complete = false;
-  };
-  // Connectionless sockets route by socket key alone: no NSM-socket-id
-  // completion handshake, so the entry is final at kSocketUdp time.
+  // A guest socket's route, keyed by CoreEngine::ConnKey(vm_id, vm_sock).
   // vm_qset records which VM queue set the socket lives on, so the entry
   // migrates with its queue set on a shard handoff.
-  struct DgramEntry {
+  struct SockEntry {
     uint8_t nsm_id = 0;
     uint8_t nsm_qset = 0;
     uint8_t vm_qset = 0;
+    bool dgram = false;
+    // The NSM's first response was seen (Fig 6 step 4), so its lookup is
+    // charged once. A datagram socket has no such handshake: its entry is
+    // complete when made.
+    bool complete = false;
   };
   // Per-VM deficit-round-robin state over the queue sets this shard owns.
   struct VmSched {
@@ -316,20 +308,13 @@ class CoreEngineShard {
   // NQE was admitted and may be routed; false when it was consumed here.
   bool GuardAdmit(shm::Nqe* nqe, shm::SpscRing<shm::Nqe>* ring, bool from_send_ring,
                   uint8_t vm_id, uint8_t qset, std::vector<Delivery>& plan, Cycles& cost);
-  // Routes one VM->NSM NQE; returns false if it must stay queued (throttled,
-  // backpressured, or a kClose whose socket still has sends in `send_ring`,
-  // the polled queue set's send ring, which the guest wrote before it).
+  // Routes one VM->NSM NQE through the socket table; returns false if it
+  // must stay queued (throttled, backpressured, or a stream socket's kClose
+  // whose socket still has sends in `send_ring`, the polled queue set's send
+  // ring, which the guest wrote before it).
   bool RouteVmNqe(const shm::Nqe& nqe, bool from_send_ring,
                   const shm::SpscRing<shm::Nqe>& send_ring, std::vector<Delivery>& plan,
                   Cycles& cost, SimTime* retry_at);
-  // Connectionless-NQE routing via the datagram socket table.
-  enum class DgramRoute {
-    kNotDgram,   // not a datagram op; fall through to connection routing
-    kClaimed,    // routed (or failed with an error completion): consume it
-    kDeferred,   // destination backpressured: leave it in the guest ring
-  };
-  DgramRoute RouteDgramNqe(const shm::Nqe& nqe, bool from_send_ring,
-                           std::vector<Delivery>& plan, Cycles& cost);
   // Routes one NSM->VM NQE; returns false if it must stay queued (the VM
   // device's pending queue is at the bound — backpressure toward the NSM).
   bool RouteNsmNqe(const shm::Nqe& nqe, std::vector<Delivery>& plan, Cycles& cost);
@@ -356,8 +341,8 @@ class CoreEngineShard {
   void CountInFlight(shm::NkDevice* dev);
   // True when deliveries are parked for `dev`: a new one must queue behind.
   bool BehindPark(shm::NkDevice* dev) const;
-  // Builds the guest-facing error completion for `orig`; false if the op
-  // needs none (kClose/kAccept/kRecvFrom carry no reclaimable guest state).
+  // The delivery of `orig`'s error completion (shm::BuildErrorCompletion);
+  // false if the op needs none or its VM is gone.
   bool BuildErrorCompletion(const shm::Nqe& orig, Delivery* out);
 
   // Delivery phase: parked deliveries retry first (per-device FIFO drained
@@ -385,8 +370,7 @@ class CoreEngineShard {
   size_t vm_rr_cursor_ = 0;  // rotated every round: who gets polled first
   size_t nsm_rr_cursor_ = 0;
 
-  std::unordered_map<uint64_t, ConnEntry> conn_table_;
-  std::unordered_map<uint64_t, DgramEntry> dgram_table_;
+  std::unordered_map<uint64_t, SockEntry> sock_table_;
 
   // A round is queued or being charged; cleared when a round finds no work.
   bool round_active_ = false;
@@ -426,13 +410,10 @@ class CoreEngineShard {
 
 // The N-shard switch facade. Owns the shards, the registries shared across
 // them (devices, VM->NSM assignment, weights, token buckets), the queue-set
-// placement maps, and the control plane. The public surface is unchanged
-// from the single-core switch; with one shard the datapath is byte-for-byte
-// the old single-core behavior.
+// placement maps, and the control plane. With one shard (one core) it is a
+// single-core switch.
 class CoreEngine {
  public:
-  // Single-core construction (one shard regardless of config.shards).
-  CoreEngine(sim::EventLoop* loop, sim::CpuCore* core, CoreEngineConfig config = {});
   // One shard per core; cores.size() wins over config.shards.
   CoreEngine(sim::EventLoop* loop, std::vector<sim::CpuCore*> cores,
              CoreEngineConfig config = {});
@@ -448,7 +429,7 @@ class CoreEngine {
   size_t DeregisterNsmDevice(uint8_t nsm_id);
   bool HasNsm(uint8_t nsm_id) const { return nsms_[nsm_id].dev != nullptr; }
   // Maps a VM to an NSM. May be called again later ("switch NSM on the fly"):
-  // established connections stay on their old NSM via the connection table;
+  // established connections stay on their old NSM via the socket table;
   // new sockets go to the new NSM.
   void AssignVmToNsm(uint8_t vm_id, uint8_t nsm_id);
   // Pins a VM queue set to a shard (overrides hash placement). The handoff
@@ -456,14 +437,11 @@ class CoreEngine {
   // queue set, deferred to the owning shard's round boundary if a delivery
   // plan is in flight. Returns false for an unknown VM/queue set/shard.
   bool AssignQueueSetToShard(uint8_t vm_id, uint8_t qset, int shard);
-  // Reads one per-VM counter over the 8-byte control channel (ROADMAP: the
-  // PerVmStats query op). Unknown VMs read as zero, like VmStats().
-  uint64_t QueryVmStat(uint8_t vm_id, VmStatField field) const;
-  // Raw (unscaled) counter for the wide read path: bytes are reported as
-  // bytes, not KiB, since two 32-bit words cover the full range.
+  // The per-VM counter kQueryVmStatWide reads. Unknown VMs read as zero,
+  // like VmStats().
   uint64_t QueryVmStatRaw(uint8_t vm_id, VmStatField field) const;
-  // Test hook: inflates one per-VM counter on shard 0 so the 2^32 saturation
-  // regression is testable without switching four billion NQEs.
+  // Test hook: inflates one per-VM counter on shard 0 so reads past 2^32
+  // are testable without switching four billion NQEs.
   void AddVmStatForTest(uint8_t vm_id, VmStatField field, uint64_t delta);
 
   // ---- nkguard (adversarial-guest NQE validation) ----
@@ -516,8 +494,8 @@ class CoreEngine {
   CoreEngineStats stats() const;
   // Per-VM slice; zero-initialized if the VM never moved an NQE.
   PerVmStats VmStats(uint8_t vm_id) const;
+  // Socket-table entries, stream and datagram, across the shards.
   size_t ConnectionTableSize() const;
-  size_t DgramTableSize() const;
   size_t ParkedDeliveries() const;
   int num_shards() const { return static_cast<int>(shards_.size()); }
   const tcp::NetkernelCosts& costs() const { return config_.costs; }
@@ -591,7 +569,7 @@ class CoreEngine {
   // Work-stealing rebalance, called by `victim` at its round boundary (its
   // delivery plan has just landed, so the handoff is conservation-safe).
   void MaybeRebalance(CoreEngineShard* victim);
-  // Moves one VM queue set between shards: ownership, conn/dgram entries,
+  // Moves one VM queue set between shards: ownership, socket-table entries,
   // and parked deliveries travel together, preserving per-device FIFO order.
   void MigrateVmQset(uint8_t vm_id, uint8_t qset, CoreEngineShard* from, CoreEngineShard* to);
 

@@ -196,7 +196,10 @@ sim::Task<int> GuestLib::Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, 
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return tcp::kNotConnected;
   co_await core->Work(kGuestKernel.syscall + ce_->costs().guestlib_translate);
+  g = FindByFd(fd);
+  if (g == nullptr) co_return tcp::kNotConnected;
   uint32_t handle = g->handle;
+  g->connect_done = false;  // wait for this call's own kConnectResult
   EnqueueJob(*g, MakeNqe(NqeOp::kConnect, vm_id_, 0, g->handle, shm::PackAddr(ip, port)));
   for (;;) {
     GSock* g2 = FindByHandle(handle);

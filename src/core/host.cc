@@ -438,16 +438,11 @@ void Host::QuarantineVm(Vm* vm) {
         ce_->validator().CountQuarantineDrop();
         // Only a carries-chunk request pins a chunk; everything else —
         // including any non-op byte off the hostile ring — drains valueless.
-        const shm::OpTraits* traits = shm::FindOpTraits(nqe.op);
-        if (traits == nullptr || !traits->ToNsm() || !traits->carries_chunk) continue;
-        if (!vm->pool_->IsAllocated(nqe.data_ptr)) continue;
-        shm::Nqe resp =
-            shm::MakeNqe(traits->error_completion, vm_id, nqe.queue_set, nqe.vm_sock);
-        resp.size = static_cast<uint32_t>(kCeNetUnreach);
-        resp.reserved[0] = nqe.op;
-        resp.reserved[1] = shm::kNqeFlagChunkUnconsumed;
-        resp.op_data = nqe.size;  // send credit to return
-        resp.data_ptr = nqe.data_ptr;
+        if (!guard::CarriesGuestChunk(nqe.Op()) || !vm->pool_->IsAllocated(nqe.data_ptr)) {
+          continue;
+        }
+        shm::Nqe resp;
+        shm::BuildErrorCompletion(nqe, vm_id, kCeNetUnreach, &resp);
         if (!q.completion.TryEnqueue(resp)) vm->pool_->Free(nqe.data_ptr);
       }
     };

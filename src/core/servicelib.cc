@@ -255,8 +255,23 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     DrainNqeChunk(nqe);
     return;
   }
-  // Per-socket verbs act on the connection linked under the guest handle.
-  const auto linked = [this, &nqe] { return FindByVm(nqe.vm_id, nqe.vm_sock); };
+  // Per-socket verbs act on the connection linked under the guest handle. A
+  // verb of one socket kind aimed at a socket of the other (a datagram send
+  // naming a stream handle, a connect on a datagram socket) would act on
+  // transport state that is not there, so it is refused the way CoreEngine
+  // answers a verb it cannot route.
+  Conn* c = FindByVm(nqe.vm_id, nqe.vm_sock);
+  const shm::SockKind kind = shm::FindOpTraits(nqe.op)->kind;
+  if (c != nullptr && kind != shm::SockKind::kAny &&
+      c->dgram != (kind == shm::SockKind::kDgram)) {
+    ++guard_drops_;
+    Nqe err;
+    if (shm::BuildErrorCompletion(nqe, nqe.vm_id, tcp::kNotConnected, &err) &&
+        !EnqueueToVm(Requester(nqe), err, false)) {
+      FreeNqeChunk(nqe);  // the guest will never see the chunk come back
+    }
+    return;
+  }
   switch (nqe.Op()) {
     case NqeOp::kSocket:
       transport_->Socket(nqe);
@@ -268,20 +283,20 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
       transport_->AcceptLink(nqe);
       return;
     case NqeOp::kBind:
-      if (Conn* c = linked()) transport_->Bind(nqe, *c);
+      if (c != nullptr) transport_->Bind(nqe, *c);
       return;
     case NqeOp::kBindUdp:
-      if (Conn* c = linked()) transport_->BindUdp(nqe, *c);
+      if (c != nullptr) transport_->BindUdp(nqe, *c);
       return;
     case NqeOp::kListen:
-      if (Conn* c = linked()) transport_->Listen(nqe, *c);
+      if (c != nullptr) transport_->Listen(nqe, *c);
       return;
     case NqeOp::kConnect:
-      if (Conn* c = linked()) transport_->Connect(nqe, *c);
+      if (c != nullptr) transport_->Connect(nqe, *c);
       return;
     case NqeOp::kSend:
     case NqeOp::kSendZc:
-      if (Conn* c = linked()) {
+      if (c != nullptr) {
         transport_->Send(nqe, *c);
       } else {
         // A send can overtake its socket's accept-link NQE (they travel on
@@ -291,7 +306,7 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
       return;
     case NqeOp::kSendTo:
     case NqeOp::kSendToZc:
-      if (Conn* c = linked()) {
+      if (c != nullptr) {
         transport_->SendTo(nqe, *c);
       } else {
         // A datagram send whose socket already closed (a kClose overtook it
@@ -303,10 +318,10 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
       return;
     case NqeOp::kRecvFrom:
       // Datagram receive credit: the guest consumed op_data bytes.
-      if (Conn* c = linked()) Credit(*c, nqe.op_data);
+      if (c != nullptr) Credit(*c, nqe.op_data);
       return;
     case NqeOp::kClose:
-      if (Conn* c = linked()) {
+      if (c != nullptr) {
         transport_->Close(*c);
       } else {
         // The guest closed a handle this NSM never linked (say, its
@@ -332,6 +347,14 @@ void ServiceLib::Dispatch(const Nqe& nqe) {
     case NqeOp::kNsmRehomed:
       return;  // not guest->NSM ops: the prefilter above dropped them
   }
+}
+
+void ServiceLib::Transport::BindUdp(const Nqe&, Conn&) {
+  NK_CHECK_MSG(false, "datagram verb on a transport that links no datagram socket");
+}
+
+void ServiceLib::Transport::SendTo(const Nqe&, Conn&) {
+  NK_CHECK_MSG(false, "datagram verb on a transport that links no datagram socket");
 }
 
 void ServiceLib::ReplayOrphanSends(Conn& c) {

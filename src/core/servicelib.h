@@ -56,6 +56,7 @@ class ServiceLib {
     uint8_t vm_qset = 0;
     uint32_t vm_sock = 0;
     uint8_t nsm_qset = 0;  // NSM device queue set serving this connection
+    bool dgram = false;    // a datagram socket (kSocketUdp), else a stream
     bool linked = false;   // guest handle known (post-accept link)
     bool fin_sent_to_vm = false;
     bool close_pending = false;
@@ -125,8 +126,9 @@ class ServiceLib {
   // NSM->VM NQEs lost to a full NSM-side ring (severe overload).
   uint64_t nqes_dropped() const { return nqes_dropped_; }
   // Inbound NQEs refused by the guest->nsm prefilter (defense in depth
-  // behind nkguard — nonzero means something got past the CoreEngine) or
-  // unwound because their VM was evicted mid-flight.
+  // behind nkguard — nonzero means something got past the CoreEngine), aimed
+  // at a socket of the other kind, or unwound because their VM was evicted
+  // mid-flight.
   uint64_t guard_drops() const { return guard_drops_; }
   // RX zero-copy accounting (stack-backed NSMs): kRecvData ships that
   // detached the stack's own pool chunk (no rcvbuf->hugepage copy) vs ships
@@ -246,7 +248,7 @@ class ServiceLib {
 // What differs between NSM kinds: how each request verb acts on connection
 // state and how payload moves. The driver has already applied the guard
 // prefilter and the eviction gate, and resolves per-socket verbs to the Conn
-// the transport linked.
+// the transport linked, of the verb's own kind (shm::OpTraits::kind).
 class ServiceLib::Transport {
  public:
   Transport() = default;
@@ -260,11 +262,13 @@ class ServiceLib::Transport {
   // (and replays the orphan sends that overtook the link).
   virtual void AcceptLink(const shm::Nqe& nqe) = 0;
   virtual void Bind(const shm::Nqe& nqe, Conn& c) = 0;
-  virtual void BindUdp(const shm::Nqe& nqe, Conn& c) = 0;
   virtual void Listen(const shm::Nqe& nqe, Conn& c) = 0;
   virtual void Connect(const shm::Nqe& nqe, Conn& c) = 0;
-  virtual void Send(const shm::Nqe& nqe, Conn& c) = 0;    // kSend, kSendZc
-  virtual void SendTo(const shm::Nqe& nqe, Conn& c) = 0;  // kSendTo, kSendToZc
+  virtual void Send(const shm::Nqe& nqe, Conn& c) = 0;  // kSend, kSendZc
+  // Datagram verbs reach only a Conn that SocketUdp linked, so a transport
+  // that links none needs no override.
+  virtual void BindUdp(const shm::Nqe& nqe, Conn& c);
+  virtual void SendTo(const shm::Nqe& nqe, Conn& c);  // kSendTo, kSendToZc
   virtual void Close(Conn& c) = 0;
   // The guest returned receive credit on `c`: resume shipping to it.
   virtual void ResumeRecv(Conn& c) = 0;

@@ -23,11 +23,9 @@ class ServiceLib::PoolCopyTransport final : public ServiceLib::Transport {
   void SocketUdp(const Nqe& nqe) override;
   void AcceptLink(const Nqe& nqe) override;
   void Bind(const Nqe& nqe, Conn& c) override;
-  void BindUdp(const Nqe& nqe, Conn& c) override;
   void Listen(const Nqe& nqe, Conn& c) override;
   void Connect(const Nqe& nqe, Conn& c) override;
   void Send(const Nqe& nqe, Conn& c) override;
-  void SendTo(const Nqe& nqe, Conn& c) override;
   void Close(Conn& c) override;
   void ResumeRecv(Conn& c) override;
   size_t DropConns(int vm) override;
@@ -295,19 +293,9 @@ void ServiceLib::PoolCopyTransport::PeerGone(uint64_t ep_id, int32_t err) {
 
 void ServiceLib::PoolCopyTransport::SocketUdp(const Nqe& nqe) {
   // Fail the socket creation so the guest's SocketDgram returns an error
-  // instead of blocking on a completion that would never come.
+  // instead of blocking on a completion that would never come. With no
+  // datagram socket linked, ServiceLib refuses every other datagram verb.
   slib_->Respond(Requester(nqe), NqeOp::kOpResult, NqeOp::kSocketUdp, udp::kBadSocket);
-}
-
-void ServiceLib::PoolCopyTransport::BindUdp(const Nqe&, Conn& c) {
-  slib_->Respond(c, NqeOp::kOpResult, NqeOp::kBindUdp, 0);
-}
-
-void ServiceLib::PoolCopyTransport::SendTo(const Nqe& nqe, Conn& c) {
-  // A stray datagram send cannot be delivered, but its payload chunk must
-  // not strand.
-  slib_->FreeNqeChunk(nqe);
-  slib_->Respond(c, NqeOp::kOpResult, nqe.Op(), udp::kBadSocket);
 }
 
 // ---------------------------------------------------------------------------

@@ -46,9 +46,8 @@ class ServiceLib::StackTransport final : public ServiceLib::Transport {
     bool zc = false;
   };
   struct StackConn : Conn {
-    tcp::SocketId sid = tcp::kInvalidSocket;
     // Datagram sockets live in the UDP stack; sid stays invalid for them.
-    bool dgram = false;
+    tcp::SocketId sid = tcp::kInvalidSocket;
     udp::SocketId usid = udp::kInvalidSocket;
     bool listener = false;
     bool ship_pending = false;
@@ -195,6 +194,13 @@ void ServiceLib::StackTransport::Listen(const Nqe& nqe, Conn& c) {
 
 void ServiceLib::StackTransport::Connect(const Nqe& nqe, Conn& c) {
   tcp::SocketId sid = Of(c).sid;
+  // A refused connect (the socket is connecting, connected or listening)
+  // answers at once and leaves the live socket's callbacks in place.
+  const int r = stack_->Connect(sid, shm::AddrIp(nqe.op_data), shm::AddrPort(nqe.op_data));
+  if (r != tcp::kOk) {
+    slib_->Respond(c, NqeOp::kConnectResult, NqeOp::kConnect, r);
+    return;
+  }
   tcp::SocketCallbacks cbs;
   cbs.on_connect = [this, sid](int err) {
     StackConn* c2 = FindBySid(sid);
@@ -206,7 +212,6 @@ void ServiceLib::StackTransport::Connect(const Nqe& nqe, Conn& c) {
     if (StackConn* c2 = FindBySid(sid)) slib_->DeliverFin(*c2, err);
   };
   stack_->SetCallbacks(sid, std::move(cbs));
-  stack_->Connect(sid, shm::AddrIp(nqe.op_data), shm::AddrPort(nqe.op_data));
 }
 
 void ServiceLib::StackTransport::AutoAccept(tcp::SocketId listener_sid) {
@@ -410,7 +415,7 @@ void ServiceLib::StackTransport::DrainPendingTx(StackConn& c) {
 // ---------------------------------------------------------------------------
 
 void ServiceLib::StackTransport::ResumeRecv(Conn& c) {
-  if (Of(c).dgram) {
+  if (c.dgram) {
     ShipDgrams(Of(c).usid);
   } else {
     ShipRecv(Of(c).sid);
@@ -510,7 +515,7 @@ void ServiceLib::StackTransport::ShipRecv(tcp::SocketId sid) {
 // buffered writes.
 void ServiceLib::StackTransport::Close(Conn& c) {
   c.close_pending = true;
-  if (Of(c).dgram) {
+  if (c.dgram) {
     MaybeFinishCloseDgram(Of(c).usid);
   } else {
     MaybeFinishClose(Of(c).sid);

@@ -16,13 +16,15 @@
 // ---- The op contract: kOpTraits (this header is the source of truth) ----
 // Every NqeOp has exactly one row in kOpTraits saying which ring admits it
 // (and so which way it travels), whether a hugepage chunk crosses with it,
-// and which completion CoreEngine synthesizes when the request dies inside
-// the switch. The guard's admission tables, the error-completion unwinding,
-// the receive-ring choice, the chunk sweeps and NqeOpName all read this
-// table; the static_asserts below check its internal consistency at compile
-// time. Each receiving side dispatches through one switch that names every
-// NqeOp and has no `default:` (ServiceLib::Dispatch, GuestLib::ApplyInbound),
-// so under -Werror=switch a row added without its case does not compile.
+// which completion answers the request when it dies before any transport
+// consumed it, and which kind of socket it acts on. The guard's admission
+// tables, the error-completion builder, the receive-ring choice, the chunk
+// sweeps, CoreEngine's socket table, ServiceLib's kind check and NqeOpName
+// all read this table; the static_asserts below check its internal
+// consistency at compile time. Each receiving side dispatches through one
+// switch that names every NqeOp and has no `default:` (ServiceLib::Dispatch,
+// GuestLib::ApplyInbound), so under -Werror=switch a row added without its
+// case does not compile.
 
 #ifndef SRC_SHM_NQE_H_
 #define SRC_SHM_NQE_H_
@@ -54,8 +56,8 @@ enum class NqeOp : uint8_t {
   // emitted); the guard refuses those bytes like any other hole.
   kClose = 10,  // fire-and-forget: no guest thread waits on a close
   kSend = 11,   // data_ptr/size reference hugepage payload
-  // Datagram (SOCK_DGRAM) operations: connectionless, so CoreEngine routes
-  // them by socket key alone — no connection-table completion handshake.
+  // Datagram (SOCK_DGRAM) operations: connectionless, so their socket-table
+  // entry needs no completion handshake.
   kSocketUdp = 12,  // create a UDP socket in the NSM
   kBindUdp = 13,    // bind ip:port carried in op_data
   kSendTo = 14,     // op_data = packed destination, payload in hugepages
@@ -102,6 +104,10 @@ enum class NqeOp : uint8_t {
   // plane rides the typed CeMessage channel instead, so those bytes are holes.
 };
 
+// The kind of socket an op acts on. kAny: either kind (close), or no socket
+// at all (a per-VM event).
+enum class SockKind : uint8_t { kAny, kStream, kDgram };
+
 struct OpTraits {
   NqeOp op;
   const char* name;
@@ -109,42 +115,46 @@ struct OpTraits {
   // data_ptr references a hugepage chunk whose *ownership* crosses with the
   // NQE (send payloads, receives).
   bool carries_chunk;
-  // The completion CoreEngine synthesizes (with kNqeFlagChunkUnconsumed for
-  // carries-chunk ops) when the request dies inside the switch, so the chunk,
-  // the send credit and any waiting guest thread find their way home.
-  // kInvalid: nothing to answer.
+  // The completion that answers the request (with kNqeFlagChunkUnconsumed
+  // for carries-chunk ops) when it dies before any transport consumed it, so
+  // the chunk, the send credit and any waiting guest thread find their way
+  // home. kInvalid: nothing to answer.
   NqeOp error_completion;
+  // CoreEngine forwards a datagram verb whose socket has no table entry
+  // without making one; ServiceLib refuses a stream or datagram verb aimed
+  // at a socket of the other kind.
+  SockKind kind;
 
   constexpr bool ToNsm() const { return ring == RingKind::kJob || ring == RingKind::kSend; }
 };
 
 // One row per op, in wire order.
 inline constexpr OpTraits kOpTraits[] = {
-    // op                    name                ring                    chunk  error completion
-    {NqeOp::kSocket,         "socket",           RingKind::kJob,         false, NqeOp::kOpResult},
-    {NqeOp::kBind,           "bind",             RingKind::kJob,         false, NqeOp::kOpResult},
-    {NqeOp::kListen,         "listen",           RingKind::kJob,         false, NqeOp::kOpResult},
-    {NqeOp::kConnect,        "connect",          RingKind::kJob,         false, NqeOp::kConnectResult},
-    {NqeOp::kAccept,         "accept",           RingKind::kJob,         false, NqeOp::kInvalid},
-    {NqeOp::kClose,          "close",            RingKind::kJob,         false, NqeOp::kInvalid},
-    {NqeOp::kSend,           "send",             RingKind::kSend,        true,  NqeOp::kSendResult},
-    {NqeOp::kSocketUdp,      "socket_udp",       RingKind::kJob,         false, NqeOp::kOpResult},
-    {NqeOp::kBindUdp,        "bind_udp",         RingKind::kJob,         false, NqeOp::kOpResult},
-    {NqeOp::kSendTo,         "sendto",           RingKind::kSend,        true,  NqeOp::kSendToResult},
-    {NqeOp::kRecvFrom,       "recvfrom",         RingKind::kJob,         false, NqeOp::kInvalid},
-    {NqeOp::kSendZc,         "send_zc",          RingKind::kSend,        true,  NqeOp::kSendZcComplete},
-    {NqeOp::kSendToZc,       "sendto_zc",        RingKind::kSend,        true,  NqeOp::kSendToResult},
-    {NqeOp::kOpResult,       "op_result",        RingKind::kCompletion,  false, NqeOp::kInvalid},
-    {NqeOp::kConnectResult,  "connect_result",   RingKind::kCompletion,  false, NqeOp::kInvalid},
-    {NqeOp::kAcceptedConn,   "accepted_conn",    RingKind::kCompletion,  false, NqeOp::kInvalid},
-    {NqeOp::kSendResult,     "send_result",      RingKind::kCompletion,  false, NqeOp::kInvalid},
-    {NqeOp::kRecvData,       "recv_data",        RingKind::kReceive,     true,  NqeOp::kInvalid},
-    {NqeOp::kFinReceived,    "fin_received",     RingKind::kReceive,     false, NqeOp::kInvalid},
-    {NqeOp::kSendToResult,   "sendto_result",    RingKind::kCompletion,  false, NqeOp::kInvalid},
-    {NqeOp::kDgramRecv,      "dgram_recv",       RingKind::kReceive,     true,  NqeOp::kInvalid},
-    {NqeOp::kSendZcComplete, "send_zc_complete", RingKind::kCompletion,  false, NqeOp::kInvalid},
-    {NqeOp::kDgramRecvZc,    "dgram_recv_zc",    RingKind::kReceive,     true,  NqeOp::kInvalid},
-    {NqeOp::kNsmRehomed,     "nsm_rehomed",      RingKind::kCompletion,  false, NqeOp::kInvalid},
+    // op                    name                ring                    chunk  error completion        kind
+    {NqeOp::kSocket,         "socket",           RingKind::kJob,         false, NqeOp::kOpResult,       SockKind::kStream},
+    {NqeOp::kBind,           "bind",             RingKind::kJob,         false, NqeOp::kOpResult,       SockKind::kStream},
+    {NqeOp::kListen,         "listen",           RingKind::kJob,         false, NqeOp::kOpResult,       SockKind::kStream},
+    {NqeOp::kConnect,        "connect",          RingKind::kJob,         false, NqeOp::kConnectResult,  SockKind::kStream},
+    {NqeOp::kAccept,         "accept",           RingKind::kJob,         false, NqeOp::kInvalid,        SockKind::kStream},
+    {NqeOp::kClose,          "close",            RingKind::kJob,         false, NqeOp::kInvalid,        SockKind::kAny},
+    {NqeOp::kSend,           "send",             RingKind::kSend,        true,  NqeOp::kSendResult,     SockKind::kStream},
+    {NqeOp::kSocketUdp,      "socket_udp",       RingKind::kJob,         false, NqeOp::kOpResult,       SockKind::kDgram},
+    {NqeOp::kBindUdp,        "bind_udp",         RingKind::kJob,         false, NqeOp::kOpResult,       SockKind::kDgram},
+    {NqeOp::kSendTo,         "sendto",           RingKind::kSend,        true,  NqeOp::kSendToResult,   SockKind::kDgram},
+    {NqeOp::kRecvFrom,       "recvfrom",         RingKind::kJob,         false, NqeOp::kInvalid,        SockKind::kDgram},
+    {NqeOp::kSendZc,         "send_zc",          RingKind::kSend,        true,  NqeOp::kSendZcComplete, SockKind::kStream},
+    {NqeOp::kSendToZc,       "sendto_zc",        RingKind::kSend,        true,  NqeOp::kSendToResult,   SockKind::kDgram},
+    {NqeOp::kOpResult,       "op_result",        RingKind::kCompletion,  false, NqeOp::kInvalid,        SockKind::kAny},
+    {NqeOp::kConnectResult,  "connect_result",   RingKind::kCompletion,  false, NqeOp::kInvalid,        SockKind::kStream},
+    {NqeOp::kAcceptedConn,   "accepted_conn",    RingKind::kCompletion,  false, NqeOp::kInvalid,        SockKind::kStream},
+    {NqeOp::kSendResult,     "send_result",      RingKind::kCompletion,  false, NqeOp::kInvalid,        SockKind::kStream},
+    {NqeOp::kRecvData,       "recv_data",        RingKind::kReceive,     true,  NqeOp::kInvalid,        SockKind::kStream},
+    {NqeOp::kFinReceived,    "fin_received",     RingKind::kReceive,     false, NqeOp::kInvalid,        SockKind::kAny},
+    {NqeOp::kSendToResult,   "sendto_result",    RingKind::kCompletion,  false, NqeOp::kInvalid,        SockKind::kDgram},
+    {NqeOp::kDgramRecv,      "dgram_recv",       RingKind::kReceive,     true,  NqeOp::kInvalid,        SockKind::kDgram},
+    {NqeOp::kSendZcComplete, "send_zc_complete", RingKind::kCompletion,  false, NqeOp::kInvalid,        SockKind::kStream},
+    {NqeOp::kDgramRecvZc,    "dgram_recv_zc",    RingKind::kReceive,     true,  NqeOp::kInvalid,        SockKind::kDgram},
+    {NqeOp::kNsmRehomed,     "nsm_rehomed",      RingKind::kCompletion,  false, NqeOp::kInvalid,        SockKind::kAny},
 };
 
 namespace detail {
@@ -242,6 +252,12 @@ static_assert(detail::EveryRow([](size_t i) {
               }),
               "kOpTraits: error completions answer guest ops and are NSM->guest ops on the "
               "completion ring");
+static_assert(detail::EveryRow([](size_t i) {
+                const uint8_t row = detail::RowOf(kOpTraits[i].error_completion);
+                return row == detail::kNoOpRow || kOpTraits[row].kind == SockKind::kAny ||
+                       kOpTraits[row].kind == kOpTraits[i].kind;
+              }),
+              "kOpTraits: an error completion acts on its request's socket kind (or either)");
 
 // reserved[1] flag on NSM->VM completions: the operation failed inside the
 // switch before any consumer saw it, so the payload chunk referenced by
@@ -303,6 +319,29 @@ inline Nqe MakeNqe(NqeOp op, uint8_t vm_id, uint8_t queue_set, uint32_t vm_sock,
   n.data_ptr = data_ptr;
   n.size = size;
   return n;
+}
+
+// The completion that answers guest request `orig` when it dies before any
+// transport consumed it: CoreEngine could not route it, nkguard rejected it,
+// a quarantine sweep drained it, or ServiceLib refused it. It mirrors a real
+// NSM response: `result` (a negative errno) in `size` and the original op in
+// reserved[0]. A carries-chunk request returns its send credit in op_data
+// and hands its untouched chunk back under kNqeFlagChunkUnconsumed, so the
+// guest frees it. `vm_id` is the VM owning the ring `orig` came from, never a
+// byte the guest wrote. Returns false when the op needs no answer (or the
+// byte is no op at all).
+inline bool BuildErrorCompletion(const Nqe& orig, uint8_t vm_id, int32_t result, Nqe* out) {
+  const OpTraits* traits = FindOpTraits(orig.op);
+  if (traits == nullptr || traits->error_completion == NqeOp::kInvalid) return false;
+  *out = MakeNqe(traits->error_completion, vm_id, orig.queue_set, orig.vm_sock);
+  out->size = static_cast<uint32_t>(result);
+  out->reserved[0] = orig.op;
+  if (traits->carries_chunk) {
+    out->op_data = orig.size;  // send credit to return
+    out->data_ptr = orig.data_ptr;
+    out->reserved[1] = kNqeFlagChunkUnconsumed;
+  }
+  return true;
 }
 
 inline std::string NqeOpName(NqeOp op) {

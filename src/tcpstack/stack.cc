@@ -137,7 +137,7 @@ int TcpStack::RssCore(const FourTuple& tuple) const {
 int TcpStack::Connect(SocketId id, IpAddr dst_ip, uint16_t dst_port) {
   Sock* s = Find(id);
   if (s == nullptr) return kNotConnected;
-  NK_CHECK(s->state == TcpState::kClosed);
+  if (s->state != TcpState::kClosed) return kIsConnected;
   if (s->tuple.local_ip == 0) {
     s->tuple.local_ip = nic_ != nullptr ? nic_->ip() : 0;
   }

@@ -110,6 +110,7 @@ enum TcpError : int {
   kConnReset = -104,
   kTimedOut = -110,
   kAddrInUse = -98,
+  kIsConnected = -106,  // connect() on a socket already connecting, connected or listening
   kNotConnected = -107,
   kWouldBlock = -11,
   kInvalidArg = -22,  // e.g. an unknown zero-copy loan handle

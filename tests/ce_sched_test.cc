@@ -40,7 +40,7 @@ class SaturationHarness {
   // the whole backlog, so delivered shares track the DRR schedule.
   SaturationHarness(size_t nsm_capacity = 64, size_t pending_bound = 64)
       : core_(&loop_, "ce"),
-        ce_(&loop_, &core_, MakeConfig(pending_bound)),
+        ce_(&loop_, {&core_}, MakeConfig(pending_bound)),
         nsm_dev_("nsm", 1, nsm_capacity),
         vm1_dev_("vm1", 1),
         vm2_dev_("vm2", 1) {
@@ -143,7 +143,7 @@ TEST(CeSchedTest, RotationSurvivesManyVms) {
   sim::CpuCore core(&loop, "ce");
   CoreEngineConfig cfg;
   cfg.pending_bound = 64;
-  CoreEngine ce(&loop, &core, cfg);
+  CoreEngine ce(&loop, {&core}, cfg);
   NkDevice nsm("nsm", 1, 64);
   ce.RegisterNsmDevice(1, &nsm);
   std::vector<std::unique_ptr<NkDevice>> vms;
@@ -196,7 +196,7 @@ TEST(CeSchedTest, RotationSurvivesManyVms) {
 
 class CeErrorTest : public ::testing::Test {
  protected:
-  CeErrorTest() : core_(&loop_, "ce"), ce_(&loop_, &core_), vm_dev_("vm1", 1) {
+  CeErrorTest() : core_(&loop_, "ce"), ce_(&loop_, {&core_}), vm_dev_("vm1", 1) {
     ce_.RegisterVmDevice(1, &vm_dev_);
   }
 
@@ -246,12 +246,12 @@ TEST_F(CeErrorTest, SendToAfterNsmDeathReclaimsChunk) {
   vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocketUdp, 1, 0, 9));
   ce_.NotifyVmOutbound(1);
   RunABit();
-  EXPECT_EQ(ce_.DgramTableSize(), 1u);
+  EXPECT_EQ(ce_.ConnectionTableSize(), 1u);
 
   // The NSM dies and nothing replaces it: a queued kSendTo must come back
   // as a flagged kSendToResult, not disappear with the chunk.
   ce_.DeregisterNsmDevice(1);
-  EXPECT_EQ(ce_.DgramTableSize(), 0u);  // entry purged with the NSM
+  EXPECT_EQ(ce_.ConnectionTableSize(), 0u);  // entry purged with the NSM
   vm_dev_.queue_set(0).send.TryEnqueue(
       MakeNqe(NqeOp::kSendTo, 1, 0, 9, shm::PackAddr(1, 80), 5555, 256));
   ce_.NotifyVmOutbound(1);
@@ -330,19 +330,23 @@ TEST_F(CeErrorTest, DeregisterNsmFinsEstablishedConnections) {
   ce_.RegisterNsmDevice(1, &nsm);
   ce_.AssignVmToNsm(1, 1);
   vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocket, 1, 0, 100));
+  vm_dev_.queue_set(0).job.TryEnqueue(MakeNqe(NqeOp::kSocketUdp, 1, 0, 101));
   ce_.NotifyVmOutbound(1);
   RunABit();
-  EXPECT_EQ(ce_.ConnectionTableSize(), 1u);
+  EXPECT_EQ(ce_.ConnectionTableSize(), 2u);  // one table, both kinds
 
-  ce_.DeregisterNsmDevice(1);
-  // Regression: DeregisterNsmDevice used to leak the conn/dgram entries of
-  // the dead NSM (only DeregisterVmDevice cleaned its tables).
+  const size_t fins = ce_.DeregisterNsmDevice(1);
+  // Regression: DeregisterNsmDevice used to leak the table entries of the
+  // dead NSM (only DeregisterVmDevice cleaned them).
   EXPECT_EQ(ce_.ConnectionTableSize(), 0u);
+  // The stream socket gets an error FIN; the datagram entry goes quietly.
+  EXPECT_EQ(fins, 1u);
   Nqe got;
   ASSERT_TRUE(vm_dev_.queue_set(0).receive.TryDequeue(&got));
   EXPECT_EQ(got.Op(), NqeOp::kFinReceived);
   EXPECT_EQ(got.vm_sock, 100u);
   EXPECT_EQ(static_cast<int32_t>(got.size), kCeNetUnreach);
+  EXPECT_FALSE(vm_dev_.queue_set(0).receive.TryDequeue(&got));
 }
 
 TEST_F(CeErrorTest, DgramSocketRehomesToCurrentNsm) {
@@ -379,7 +383,7 @@ TEST(CeBackpressureTest, NothingVanishesUnderOverload) {
   sim::CpuCore core(&loop, "ce");
   CoreEngineConfig cfg;
   cfg.pending_bound = 8;  // tiny park so backpressure engages immediately
-  CoreEngine ce(&loop, &core, cfg);
+  CoreEngine ce(&loop, {&core}, cfg);
   NkDevice nsm("nsm", 1, 16);  // 15-slot rings, nobody draining them
   NkDevice vm("vm", 1);
   ce.RegisterNsmDevice(1, &nsm);

@@ -3,7 +3,7 @@
 // op), NQE conservation and per-connection ordering across a work-stealing
 // migration, weighted fairness when the competing VMs live on different
 // shards, the NSM-deregistration race with parked deliveries spread over
-// shards, scheduler-state cleanup on VM deregistration, the kQueryVmStats
+// shards, scheduler-state cleanup on VM deregistration, the kQueryVmStatWide
 // control op, near-linear multi-shard switching throughput, and coalesced
 // NSM-side wakeups.
 
@@ -340,7 +340,7 @@ TEST(CeShardTest, NsmDeathWithParkedDeliveriesOnBothShards) {
   h.ce_->DeregisterNsmDevice(1);
   EXPECT_EQ(h.ce_->ParkedDeliveries(), 0u);
   EXPECT_EQ(h.ce_->stats().nqes_dropped, parked0 + parked1);
-  EXPECT_EQ(h.ce_->DgramTableSize(), 0u);
+  EXPECT_EQ(h.ce_->ConnectionTableSize(), 0u);
   // Each VM gets exactly its own parked count back as reclaim completions.
   auto reclaims = [&](NkDevice& dev) {
     uint64_t n = 0;
@@ -398,10 +398,10 @@ TEST(CeShardTest, DeregisterVmClearsSchedulerState) {
 }
 
 // ---------------------------------------------------------------------------
-// kQueryVmStats: per-VM isolation counters over the 8-byte control channel.
+// kQueryVmStatWide: per-VM isolation counters over the 8-byte control channel.
 // ---------------------------------------------------------------------------
 
-TEST(CeShardTest, QueryVmStatsControlOp) {
+TEST(CeShardTest, QueryVmStatWideControlOp) {
   CoreEngineConfig cfg;
   ShardHarness h(1, cfg);
   NkDevice nsm_dev("nsm", 1);
@@ -418,27 +418,34 @@ TEST(CeShardTest, QueryVmStatsControlOp) {
   h.ce_->NotifyVmOutbound(1);
   h.RunFor(kMillisecond);
 
+  auto word = [&](uint32_t vm, uint32_t field, uint32_t w) {
+    return h.ce_->HandleControlMessage(
+        {static_cast<uint32_t>(CeOp::kQueryVmStatWide), (vm << 16) | (field << 8) | w});
+  };
   auto query = [&](VmStatField f) {
-    CeMessage resp = h.ce_->HandleControlMessage(
-        {static_cast<uint32_t>(CeOp::kQueryVmStats),
-         (1u << 8) | static_cast<uint32_t>(f)});
-    EXPECT_EQ(resp.ce_op, static_cast<uint32_t>(CeOp::kOk));
-    return resp.ce_data;
+    CeMessage lo = word(1, static_cast<uint32_t>(f), 0);
+    CeMessage hi = word(1, static_cast<uint32_t>(f), 1);
+    EXPECT_EQ(lo.ce_op, static_cast<uint32_t>(CeOp::kOk));
+    EXPECT_EQ(hi.ce_op, static_cast<uint32_t>(CeOp::kOk));
+    return WideVmStat(lo.ce_data, hi.ce_data);
   };
   PerVmStats direct = h.ce_->VmStats(1);
   ASSERT_GT(direct.switched, 0u);
+  ASSERT_GT(direct.bytes, 0u);
   EXPECT_EQ(query(VmStatField::kSwitched), direct.switched);
   EXPECT_EQ(query(VmStatField::kDropped), direct.dropped);
-  EXPECT_EQ(query(VmStatField::kBytesKiB), direct.bytes >> 10);
+  EXPECT_EQ(query(VmStatField::kBytes), direct.bytes);  // bytes, not KiB
   EXPECT_EQ(query(VmStatField::kDeferred), direct.deferred);
-  // Unknown field selector is rejected; unknown VM reads as zero.
-  CeMessage bad = h.ce_->HandleControlMessage(
-      {static_cast<uint32_t>(CeOp::kQueryVmStats), (1u << 8) | 200u});
-  EXPECT_EQ(bad.ce_op, static_cast<uint32_t>(CeOp::kError));
-  CeMessage unknown_vm = h.ce_->HandleControlMessage(
-      {static_cast<uint32_t>(CeOp::kQueryVmStats), (42u << 8) | 0u});
+  // Unknown field selector or word is rejected; unknown VM reads as zero.
+  EXPECT_EQ(word(1, 200, 0).ce_op, static_cast<uint32_t>(CeOp::kError));
+  EXPECT_EQ(word(1, 0, 2).ce_op, static_cast<uint32_t>(CeOp::kError));
+  CeMessage unknown_vm = word(42, 0, 0);
   EXPECT_EQ(unknown_vm.ce_op, static_cast<uint32_t>(CeOp::kOk));
   EXPECT_EQ(unknown_vm.ce_data, 0u);
+  // Op byte 7, the narrow read's old number, is unassigned: it answers
+  // kError like any other unassigned byte.
+  CeMessage narrow = h.ce_->HandleControlMessage({7u, (1u << 8) | 0u});
+  EXPECT_EQ(narrow.ce_op, static_cast<uint32_t>(CeOp::kError));
 }
 
 // ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ class CoreEngineTest : public ::testing::Test {
  protected:
   CoreEngineTest()
       : core_(&loop_, "ce"),
-        ce_(&loop_, &core_),
+        ce_(&loop_, {&core_}),
         vm_dev_("vm1", 2),
         nsm_dev_("nsm1", 2) {
     ce_.RegisterVmDevice(1, &vm_dev_);

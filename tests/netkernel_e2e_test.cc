@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -381,6 +382,144 @@ TEST_F(NetkernelE2eTest, ManyVmsMultiplexOntoOneNsm) {
   EXPECT_EQ(handled, kVms);
   for (int i = 0; i < kVms; ++i) EXPECT_TRUE(flags[i]) << "vm " << i;
   (void)results;
+}
+
+// ---------------------------------------------------------------------------
+// Calls a tenant gets wrong must fail that call, not the shared NSM.
+// ---------------------------------------------------------------------------
+
+// Connects `fd`, then connects it again and connects a listening socket; the
+// first connection must still echo afterwards.
+sim::Task<void> ConnectTwice(Vm* vm, netsim::IpAddr ip, uint16_t port, int* again,
+                             int* on_listener, bool* echoed) {
+  SocketApi& api = vm->api();
+  sim::CpuCore* cpu = vm->vcpu(0);
+  int fd = co_await api.Socket(cpu);
+  if (0 != co_await api.Connect(cpu, fd, ip, port)) co_return;
+  *again = co_await api.Connect(cpu, fd, ip, port);
+  int lfd = co_await api.Socket(cpu);
+  co_await api.Bind(cpu, lfd, 0, 7500);
+  co_await api.Listen(cpu, lfd, 8, false);
+  *on_listener = co_await api.Connect(cpu, lfd, ip, port);
+  const uint8_t ping[4] = {'p', 'i', 'n', 'g'};
+  uint8_t back[4] = {};
+  co_await api.Send(cpu, fd, ping, sizeof(ping));
+  int64_t r = co_await api.Recv(cpu, fd, back, sizeof(back));
+  *echoed = r == sizeof(back) && std::equal(ping, ping + 4, back);
+  co_await api.Close(cpu, lfd);
+  co_await api.Close(cpu, fd);
+}
+
+TEST_F(NetkernelE2eTest, SecondConnectFailsTheCallNotTheStack) {
+  // Under NetKernel the stack belongs to the NSM that every tenant shares,
+  // so a connect() on a connected or listening socket must answer with an
+  // error, as it does in the VM's own kernel, and leave the live connection
+  // alone.
+  Nsm* nsm = HostA().CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* nk = HostA().CreateNetkernelVm("nk", 1, nsm);
+  Vm* base = HostA().CreateBaselineVm("base", 1);
+  Vm* server = HostB().CreateBaselineVm("server", 2);
+  int handled = 0;
+  sim::Spawn(EchoNServer(server, 7000, 1, &handled));
+  sim::Spawn(EchoNServer(server, 7001, 1, &handled));
+  int again[2] = {1, 1};
+  int on_listener[2] = {1, 1};
+  bool echoed[2] = {false, false};
+  sim::Spawn(ConnectTwice(nk, server->ip(), 7000, &again[0], &on_listener[0], &echoed[0]));
+  sim::Spawn(ConnectTwice(base, server->ip(), 7001, &again[1], &on_listener[1], &echoed[1]));
+  Run();
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i == 0 ? "NetKernel" : "Baseline");
+    EXPECT_EQ(again[i], tcp::kIsConnected);
+    EXPECT_EQ(on_listener[i], tcp::kIsConnected);
+    EXPECT_TRUE(echoed[i]) << "the first connection broke";
+  }
+  EXPECT_EQ(handled, 2);
+}
+
+TEST_F(NetkernelE2eTest, ConnectOnADatagramSocketIsNotConnected) {
+  Nsm* nsm = HostA().CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* nk = HostA().CreateNetkernelVm("nk", 1, nsm);
+  Vm* base = HostA().CreateBaselineVm("base", 1);
+  Vm* server = HostB().CreateBaselineVm("server", 1);
+  int result[2] = {1, 1};
+  auto task = [&](Vm* vm, int* out) -> sim::Task<void> {
+    int fd = co_await vm->api().SocketDgram(vm->vcpu(0));
+    *out = co_await vm->api().Connect(vm->vcpu(0), fd, server->ip(), 7000);
+    co_await vm->api().Close(vm->vcpu(0), fd);
+  };
+  sim::Spawn(task(nk, &result[0]));
+  sim::Spawn(task(base, &result[1]));
+  Run();
+  EXPECT_EQ(result[0], tcp::kNotConnected) << "NetKernel";
+  EXPECT_EQ(result[1], tcp::kNotConnected) << "Baseline";
+  EXPECT_EQ(nsm->servicelib()->guard_drops(), 1u);
+}
+
+// Enqueues a raw send-family NQE naming guest handle `vm_sock`, with a chunk
+// the guest owns, so nkguard admits it: the right ring, a live pool chunk.
+void InjectSend(Host& host, Vm* vm, shm::NqeOp op, uint32_t vm_sock, uint64_t dst) {
+  const uint64_t chunk = vm->pool()->Alloc(64);
+  ASSERT_NE(chunk, shm::HugepagePool::kInvalidOffset);
+  ASSERT_TRUE(vm->dev()->queue_set(0).send.TryEnqueue(
+      shm::MakeNqe(op, vm->id(), 0, vm_sock, dst, chunk, 64)));
+  host.ce().NotifyVmOutbound(vm->id(), 0);
+}
+
+TEST_F(NetkernelE2eTest, DatagramSendNamingAStreamSocketIsRefused) {
+  // Before the NSM checked socket kinds, the kSendTo raised the stream
+  // socket's in-flight send count for good, so its close never finished
+  // and the peer never saw EOF.
+  Nsm* nsm = HostA().CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* nk = HostA().CreateNetkernelVm("nk", 1, nsm);
+  Vm* server = HostB().CreateBaselineVm("server", 1);
+  int handled = 0;
+  sim::Spawn(EchoNServer(server, 7000, 1, &handled));
+  auto client = [&]() -> sim::Task<void> {
+    SocketApi& api = nk->api();
+    sim::CpuCore* cpu = nk->vcpu(0);
+    int fd = co_await api.Socket(cpu);  // GuestLib numbers handles from 1
+    if (0 != co_await api.Connect(cpu, fd, server->ip(), 7000)) co_return;
+    InjectSend(HostA(), nk, shm::NqeOp::kSendTo, 1, shm::PackAddr(server->ip(), 7000));
+    co_await sim::Delay(&loop_, kMillisecond);
+    co_await api.Close(cpu, fd);
+  };
+  sim::Spawn(client());
+  Run();
+  EXPECT_EQ(nsm->servicelib()->guard_drops(), 1u);
+  EXPECT_EQ(handled, 1) << "the peer never saw EOF";
+  // The refusal handed the chunk back with its credit; the guest freed it.
+  EXPECT_EQ(nk->guestlib()->send_credit_reclaims(), 1u);
+  EXPECT_EQ(nk->pool()->bytes_in_use(), 0u);
+  EXPECT_EQ(nk->pool()->allocs(), nk->pool()->frees());
+}
+
+TEST_F(NetkernelE2eTest, StreamSendNamingADatagramSocketIsRefused) {
+  // Before the NSM checked socket kinds, the kSend pinned the datagram
+  // socket, so its close never finished and its port stayed bound.
+  Nsm* nsm = HostA().CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* nk = HostA().CreateNetkernelVm("nk", 1, nsm);
+  int rebind = 1;
+  auto client = [&]() -> sim::Task<void> {
+    SocketApi& api = nk->api();
+    sim::CpuCore* cpu = nk->vcpu(0);
+    int fd = co_await api.SocketDgram(cpu);  // GuestLib numbers handles from 1
+    if (0 != co_await api.Bind(cpu, fd, 0, 7000)) co_return;
+    InjectSend(HostA(), nk, shm::NqeOp::kSend, 1, 0);
+    co_await sim::Delay(&loop_, kMillisecond);
+    co_await api.Close(cpu, fd);
+    co_await sim::Delay(&loop_, kMillisecond);
+    int fd2 = co_await api.SocketDgram(cpu);
+    rebind = co_await api.Bind(cpu, fd2, 0, 7000);
+    co_await api.Close(cpu, fd2);
+  };
+  sim::Spawn(client());
+  Run();
+  EXPECT_EQ(nsm->servicelib()->guard_drops(), 1u);
+  EXPECT_EQ(rebind, 0) << "the closed socket still holds its port";
+  EXPECT_EQ(nk->guestlib()->send_credit_reclaims(), 1u);
+  EXPECT_EQ(nk->pool()->bytes_in_use(), 0u);
+  EXPECT_EQ(nk->pool()->allocs(), nk->pool()->frees());
 }
 
 }  // namespace

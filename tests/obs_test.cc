@@ -567,8 +567,8 @@ TEST_F(ObsHostTest, QueryVmStatWideSurvivesPast32Bits) {
 
   // Push the byte counter past 2^32 (5 GiB) plus a recognizable remainder.
   const uint64_t big = (5ull << 30) + 12345;
-  h.ce().AddVmStatForTest(id, VmStatField::kBytesKiB, big);
-  ASSERT_EQ(h.ce().QueryVmStatRaw(id, VmStatField::kBytesKiB), big);
+  h.ce().AddVmStatForTest(id, VmStatField::kBytes, big);
+  ASSERT_EQ(h.ce().QueryVmStatRaw(id, VmStatField::kBytes), big);
 
   auto wide_read = [&](VmStatField f) {
     uint32_t words[2];
@@ -581,29 +581,18 @@ TEST_F(ObsHostTest, QueryVmStatWideSurvivesPast32Bits) {
     }
     return WideVmStat(words[0], words[1]);
   };
-  EXPECT_EQ(wide_read(VmStatField::kBytesKiB), big);
+  EXPECT_EQ(wide_read(VmStatField::kBytes), big);
 
-  auto narrow_read = [&](VmStatField f) {
-    CeMessage resp = h.ce().HandleControlMessage(
-        {static_cast<uint32_t>(CeOp::kQueryVmStats),
-         (uint32_t(id) << 8) | static_cast<uint32_t>(f)});
-    EXPECT_EQ(resp.ce_op, static_cast<uint32_t>(CeOp::kOk));
-    return resp.ce_data;
-  };
-
-  // A switched-NQE counter past 2^32: the narrow op saturates, the wide op
-  // returns the full value.
+  // A switched-NQE counter past 2^32: the wide op returns the full value.
   const uint64_t huge = (1ull << 32) + 99;
   h.ce().AddVmStatForTest(id, VmStatField::kSwitched, huge);
-  EXPECT_EQ(narrow_read(VmStatField::kSwitched), UINT32_MAX);  // the old failure mode
   EXPECT_EQ(wide_read(VmStatField::kSwitched), huge);
 
   // Every selector reads its own counter: the five fields hold distinct
-  // values, and each lands in its named PerVmStats member and reads back
-  // over both ops.
+  // values, and each lands in its named PerVmStats member and reads back.
   const uint64_t dropped = 7;
-  const uint64_t throttled = 3000000011ull;  // fits the narrow op
-  const uint64_t deferred = (3ull << 32) + 5;  // saturates it
+  const uint64_t throttled = 3000000011ull;
+  const uint64_t deferred = (3ull << 32) + 5;
   h.ce().AddVmStatForTest(id, VmStatField::kDropped, dropped);
   h.ce().AddVmStatForTest(id, VmStatField::kThrottled, throttled);
   h.ce().AddVmStatForTest(id, VmStatField::kDeferred, deferred);
@@ -613,14 +602,10 @@ TEST_F(ObsHostTest, QueryVmStatWideSurvivesPast32Bits) {
   EXPECT_EQ(direct.throttled, throttled);
   EXPECT_EQ(direct.bytes, big);
   EXPECT_EQ(direct.deferred, deferred);
-  EXPECT_EQ(narrow_read(VmStatField::kDropped), dropped);
-  EXPECT_EQ(narrow_read(VmStatField::kThrottled), throttled);
-  EXPECT_EQ(narrow_read(VmStatField::kBytesKiB), big >> 10);  // KiB, fits 32 bits
-  EXPECT_EQ(narrow_read(VmStatField::kDeferred), UINT32_MAX);
   EXPECT_EQ(wide_read(VmStatField::kSwitched), huge);
   EXPECT_EQ(wide_read(VmStatField::kDropped), dropped);
   EXPECT_EQ(wide_read(VmStatField::kThrottled), throttled);
-  EXPECT_EQ(wide_read(VmStatField::kBytesKiB), big);  // raw bytes
+  EXPECT_EQ(wide_read(VmStatField::kBytes), big);  // bytes, not KiB
   EXPECT_EQ(wide_read(VmStatField::kDeferred), deferred);
 
   // Malformed selectors are rejected.

@@ -247,7 +247,7 @@ class ShmDriverTest : public ::testing::Test {
   explicit ShmDriverTest(size_t ring_capacity = 8)
       : ce_core_(&loop_, "ce"),
         nsm_core_(&loop_, "nsm"),
-        ce_(&loop_, &ce_core_),
+        ce_(&loop_, {&ce_core_}),
         dev_("drv", 1, ring_capacity),
         pool_a_(kMiB),
         pool_b_(kMiB),
