@@ -226,7 +226,7 @@ void CoreEngine::NotifyVmOutbound(uint8_t vm_id, int qset) {
   }
   if (vms_[vm_id]) {
     for (auto& s : shards_) {
-      if (s->sched_.count(vm_id) != 0) s->ScheduleRound();
+      if (!s->sched_[vm_id].qsets.empty()) s->ScheduleRound();
     }
     return;
   }
@@ -373,7 +373,7 @@ void CoreEngine::MaybeRebalance(CoreEngineShard* victim) {
   if (victim->VmBacklog() < config_.steal_backlog) return;
   // Shedding the only owned queue set would just move the hotspot.
   size_t owned = 0;
-  for (const auto& [vm, vs] : victim->sched_) owned += vs.qsets.size();
+  for (uint8_t vm : victim->vm_rr_order_) owned += victim->sched_[vm].qsets.size();
   if (owned < 2) return;
   CoreEngineShard* thief = nullptr;
   for (auto& s : shards_) {
@@ -387,8 +387,8 @@ void CoreEngine::MaybeRebalance(CoreEngineShard* victim) {
   uint8_t best_vm = 0;
   uint8_t best_qs = 0;
   uint64_t best = 0;
-  for (const auto& [vm, vs] : victim->sched_) {
-    for (uint8_t qs : vs.qsets) {
+  for (uint8_t vm : victim->vm_rr_order_) {
+    for (uint8_t qs : victim->sched_[vm].qsets) {
       uint64_t b = victim->VmQsetBacklog(vm, qs);
       if (b > best) {
         best = b;
@@ -474,15 +474,14 @@ void CoreEngineShard::AddVmQset(uint8_t vm_id, uint8_t qset) {
 }
 
 void CoreEngineShard::RemoveVmQset(uint8_t vm_id, uint8_t qset) {
-  auto it = sched_.find(vm_id);
-  if (it == sched_.end()) return;
-  VmSched& vs = it->second;
+  VmSched& vs = sched_[vm_id];
+  if (vs.qsets.empty()) return;
   vs.qsets.erase(std::remove(vs.qsets.begin(), vs.qsets.end(), qset), vs.qsets.end());
   if (!vs.qsets.empty()) {
     vs.cursor %= static_cast<int>(vs.qsets.size());
     return;
   }
-  sched_.erase(it);
+  vs = VmSched{};
   vm_rr_order_.erase(std::remove(vm_rr_order_.begin(), vm_rr_order_.end(), vm_id),
                      vm_rr_order_.end());
   if (vm_rr_cursor_ >= vm_rr_order_.size()) vm_rr_cursor_ = 0;
@@ -501,7 +500,7 @@ void CoreEngineShard::RemoveVm(uint8_t vm_id, shm::NkDevice* dev) {
   for (auto it = sock_table_.begin(); it != sock_table_.end();) {
     it = (it->first >> 32) == vm_id ? sock_table_.erase(it) : std::next(it);
   }
-  sched_.erase(vm_id);
+  sched_[vm_id] = VmSched{};
   vm_rr_order_.erase(std::remove(vm_rr_order_.begin(), vm_rr_order_.end(), vm_id),
                      vm_rr_order_.end());
   if (vm_rr_cursor_ >= vm_rr_order_.size()) vm_rr_cursor_ = 0;
@@ -538,14 +537,12 @@ size_t CoreEngineShard::RemoveNsm(uint8_t nsm_id, shm::NkDevice* dev) {
     uint32_t vm_sock = static_cast<uint32_t>(it->first);
     CoreEngine::VmReg* reg = engine_->FindVm(vm_id);
     if (!it->second.dgram && reg != nullptr && reg->dev != nullptr) {
-      Delivery d;
-      d.dst = reg->dev;
+      Delivery& d = PlanDelivery(reg->dev, fins);
       d.qset = it->second.vm_qset < d.dst->num_queue_sets() ? it->second.vm_qset : 0;
       d.ring = shm::RingKind::kReceive;
       d.toward_vm = true;
       d.nqe = MakeNqe(NqeOp::kFinReceived, vm_id, it->second.vm_qset, vm_sock, 0, 0,
                       static_cast<uint32_t>(kCeNetUnreach));
-      PlanDelivery(d, fins);
     }
     it = sock_table_.erase(it);
   }
@@ -563,8 +560,8 @@ uint64_t CoreEngineShard::VmQsetBacklog(uint8_t vm_id, uint8_t qset) const {
 
 uint64_t CoreEngineShard::VmBacklog() const {
   uint64_t total = 0;
-  for (const auto& [vm_id, vs] : sched_) {
-    for (uint8_t qs : vs.qsets) total += VmQsetBacklog(vm_id, qs);
+  for (uint8_t vm_id : vm_rr_order_) {
+    for (uint8_t qs : sched_[vm_id].qsets) total += VmQsetBacklog(vm_id, qs);
   }
   return total;
 }
@@ -598,9 +595,10 @@ void CoreEngineShard::ScheduleRound() {
   engine_->loop_->ScheduleAfter(0, [this] { ProcessRound(); });
 }
 
-uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
-                                 std::vector<Delivery>& plan, Cycles& cost, SimTime* retry_at,
-                                 bool* send_blocked, bool* job_blocked) {
+uint64_t CoreEngineShard::PollVm(DrrSlot& s, uint64_t limit, std::vector<Delivery>& plan,
+                                 Cycles& cost, SimTime* retry_at) {
+  const uint8_t vm_id = s.vm_id;
+  VmSched& vs = *s.vs;
   CoreEngine::VmReg* reg = engine_->FindVm(vm_id);
   if (reg == nullptr || reg->dev == nullptr || vs.qsets.empty()) return 0;
   uint64_t taken = 0;
@@ -625,7 +623,7 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
           Delivery d;
           if (guard::CarriesGuestChunk(nqe.Op()) &&
               validator.ChunkReclaimable(vm_id, nqe) && BuildErrorCompletion(nqe, &d)) {
-            PlanDelivery(d, plan);
+            PlanDelivery(d.dst, plan) = d;
           }
         }
       };
@@ -644,7 +642,7 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
     // Send ring before job ring: a close NQE must not overtake the data
     // NQEs the guest enqueued before it.
     for (const bool from_send : {true, false}) {
-      bool* blocked = from_send ? send_blocked : job_blocked;
+      bool* blocked = from_send ? &s.send_blocked : &s.job_blocked;
       shm::SpscRing<Nqe>& ring = from_send ? q.send : q.job;
       while (!*blocked && taken < limit && ring.Peek(&nqe)) {
         // nkguard admission on the peeked copy: what routes (and what any
@@ -671,6 +669,10 @@ uint64_t CoreEngineShard::PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit,
     }
   }
   vs.cursor = (vs.cursor + 1) % nqs;
+  // Short of `limit`, every owned ring is empty or blocked until the round
+  // ends. A VM that tripped quarantine in this poll stays live: its next
+  // poll drains its rings.
+  if (taken < limit && !(validator.enabled() && validator.IsQuarantined(vm_id))) s.dry = true;
   return taken;
 }
 
@@ -719,7 +721,7 @@ bool CoreEngineShard::GuardAdmit(Nqe* nqe, shm::SpscRing<Nqe>* ring, bool from_s
         d.nqe.data_ptr = 0;
         d.nqe.op_data = 0;
       }
-      PlanDelivery(d, plan);
+      PlanDelivery(d.dst, plan) = d;
     }
   }
   ++stats_.nqes_dropped;
@@ -784,13 +786,11 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
     // its payload chunk.
     if (home == nullptr) return FailVmNqe(nqe, plan);
     if (Backpressured(home)) return false;
-    Delivery d;
-    d.dst = home;
+    Delivery& d = PlanDelivery(home, plan);
     d.nsm_id = reg->nsm_id;
     d.qset = ChooseNsmQset(reg->nsm_id, home, key);
     d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
     d.nqe = nqe;
-    PlanDelivery(d, plan);
     ++stats_.dgram_nqes_switched;
     cost += config.costs.ce_table_lookup;
     return true;
@@ -836,13 +836,11 @@ bool CoreEngineShard::RouteVmNqe(const Nqe& nqe, bool from_send_ring,
     return false;
   }
 
-  Delivery d;
-  d.dst = ndev;
+  Delivery& d = PlanDelivery(ndev, plan);
   d.nsm_id = entry.nsm_id;
   d.qset = entry.nsm_qset;
   d.ring = from_send_ring ? shm::RingKind::kSend : shm::RingKind::kJob;
   d.nqe = nqe;
-  PlanDelivery(d, plan);
   if (entry.dgram) ++stats_.dgram_nqes_switched;
   if (from_send_ring) stats_.send_bytes_switched += nqe.size;
   if (op == NqeOp::kClose) sock_table_.erase(it);
@@ -881,15 +879,12 @@ bool CoreEngineShard::RouteNsmNqe(const Nqe& nqe, std::vector<Delivery>& plan, C
     engine_->CompleteConnHandshake(nqe, cost);
   }
 
-  Delivery d;
-  d.dst = reg->dev;
-  d.qset = nqe.queue_set;
-  if (d.qset >= reg->dev->num_queue_sets()) d.qset = 0;
+  Delivery& d = PlanDelivery(reg->dev, plan);
+  d.qset = nqe.queue_set < reg->dev->num_queue_sets() ? nqe.queue_set : 0;
   d.ring = shm::OpRides(op, shm::RingKind::kReceive) ? shm::RingKind::kReceive
                                                       : shm::RingKind::kCompletion;
   d.toward_vm = true;
   d.nqe = nqe;
-  PlanDelivery(d, plan);
   if (validator.enabled() &&
       (op == NqeOp::kDgramRecv || op == NqeOp::kDgramRecvZc)) {
     // Feed the datagram credit ledger: this much receive credit may later
@@ -924,7 +919,7 @@ bool CoreEngineShard::FailVmNqe(const Nqe& orig, std::vector<Delivery>& plan) {
                    orig.op, orig.vm_sock,
                    static_cast<uint64_t>(static_cast<uint32_t>(kCeNetUnreach)));
   Delivery d;
-  if (BuildErrorCompletion(orig, &d)) PlanDelivery(d, plan);
+  if (BuildErrorCompletion(orig, &d)) PlanDelivery(d.dst, plan) = d;
   return true;
 }
 
@@ -954,9 +949,12 @@ void CoreEngineShard::CountInFlight(shm::NkDevice* dev) {
   in_flight_.emplace_back(dev, 1);
 }
 
-void CoreEngineShard::PlanDelivery(const Delivery& d, std::vector<Delivery>& plan) {
-  CountInFlight(d.dst);
-  plan.push_back(d);
+CoreEngineShard::Delivery& CoreEngineShard::PlanDelivery(shm::NkDevice* dst,
+                                                          std::vector<Delivery>& plan) {
+  CountInFlight(dst);
+  Delivery& d = plan.emplace_back();
+  d.dst = dst;
+  return d;
 }
 
 bool CoreEngineShard::BehindPark(shm::NkDevice* dev) const {
@@ -1005,14 +1003,22 @@ void CoreEngineShard::ProcessRound() {
     progress = false;
     for (DrrSlot& s : order) {
       if ((s.send_blocked && s.job_blocked) || s.taken >= s.vs->deficit) continue;
+      if (s.dry) {
+        ++s.skipped;
+        continue;
+      }
       uint64_t chunk = std::min<uint64_t>(s.weight, s.vs->deficit - s.taken);
-      uint64_t got = PollVm(s.vm_id, *s.vs, chunk, plan, cost, &retry_at, &s.send_blocked,
-                            &s.job_blocked);
+      uint64_t got = PollVm(s, chunk, plan, cost, &retry_at);
       s.taken += got;
       if (got > 0) progress = true;
     }
   }
   for (DrrSlot& s : order) {
+    // The cursor turns the skipped polls would have given it.
+    if (s.skipped > 0) {
+      const uint64_t nqs = s.vs->qsets.size();
+      s.vs->cursor = static_cast<int>((static_cast<uint64_t>(s.vs->cursor) + s.skipped) % nqs);
+    }
     if (s.taken > 0) {
       s.vs->deficit -= s.taken;
       cost += config.costs.CePerNqe(static_cast<int>(s.taken)) *

@@ -248,6 +248,7 @@ class CoreEngineShard {
     bool complete = false;
   };
   // Per-VM deficit-round-robin state over the queue sets this shard owns.
+  // A VM owns none here exactly when its entry is a fresh VmSched.
   struct VmSched {
     std::vector<uint8_t> qsets;  // owned queue sets of this VM
     // Deficit accrues quantum * weight per round and is spent one NQE at a
@@ -274,6 +275,12 @@ class CoreEngineShard {
     uint64_t taken = 0;
     bool send_blocked = false;
     bool job_blocked = false;
+    // A poll took less than it was allowed: every owned ring is empty or
+    // blocked, and nothing refills a guest ring mid-round, so later passes
+    // skip the VM. Each skipped poll would have turned its queue-set cursor
+    // once and done nothing else; `skipped` counts them.
+    bool dry = false;
+    uint64_t skipped = 0;
   };
 
   void AddVmQset(uint8_t vm_id, uint8_t qset);
@@ -296,11 +303,13 @@ class CoreEngineShard {
   // Polls, charges the round's cost, delivers its plan at the charge's end
   // and polls again; the shard goes idle when a round finds no work.
   void ProcessRound();
-  // Routes up to `limit` NQEs from `vm`'s owned queue sets (send ring before
-  // job ring per set). A throttled/backpressured ring sets the matching
-  // blocked flag so later passes of the same round skip it.
-  uint64_t PollVm(uint8_t vm_id, VmSched& vs, uint64_t limit, std::vector<Delivery>& plan,
-                  Cycles& cost, SimTime* retry_at, bool* send_blocked, bool* job_blocked);
+  // Routes up to `limit` NQEs from `s`'s VM's owned queue sets (send ring
+  // before job ring per set). A throttled/backpressured ring sets the
+  // matching blocked flag so later passes of the same round skip it, and a
+  // poll that takes less than `limit` marks the VM dry (a quarantined VM's
+  // never does: its next poll drains its rings).
+  uint64_t PollVm(DrrSlot& s, uint64_t limit, std::vector<Delivery>& plan, Cycles& cost,
+                  SimTime* retry_at);
   // nkguard admission at ring-consume time: scrubs guest-written flag bytes,
   // validates the NQE against the protocol contract, and on violation
   // consumes it from `ring` and handles the reject (error completion per
@@ -335,9 +344,10 @@ class CoreEngineShard {
   // the source ring (backpressure) instead of planning a delivery that would
   // be dropped.
   bool Backpressured(shm::NkDevice* dev) const;
-  // Appends `d` to the round's plan, counting it outstanding for its
-  // destination until the delivery phase processes it.
-  void PlanDelivery(const Delivery& d, std::vector<Delivery>& plan);
+  // Appends a delivery toward `dst` to the round's plan and returns it for
+  // the caller to fill in place, counting it outstanding for `dst` until the
+  // delivery phase processes it.
+  Delivery& PlanDelivery(shm::NkDevice* dst, std::vector<Delivery>& plan);
   void CountInFlight(shm::NkDevice* dev);
   // True when deliveries are parked for `dev`: a new one must queue behind.
   bool BehindPark(shm::NkDevice* dev) const;
@@ -364,7 +374,7 @@ class CoreEngineShard {
   sim::CpuCore* core_;
 
   std::vector<uint8_t> vm_rr_order_;  // VMs with owned queue sets, DRR order
-  std::unordered_map<uint8_t, VmSched> sched_;
+  std::array<VmSched, 256> sched_;      // by VM id
   std::vector<uint8_t> nsm_rr_order_;
   std::array<std::vector<uint8_t>, 256> nsm_qsets_;  // owned sets, by NSM id
   size_t vm_rr_cursor_ = 0;  // rotated every round: who gets polled first

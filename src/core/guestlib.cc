@@ -36,14 +36,10 @@ GuestLib::GuestLib(sim::EventLoop* loop, uint8_t vm_id, CoreEngine* ce, shm::NkD
 }
 
 GuestLib::GSock* GuestLib::FindByFd(int fd) {
-  return fd >= 0 && static_cast<size_t>(fd) < by_fd_.size() ? by_fd_[static_cast<size_t>(fd)]
-                                                             : nullptr;
+  return fd >= 0 ? by_fd_.Find(static_cast<uint64_t>(fd)) : nullptr;
 }
 
-GuestLib::GSock* GuestLib::FindByHandle(uint32_t handle) {
-  auto it = socks_.find(handle);
-  return it == socks_.end() ? nullptr : it->second.get();
-}
+GuestLib::GSock* GuestLib::FindByHandle(uint32_t handle) { return socks_.Find(handle); }
 
 int GuestLib::QueueSetOf(sim::CpuCore* core) const {
   for (size_t i = 0; i < vcpus_.size(); ++i) {
@@ -53,16 +49,14 @@ int GuestLib::QueueSetOf(sim::CpuCore* core) const {
 }
 
 GuestLib::GSock& GuestLib::NewSock(sim::CpuCore* core) {
-  auto g = std::make_unique<GSock>();
-  g->handle = next_handle_++;
-  g->fd = next_fd_++;
-  g->qset = QueueSetOf(core);
-  g->ev = std::make_unique<sim::SimEvent>(loop_);
-  g->send_limit = config_.sndbuf_bytes;
-  GSock& ref = *g;
-  if (by_fd_.size() <= static_cast<size_t>(ref.fd)) by_fd_.resize(static_cast<size_t>(ref.fd) + 1);
-  by_fd_[static_cast<size_t>(ref.fd)] = &ref;
-  socks_[ref.handle] = std::move(g);
+  const uint32_t handle = next_handle_++;
+  GSock& ref = socks_.Insert(handle, std::make_unique<GSock>());
+  ref.handle = handle;
+  ref.fd = next_fd_++;
+  ref.qset = QueueSetOf(core);
+  ref.ev = std::make_unique<sim::SimEvent>(loop_);
+  ref.send_limit = config_.sndbuf_bytes;
+  by_fd_.Insert(static_cast<uint64_t>(ref.fd), &ref);
   return ref;
 }
 
@@ -82,35 +76,38 @@ uint32_t GuestLib::Readiness(int fd) {
   return r;
 }
 
-void GuestLib::EnqueueJob(GSock& g, Nqe nqe) {
-  nqe.vm_id = vm_id_;
-  nqe.queue_set = static_cast<uint8_t>(g.qset);
-  EnqueueRing(false, g.qset, nqe);
+void GuestLib::EnqueueJob(const GSock& g, NqeOp op, uint32_t vm_sock, uint64_t op_data,
+                          uint8_t flags) {
+  EnqueueRing(false, g.qset, op, vm_sock, op_data, 0, 0, flags);
 }
 
-void GuestLib::EnqueueSend(GSock& g, Nqe nqe) {
-  nqe.vm_id = vm_id_;
-  nqe.queue_set = static_cast<uint8_t>(g.qset);
-  EnqueueRing(true, g.qset, nqe);
+void GuestLib::EnqueueSend(const GSock& g, NqeOp op, uint64_t op_data, uint64_t data_ptr,
+                           uint32_t size) {
+  EnqueueRing(true, g.qset, op, g.handle, op_data, data_ptr, size, 0);
 }
 
-void GuestLib::EnqueueRing(bool send_ring, int qset, Nqe nqe) {
-  // T0: stamp before the ring/park decision so the trace id rides the NQE
-  // even when it sits in the overflow park first.
-  if (tracer_ != nullptr) {
-    Cycles tc = tracer_->OnGuestEnqueue(&nqe);
-    if (tc != 0) vcpus_[static_cast<size_t>(qset)]->AccountOnly(tc);
-  }
+void GuestLib::EnqueueRing(bool send_ring, int qset, NqeOp op, uint32_t vm_sock,
+                           uint64_t op_data, uint64_t data_ptr, uint32_t size, uint8_t flags) {
+  const auto write = [&](Nqe& nqe) {
+    nqe = MakeNqe(op, vm_id_, static_cast<uint8_t>(qset), vm_sock, op_data, data_ptr, size);
+    nqe.reserved[1] = flags;
+    // T0: stamped wherever the NQE is built, so the trace id rides it even
+    // when it sits in the overflow park first.
+    if (tracer_ != nullptr) {
+      Cycles tc = tracer_->OnGuestEnqueue(&nqe);
+      if (tc != 0) vcpus_[static_cast<size_t>(qset)]->AccountOnly(tc);
+    }
+  };
   Overflow& ov = overflow_[static_cast<size_t>(qset)];
   shm::QueueSet& q = dev_->queue_set(qset);
   shm::SpscRing<Nqe>& ring = send_ring ? q.send : q.job;
   // Preserve FIFO: once anything is parked, everything goes through the park.
-  if (ov.nqes.empty() && ring.TryEnqueue(nqe)) {
+  if (ov.nqes.empty() && ring.TryEnqueueInPlace(write)) {
     ++nqes_sent_;
     ce_->NotifyVmOutbound(vm_id_, qset);  // wake only the owning shard
     return;
   }
-  ov.nqes.emplace_back(send_ring, nqe);
+  write(ov.nqes.emplace_back(send_ring, Nqe{}).second);
   if (!ov.flush_scheduled) {
     ov.flush_scheduled = true;
     loop_->ScheduleAfter(20 * kMicrosecond, [this, qset] { FlushOverflow(qset); });
@@ -137,11 +134,12 @@ void GuestLib::FlushOverflow(int qset) {
   }
 }
 
-sim::Task<int> GuestLib::DoControlOp(sim::CpuCore* core, GSock& g, Nqe nqe) {
+sim::Task<int> GuestLib::DoControlOp(sim::CpuCore* core, GSock& g, NqeOp op, uint64_t op_data,
+                                     uint8_t flags) {
   co_await core->Work(kGuestKernel.syscall + ce_->costs().guestlib_translate);
   g.op_done = false;
   uint32_t handle = g.handle;
-  EnqueueJob(g, nqe);
+  EnqueueJob(g, op, handle, op_data, flags);
   for (;;) {
     GSock* g2 = FindByHandle(handle);
     if (g2 == nullptr) co_return tcp::kConnReset;
@@ -160,7 +158,7 @@ sim::Task<int> GuestLib::Socket(sim::CpuCore* core) {
   // creation becomes a kSocket NQE answered by the NSM.
   GSock& g = NewSock(core);
   int fd = g.fd;
-  int r = co_await DoControlOp(core, g, MakeNqe(NqeOp::kSocket, vm_id_, 0, g.handle));
+  int r = co_await DoControlOp(core, g, NqeOp::kSocket);
   if (r != 0) co_return r;
   co_return fd;
 }
@@ -170,8 +168,7 @@ sim::Task<int> GuestLib::Bind(sim::CpuCore* core, int fd, netsim::IpAddr ip, uin
   if (g == nullptr) co_return tcp::kNotConnected;
   NqeOp op = g->dgram ? NqeOp::kBindUdp : NqeOp::kBind;
   const uint32_t handle = g->handle;
-  int r = co_await DoControlOp(core, *g,
-                               MakeNqe(op, vm_id_, 0, g->handle, shm::PackAddr(ip, port)));
+  int r = co_await DoControlOp(core, *g, op, shm::PackAddr(ip, port));
   if (r == 0) {
     // Remember the datagram bind so it can be replayed to a standby NSM.
     GSock* g2 = FindByHandle(handle);
@@ -187,9 +184,8 @@ sim::Task<int> GuestLib::Listen(sim::CpuCore* core, int fd, int backlog, bool re
   GSock* g = FindByFd(fd);
   if (g == nullptr) co_return tcp::kNotConnected;
   g->listening = true;
-  Nqe nqe = MakeNqe(NqeOp::kListen, vm_id_, 0, g->handle, static_cast<uint64_t>(backlog));
-  nqe.reserved[1] = reuseport ? 1 : 0;
-  co_return co_await DoControlOp(core, *g, nqe);
+  co_return co_await DoControlOp(core, *g, NqeOp::kListen, static_cast<uint64_t>(backlog),
+                                 reuseport ? 1 : 0);
 }
 
 sim::Task<int> GuestLib::Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, uint16_t port) {
@@ -200,7 +196,7 @@ sim::Task<int> GuestLib::Connect(sim::CpuCore* core, int fd, netsim::IpAddr ip, 
   if (g == nullptr) co_return tcp::kNotConnected;
   uint32_t handle = g->handle;
   g->connect_done = false;  // wait for this call's own kConnectResult
-  EnqueueJob(*g, MakeNqe(NqeOp::kConnect, vm_id_, 0, g->handle, shm::PackAddr(ip, port)));
+  EnqueueJob(*g, NqeOp::kConnect, handle, shm::PackAddr(ip, port));
   for (;;) {
     GSock* g2 = FindByHandle(handle);
     if (g2 == nullptr) co_return tcp::kConnReset;
@@ -227,7 +223,7 @@ sim::Task<int> GuestLib::Accept(sim::CpuCore* core, int fd) {
       child.connected = true;
       child.connect_done = true;
       co_await core->Work(ce_->costs().guestlib_translate);
-      EnqueueJob(child, MakeNqe(NqeOp::kAccept, vm_id_, 0, child.handle, nsm_sock));
+      EnqueueJob(child, NqeOp::kAccept, child.handle, nsm_sock);
       co_return child.fd;
     }
     co_await g->ev->Wait();
@@ -293,7 +289,7 @@ sim::Task<int64_t> GuestLib::Sendv(sim::CpuCore* core, int fd, const NkConstIoVe
       voff += take;
     }
     g->send_usage += chunk;
-    EnqueueSend(*g, MakeNqe(NqeOp::kSend, vm_id_, 0, handle, 0, off, chunk));
+    EnqueueSend(*g, NqeOp::kSend, 0, off, chunk);
     sent += chunk;
   }
   co_return static_cast<int64_t>(sent);
@@ -370,7 +366,7 @@ sim::Task<int64_t> GuestLib::SendBuf(sim::CpuCore* core, int fd, NkBuf buf) {
   // byte range is ACKed (kSendZcComplete).
   if (n < reserved) release_credit(reserved - n);
   ++zc_sends_;
-  EnqueueSend(*g, MakeNqe(NqeOp::kSendZc, vm_id_, 0, g->handle, 0, buf.handle, n));
+  EnqueueSend(*g, NqeOp::kSendZc, 0, buf.handle, n);
   co_return static_cast<int64_t>(n);
 }
 
@@ -417,7 +413,7 @@ sim::Task<int> GuestLib::ReleaseBuf(sim::CpuCore* core, int fd, NkBuf buf) {
     if (loan.dgram) {
       // Datagram receive credit returns through the NQE channel (kRecvFrom),
       // exactly like the copying RecvFrom path.
-      EnqueueJob(*g, MakeNqe(NqeOp::kRecvFrom, vm_id_, 0, g->handle, loan.size));
+      EnqueueJob(*g, NqeOp::kRecvFrom, g->handle, loan.size);
     } else if (recv_credit_cb_) {
       // Ring the stream receive-credit channel so the NSM resumes shipping.
       recv_credit_cb_(g->handle, loan.size);
@@ -444,13 +440,13 @@ sim::Task<int> GuestLib::SocketDgram(sim::CpuCore* core) {
   g.dgram = true;
   int fd = g.fd;
   uint32_t handle = g.handle;
-  int r = co_await DoControlOp(core, g, MakeNqe(NqeOp::kSocketUdp, vm_id_, 0, handle));
+  int r = co_await DoControlOp(core, g, NqeOp::kSocketUdp);
   if (r != 0) {
     // The NSM rejected the socket (e.g. a shared-memory NSM has no datagram
     // transport); the app never sees the fd, so reclaim it here.
     if (FindByHandle(handle) != nullptr) {
-      by_fd_[static_cast<size_t>(fd)] = nullptr;
-      socks_.erase(handle);
+      by_fd_.Erase(static_cast<uint64_t>(fd));
+      socks_.Erase(handle);
     }
     co_return r;
   }
@@ -498,8 +494,7 @@ sim::Task<int64_t> GuestLib::SendTo(sim::CpuCore* core, int fd, netsim::IpAddr d
     }
     if (size > 0) std::memcpy(pool_->Data(off), data, size);
     g->send_usage += size;
-    EnqueueSend(*g, MakeNqe(NqeOp::kSendTo, vm_id_, 0, handle,
-                            shm::PackAddr(dst_ip, dst_port), off, size));
+    EnqueueSend(*g, NqeOp::kSendTo, shm::PackAddr(dst_ip, dst_port), off, size);
     co_return static_cast<int64_t>(size);
   }
 }
@@ -530,7 +525,7 @@ sim::Task<int64_t> GuestLib::RecvFrom(sim::CpuCore* core, int fd, uint8_t* out, 
       // NSM resumes shipping (the kRecvFrom verb).
       GSock* g2 = FindByHandle(handle);
       if (g2 != nullptr) {
-        EnqueueJob(*g2, MakeNqe(NqeOp::kRecvFrom, vm_id_, 0, handle, c.size));
+        EnqueueJob(*g2, NqeOp::kRecvFrom, handle, c.size);
       }
       co_return static_cast<int64_t>(n);
     }
@@ -566,8 +561,7 @@ sim::Task<int64_t> GuestLib::SendToBuf(sim::CpuCore* core, int fd, netsim::IpAdd
   // (kSendToResult with orig kSendToZc).
   if (n < reserved) release_credit(reserved - n);
   ++dgram_zc_sends_;
-  EnqueueSend(*g, MakeNqe(NqeOp::kSendToZc, vm_id_, 0, g->handle,
-                          shm::PackAddr(dst_ip, dst_port), buf.handle, n));
+  EnqueueSend(*g, NqeOp::kSendToZc, shm::PackAddr(dst_ip, dst_port), buf.handle, n);
   co_return static_cast<int64_t>(n);
 }
 
@@ -673,13 +667,13 @@ sim::Task<int> GuestLib::Close(sim::CpuCore* core, int fd) {
   if (g->listening) {
     for (uint64_t nsm_sock : g->pending_conns) {
       uint32_t h = next_handle_++;
-      EnqueueJob(*g, MakeNqe(NqeOp::kAccept, vm_id_, 0, h, nsm_sock));
-      EnqueueJob(*g, MakeNqe(NqeOp::kClose, vm_id_, 0, h));
+      EnqueueJob(*g, NqeOp::kAccept, h, nsm_sock);
+      EnqueueJob(*g, NqeOp::kClose, h);
     }
     g->pending_conns.clear();
   }
   // Pipelined close (§4.6): fire the NQE and return without waiting.
-  EnqueueJob(*g, MakeNqe(NqeOp::kClose, vm_id_, 0, g->handle));
+  EnqueueJob(*g, NqeOp::kClose, g->handle);
   for (RxChunk& c : g->rx) pool_->Free(c.ptr);
   g->rx.clear();
   for (DgramChunk& c : g->drx) pool_->Free(c.ptr);
@@ -690,8 +684,8 @@ sim::Task<int> GuestLib::Close(sim::CpuCore* core, int fd) {
   for (const auto& [off, sz] : g->rx_loans) pool_->Free(off);
   g->rx_loans.clear();
   epolls_.RemoveFd(fd);
-  by_fd_[static_cast<size_t>(fd)] = nullptr;
-  socks_.erase(g->handle);
+  by_fd_.Erase(static_cast<uint64_t>(fd));
+  socks_.Erase(g->handle);
   co_return 0;
 }
 
@@ -906,16 +900,13 @@ void GuestLib::OnNsmRehomed(uint8_t new_nsm_id) {
   // to rebuild statelessly, which is why dgram flows survive a failover.
   // Stream sockets are NOT replayed: their connections died with the old NSM
   // and arrive here separately as errored FINs (counted reconnects).
-  for (auto& [handle, sock] : socks_) {
-    GSock* g = sock.get();
-    if (!g->dgram) continue;
-    EnqueueJob(*g, MakeNqe(NqeOp::kSocketUdp, vm_id_, 0, g->handle));
-    if (g->dgram_bound) {
-      EnqueueJob(*g, MakeNqe(NqeOp::kBindUdp, vm_id_, 0, g->handle, g->dgram_bound_addr));
-    }
-    g->ev->NotifyAll();
-    epolls_.NotifyFd(g->fd);
-  }
+  socks_.ForEach([this](GSock& g) {
+    if (!g.dgram) return;
+    EnqueueJob(g, NqeOp::kSocketUdp, g.handle);
+    if (g.dgram_bound) EnqueueJob(g, NqeOp::kBindUdp, g.handle, g.dgram_bound_addr);
+    g.ev->NotifyAll();
+    epolls_.NotifyFd(g.fd);
+  });
 }
 
 }  // namespace netkernel::core

@@ -22,7 +22,6 @@
 #ifndef SRC_CORE_GUESTLIB_H_
 #define SRC_CORE_GUESTLIB_H_
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "src/shm/hugepage_pool.h"
 #include "src/shm/nk_device.h"
 #include "src/sim/fifo.h"
+#include "src/sim/id_table.h"
 #include "src/tcpstack/cost_model.h"
 #include "src/tcpstack/tcp_types.h"
 
@@ -196,12 +196,21 @@ class GuestLib : public SocketApi {
   GSock& NewSock(sim::CpuCore* core);
   uint32_t Readiness(int fd);
 
-  void EnqueueJob(GSock& g, shm::Nqe nqe);
-  void EnqueueSend(GSock& g, shm::Nqe nqe);
-  void EnqueueRing(bool send_ring, int qset, shm::Nqe nqe);
+  // Guest -> NSM emission on `g`'s queue set. The NQE is built straight in
+  // its ring slot, or in the overflow park once the ring has backed up.
+  // `vm_sock` is `g`'s handle, except for a listener's unclaimed
+  // connections, which Close links to throwaway handles. `flags` is
+  // reserved[1] (listen's reuseport).
+  void EnqueueJob(const GSock& g, shm::NqeOp op, uint32_t vm_sock, uint64_t op_data = 0,
+                  uint8_t flags = 0);
+  void EnqueueSend(const GSock& g, shm::NqeOp op, uint64_t op_data, uint64_t data_ptr,
+                   uint32_t size);
+  void EnqueueRing(bool send_ring, int qset, shm::NqeOp op, uint32_t vm_sock, uint64_t op_data,
+                   uint64_t data_ptr, uint32_t size, uint8_t flags);
   void FlushOverflow(int qset);
-  // Issues a control op and waits for its completion NQE.
-  sim::Task<int> DoControlOp(sim::CpuCore* core, GSock& g, shm::Nqe nqe);
+  // Issues a control op on `g` and waits for its completion NQE.
+  sim::Task<int> DoControlOp(sim::CpuCore* core, GSock& g, shm::NqeOp op, uint64_t op_data = 0,
+                             uint8_t flags = 0);
 
   // Inbound NQE processing (interrupt-driven polling model).
   void OnDeviceWake();
@@ -222,10 +231,11 @@ class GuestLib : public SocketApi {
   std::function<void(uint32_t, uint32_t)> recv_credit_cb_;
 
   // socks_ owns the sockets by handle; by_fd_ indexes the same sockets by
-  // fd (fds are handed out in sequence and never reused; a closed fd's entry
-  // is null), so FindByFd is one index.
-  std::unordered_map<uint32_t, std::unique_ptr<GSock>> socks_;
-  std::vector<GSock*> by_fd_;
+  // fd. Handles and fds are both handed out in sequence and never reused, so
+  // each lookup is a bounds-checked index. A handle also comes back in every
+  // NSM->guest NQE, where a forged one finds nothing and grows nothing.
+  sim::IdTable<GSock> socks_;
+  sim::IdTable<GSock, GSock*> by_fd_;
   uint32_t next_handle_ = 1;
   int next_fd_ = 3;
   EpollRegistry epolls_;
@@ -236,7 +246,7 @@ class GuestLib : public SocketApi {
   // Ring-full backpressure: NQEs wait here (FIFO per queue set) until the
   // ring drains — e.g. when CoreEngine rate-limits this VM (§7.6).
   struct Overflow {
-    std::deque<std::pair<bool, shm::Nqe>> nqes;  // (send_ring, nqe)
+    sim::Fifo<std::pair<bool, shm::Nqe>> nqes;  // (send_ring, nqe)
     bool flush_scheduled = false;
   };
   std::vector<Overflow> overflow_;

@@ -37,10 +37,9 @@ ServiceLib::ServiceLib(sim::EventLoop* loop, uint8_t nsm_id, CoreEngine* ce, shm
 ServiceLib::~ServiceLib() = default;
 
 void ServiceLib::AttachVm(uint8_t vm_id, shm::HugepagePool* pool, netsim::IpAddr vm_ip) {
-  VmInfo info;
+  VmInfo& info = vms_[vm_id].emplace();
   info.pool = pool;
   info.ip = vm_ip;
-  vms_[vm_id] = std::move(info);
 }
 
 void ServiceLib::SetVmCcFactory(uint8_t vm_id, tcp::CcFactory factory) {
@@ -50,8 +49,8 @@ void ServiceLib::SetVmCcFactory(uint8_t vm_id, tcp::CcFactory factory) {
 }
 
 ServiceLib::VmInfo* ServiceLib::FindVm(uint8_t vm_id) {
-  auto it = vms_.find(vm_id);
-  return it == vms_.end() ? nullptr : &it->second;
+  std::optional<VmInfo>& vm = vms_[vm_id];
+  return vm.has_value() ? &*vm : nullptr;
 }
 
 ServiceLib::Conn* ServiceLib::FindByVm(uint8_t vm_id, uint32_t vm_sock) {
@@ -82,43 +81,61 @@ ServiceLib::Conn ServiceLib::Requester(const Nqe& nqe) {
 // NSM -> VM NQE emission
 // ---------------------------------------------------------------------------
 
-bool ServiceLib::EnqueueToVm(const Conn& c, Nqe nqe, bool receive_ring) {
-  nqe.vm_id = c.vm_id;
-  nqe.queue_set = c.vm_qset;
-  nqe.vm_sock = c.vm_sock;
-  int qs = c.nsm_qset < dev_->num_queue_sets() ? c.nsm_qset : 0;
-  // T3 lifecycle stamp: a completion produced synchronously inside a traced
-  // dispatch inherits the request's trace id before it hits the ring.
-  if (tracer_ != nullptr && !receive_ring) {
-    Cycles tc = tracer_->TagCompletion(&nqe);
-    if (tc != 0) cores_[static_cast<size_t>(qs) % cores_.size()]->AccountOnly(tc);
-  }
+template <typename Fill>
+bool ServiceLib::EmitToVm(const Conn& c, bool receive_ring, const Fill& fill) {
+  const int qs = c.nsm_qset < dev_->num_queue_sets() ? c.nsm_qset : 0;
+  const auto write = [&](Nqe& nqe) {
+    fill(nqe);
+    // T3 lifecycle stamp: a completion produced synchronously inside a
+    // traced dispatch inherits the request's trace id before it hits the
+    // ring.
+    if (tracer_ != nullptr && !receive_ring) {
+      Cycles tc = tracer_->TagCompletion(&nqe);
+      if (tc != 0) cores_[static_cast<size_t>(qs) % cores_.size()]->AccountOnly(tc);
+    }
+  };
   shm::QueueSet& q = dev_->queue_set(qs);
-  bool ok = (receive_ring ? q.receive : q.completion).TryEnqueue(nqe);
-  if (!ok) {
-    // Severe overload: the NSM-side ring (4K deep) is full. The caller owns
-    // any referenced chunk; the loss itself must never be silent.
-    ++nqes_dropped_;
-    recorder_.Record(obs::FlightEventType::kRingFullDrop, nqe.vm_id, nqe.queue_set,
-                     nqe.op, nqe.vm_sock, receive_ring ? 1 : 0);
-    return false;
+  if ((receive_ring ? q.receive : q.completion).TryEnqueueInPlace(write)) {
+    doorbell_.Ring();
+    return true;
   }
-  doorbell_.Ring();
-  return true;
+  // Severe overload: the NSM-side ring (4K deep) is full. The caller owns
+  // any referenced chunk; the loss itself must never be silent.
+  Nqe lost;
+  write(lost);
+  ++nqes_dropped_;
+  recorder_.Record(obs::FlightEventType::kRingFullDrop, lost.vm_id, lost.queue_set, lost.op,
+                   lost.vm_sock, receive_ring ? 1 : 0);
+  return false;
+}
+
+bool ServiceLib::EnqueueToVm(const Conn& c, NqeOp op, bool receive_ring, uint64_t op_data,
+                             uint64_t data_ptr, uint32_t size) {
+  return EmitToVm(c, receive_ring, [&](Nqe& nqe) {
+    nqe = MakeNqe(op, c.vm_id, c.vm_qset, c.vm_sock, op_data, data_ptr, size);
+  });
+}
+
+bool ServiceLib::EnqueueToVm(const Conn& c, const Nqe& built, bool receive_ring) {
+  return EmitToVm(c, receive_ring, [&](Nqe& nqe) {
+    nqe = built;
+    nqe.vm_id = c.vm_id;
+    nqe.queue_set = c.vm_qset;
+    nqe.vm_sock = c.vm_sock;
+  });
 }
 
 void ServiceLib::Respond(const Conn& c, NqeOp op, NqeOp orig, int32_t result, uint64_t op_data) {
-  Nqe nqe = MakeNqe(op, c.vm_id, c.vm_qset, c.vm_sock, op_data, 0,
-                    static_cast<uint32_t>(result));
-  nqe.reserved[0] = static_cast<uint8_t>(orig);
-  EnqueueToVm(c, nqe, false);
+  EmitToVm(c, false, [&](Nqe& nqe) {
+    nqe = MakeNqe(op, c.vm_id, c.vm_qset, c.vm_sock, op_data, 0, static_cast<uint32_t>(result));
+    nqe.reserved[0] = static_cast<uint8_t>(orig);
+  });
 }
 
 void ServiceLib::DeliverFin(Conn& c, int32_t err) {
   if (c.fin_sent_to_vm) return;
   c.fin_sent_to_vm = true;
-  Nqe fin = MakeNqe(NqeOp::kFinReceived, 0, 0, 0, 0, 0, static_cast<uint32_t>(err));
-  if (EnqueueToVm(c, fin, true)) return;
+  if (EnqueueToVm(c, NqeOp::kFinReceived, true, 0, 0, static_cast<uint32_t>(err))) return;
   // A lost FIN would leave the guest's socket waiting forever: retry on the
   // routing identity alone (the connection itself may close meanwhile) until
   // the ring drains, the VM is evicted or the NSM shuts down.

@@ -24,7 +24,9 @@
 #ifndef SRC_CORE_SERVICELIB_H_
 #define SRC_CORE_SERVICELIB_H_
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -185,12 +187,23 @@ class ServiceLib {
   void Link(Conn& c);
   void Unlink(const Conn& c);
 
-  // NSM -> VM NQE emission, routed by `c`'s guest identity. EnqueueToVm
-  // returns false when the destination ring is full: the NQE is dropped
-  // (counted and flight-recorded) and the caller owns any referenced chunk.
-  bool EnqueueToVm(const Conn& c, shm::Nqe nqe, bool receive_ring);
+  // NSM -> VM NQE emission, routed by `c`'s guest identity and built
+  // straight into its ring slot. EnqueueToVm returns false when the
+  // destination ring is full: the NQE is dropped (counted and
+  // flight-recorded) and the caller owns any referenced chunk.
+  bool EnqueueToVm(const Conn& c, shm::NqeOp op, bool receive_ring, uint64_t op_data = 0,
+                   uint64_t data_ptr = 0, uint32_t size = 0);
+  // The same for an NQE built elsewhere (an error completion); its routing
+  // fields are overwritten with `c`'s.
+  bool EnqueueToVm(const Conn& c, const shm::Nqe& nqe, bool receive_ring);
+  // A completion: `result` rides in `size` and the original op in
+  // reserved[0].
   void Respond(const Conn& c, shm::NqeOp op, shm::NqeOp orig, int32_t result,
                uint64_t op_data = 0);
+  // What both EnqueueToVm forms share: `fill` writes the whole NQE, in its
+  // ring slot or, when the ring is full, in the record of the loss.
+  template <typename Fill>
+  bool EmitToVm(const Conn& c, bool receive_ring, const Fill& fill);
   // The one way a kFinReceived (EOF when `err` is 0) reaches a guest: at most
   // once per connection, retried until the receive ring has room.
   void DeliverFin(Conn& c, int32_t err);
@@ -218,7 +231,9 @@ class ServiceLib {
   std::vector<sim::CpuCore*> cores_;
   Config config_;
 
-  std::unordered_map<uint8_t, VmInfo> vms_;
+  // By 8-bit VM id, which the host assigns. by_vm_ stays hashed: its key
+  // carries a socket handle the guest writes into the ring.
+  std::array<std::optional<VmInfo>, 256> vms_;
   std::unordered_map<uint64_t, Conn*> by_vm_;
   // kSend NQEs that arrived before their connection's accept-link NQE.
   std::unordered_map<uint64_t, std::vector<shm::Nqe>> orphan_sends_;

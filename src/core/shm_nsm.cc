@@ -6,14 +6,14 @@
 // applications are oblivious.
 
 #include <cstring>
-#include <deque>
 
 #include "src/core/servicelib.h"
+#include "src/sim/fifo.h"
+#include "src/sim/id_table.h"
 #include "src/udpstack/udp_types.h"
 
 namespace netkernel::core {
 
-using shm::MakeNqe;
 using shm::Nqe;
 using shm::NqeOp;
 
@@ -46,7 +46,12 @@ class ServiceLib::PoolCopyTransport final : public ServiceLib::Transport {
     netsim::IpAddr bound_ip = 0;
     uint16_t bound_port = 0;
     bool listening = false;
-    std::deque<PendingChunk> pending;  // waiting for peer pool space / link
+    // A connect is resolving, or resolved: either refuses another connect,
+    // as a TCP socket that is connecting or connected does. A refused
+    // connect clears `connecting`, so the socket may try again.
+    bool connecting = false;
+    bool connected = false;
+    sim::Fifo<PendingChunk> pending;  // waiting for peer pool space / link
     bool copy_pending = false;
   };
 
@@ -69,9 +74,12 @@ class ServiceLib::PoolCopyTransport final : public ServiceLib::Transport {
   // once linked and drop whatever it still had queued toward the peer.
   void PeerGone(uint64_t ep_id, int32_t err);
 
-  std::unordered_map<uint64_t, std::unique_ptr<Endpoint>> eps_;
-  std::unordered_map<uint64_t, uint64_t> listeners_;  // ListenKey -> ep id
+  // Endpoints by ep id, which this NSM hands out in sequence from 1 (0 is
+  // "no endpoint") and never reuses. A guest echoes ep ids back in kAccept's
+  // op_data, and a forged one finds nothing and grows nothing.
+  sim::IdTable<Endpoint> eps_;
   uint64_t next_ep_ = 1;
+  std::unordered_map<uint64_t, uint64_t> listeners_;  // ListenKey -> ep id
 };
 
 std::unique_ptr<ServiceLib::Transport> ServiceLib::PoolCopy() {
@@ -79,16 +87,14 @@ std::unique_ptr<ServiceLib::Transport> ServiceLib::PoolCopy() {
 }
 
 ServiceLib::PoolCopyTransport::Endpoint* ServiceLib::PoolCopyTransport::FindByEp(uint64_t ep_id) {
-  auto it = eps_.find(ep_id);
-  return it == eps_.end() ? nullptr : it->second.get();
+  return eps_.Find(ep_id);
 }
 
 ServiceLib::PoolCopyTransport::Endpoint& ServiceLib::PoolCopyTransport::NewEndpoint() {
-  auto ep = std::make_unique<Endpoint>();
-  ep->ep_id = next_ep_++;
-  Endpoint& ref = *ep;
-  eps_[ref.ep_id] = std::move(ep);
-  return ref;
+  const uint64_t ep_id = next_ep_++;
+  Endpoint& ep = eps_.Insert(ep_id, std::make_unique<Endpoint>());
+  ep.ep_id = ep_id;
+  return ep;
 }
 
 void ServiceLib::PoolCopyTransport::Socket(const Nqe& nqe) {
@@ -116,7 +122,15 @@ void ServiceLib::PoolCopyTransport::Listen(const Nqe&, Conn& c) {
 }
 
 void ServiceLib::PoolCopyTransport::Connect(const Nqe& nqe, Conn& c) {
-  TryConnect(Of(c).ep_id, nqe.op_data, 0);
+  Endpoint& ep = Of(c);
+  // A socket that is connecting, connected or listening refuses a second
+  // connect at once, as TcpStack::Connect does on the stack NSMs.
+  if (ep.connecting || ep.connected || ep.listening) {
+    slib_->Respond(ep, NqeOp::kConnectResult, NqeOp::kConnect, tcp::kIsConnected);
+    return;
+  }
+  ep.connecting = true;
+  TryConnect(ep.ep_id, nqe.op_data, 0);
 }
 
 // Resolves a connect against the listener table, retrying for a grace period
@@ -133,6 +147,7 @@ void ServiceLib::PoolCopyTransport::TryConnect(uint64_t ep_id, uint64_t addr, in
         TryConnect(ep_id, addr, attempt + 1);
       });
     } else {
+      ep->connecting = false;
       slib_->Respond(*ep, NqeOp::kConnectResult, NqeOp::kConnect, tcp::kConnRefused);
     }
     return;
@@ -143,10 +158,11 @@ void ServiceLib::PoolCopyTransport::TryConnect(uint64_t ep_id, uint64_t addr, in
   child.vm_qset = listener->vm_qset;
   child.nsm_qset = listener->nsm_qset;
   child.peer = ep->ep_id;
+  child.connected = true;
   ep->peer = child.ep_id;
-  Nqe acc = MakeNqe(NqeOp::kAcceptedConn, listener->vm_id, listener->vm_qset,
-                    listener->vm_sock, child.ep_id);
-  slib_->EnqueueToVm(*listener, acc, false);
+  ep->connecting = false;
+  ep->connected = true;
+  slib_->EnqueueToVm(*listener, NqeOp::kAcceptedConn, false, child.ep_id);
   slib_->Respond(*ep, NqeOp::kConnectResult, NqeOp::kConnect, 0);
   PumpCopy(ep->ep_id);  // data may already be queued
 }
@@ -235,9 +251,7 @@ void ServiceLib::PoolCopyTransport::PumpCopy(uint64_t src_ep_id) {
     } else {
       slib_->Respond(*src2, NqeOp::kSendResult, NqeOp::kSend, 0, chunk.size);
     }
-    Nqe rx = MakeNqe(NqeOp::kRecvData, dst2->vm_id, dst2->vm_qset, dst2->vm_sock, 0, doff,
-                     chunk.size);
-    if (slib_->EnqueueToVm(*dst2, rx, true)) {
+    if (slib_->EnqueueToVm(*dst2, NqeOp::kRecvData, true, 0, doff, chunk.size)) {
       dst2->rx_outstanding += chunk.size;
     } else {
       // Receive ring full at the final hop: the copied bytes cannot be
@@ -274,7 +288,7 @@ void ServiceLib::PoolCopyTransport::MaybeFinishClose(uint64_t ep_id) {
   uint64_t peer_id = ep->peer;
   if (ep->listening) listeners_.erase(ListenKey(ep->bound_ip, ep->bound_port));
   slib_->Unlink(*ep);
-  eps_.erase(ep_id);
+  eps_.Erase(ep_id);
   if (peer_id != 0) PeerGone(peer_id, 0);
 }
 
@@ -307,9 +321,9 @@ size_t ServiceLib::PoolCopyTransport::DropConns(int vm) {
   // peers get a reset-FIN. In-flight copies unwind in their completion lambda
   // (source endpoint gone -> both chunks free through the captured pools).
   std::vector<uint64_t> victims;
-  for (auto& [id, ep] : eps_) {
-    if (vm == kAllVms || ep->vm_id == vm) victims.push_back(id);
-  }
+  eps_.ForEach([&](const Endpoint& ep) {
+    if (vm == kAllVms || ep.vm_id == vm) victims.push_back(ep.ep_id);
+  });
   for (uint64_t id : victims) {
     Endpoint* ep = FindByEp(id);
     if (ep == nullptr) continue;
@@ -321,7 +335,7 @@ size_t ServiceLib::PoolCopyTransport::DropConns(int vm) {
     if (ep->listening) listeners_.erase(ListenKey(ep->bound_ip, ep->bound_port));
     uint64_t peer_id = ep->peer;
     slib_->Unlink(*ep);
-    eps_.erase(id);
+    eps_.Erase(id);
     if (peer_id != 0) PeerGone(peer_id, tcp::kConnReset);
   }
   return victims.size();

@@ -13,7 +13,6 @@
 
 namespace netkernel::core {
 
-using shm::MakeNqe;
 using shm::Nqe;
 using shm::NqeOp;
 
@@ -230,8 +229,7 @@ void ServiceLib::StackTransport::AutoAccept(tcp::SocketId listener_sid) {
     if (vm != nullptr && vm->cc_factory) stack_->SetCongestionControl(cid, vm->cc_factory());
     // Tell GuestLib about the new connection; the NSM socket id rides in
     // op_data and the guest answers with a kAccept link NQE (Fig 6).
-    Nqe nqe = MakeNqe(NqeOp::kAcceptedConn, l->vm_id, l->vm_qset, l->vm_sock, cid);
-    slib_->EnqueueToVm(*l, nqe, false);
+    slib_->EnqueueToVm(*l, NqeOp::kAcceptedConn, false, cid);
   }
 }
 
@@ -324,9 +322,7 @@ std::function<void()> ServiceLib::StackTransport::MakeZcFreeCallback(const Stack
     // with unacked bytes the guest also receives the error FIN, which is
     // what reports the broken stream.
     NqeOp completion = orig == NqeOp::kSendZc ? NqeOp::kSendZcComplete : NqeOp::kSendToResult;
-    Nqe nqe = MakeNqe(completion, to.vm_id, to.vm_qset, to.vm_sock, size);
-    nqe.reserved[0] = static_cast<uint8_t>(orig);
-    slib->EnqueueToVm(to, nqe, false);
+    slib->Respond(to, completion, orig, 0, size);
   };
 }
 
@@ -449,9 +445,7 @@ void ServiceLib::StackTransport::ShipRecv(tcp::SocketId sid) {
           return;
         }
         ++slib_->rx_zc_ships_;
-        Nqe nqe = MakeNqe(NqeOp::kRecvData, c2->vm_id, c2->vm_qset, c2->vm_sock, 0,
-                          chunk.handle, chunk.size);
-        if (!slib_->EnqueueToVm(*c2, nqe, true)) {
+        if (!slib_->EnqueueToVm(*c2, NqeOp::kRecvData, true, 0, chunk.handle, chunk.size)) {
           // Ring full at the final hop: the detached bytes cannot be
           // re-queued, so the stream is broken (same as the copy path).
           pool->Free(chunk.handle);
@@ -484,9 +478,7 @@ void ServiceLib::StackTransport::ShipRecv(tcp::SocketId sid) {
         pool->Free(off);
       } else {
         ++slib_->rx_copy_ships_;
-        Nqe nqe = MakeNqe(NqeOp::kRecvData, c2->vm_id, c2->vm_qset, c2->vm_sock, 0, off,
-                          static_cast<uint32_t>(n));
-        if (!slib_->EnqueueToVm(*c2, nqe, true)) {
+        if (!slib_->EnqueueToVm(*c2, NqeOp::kRecvData, true, 0, off, static_cast<uint32_t>(n))) {
           // Receive ring full at the final hop. The bytes already left the
           // stack and cannot be re-queued, so the stream is broken: free the
           // chunk (no leak, no phantom rx_outstanding) and error the
@@ -659,9 +651,8 @@ void ServiceLib::StackTransport::ShipDgrams(udp::SocketId usid) {
         return;
       }
       ++slib_->dgram_zc_ships_;
-      Nqe nqe = MakeNqe(NqeOp::kDgramRecvZc, c2->vm_id, c2->vm_qset, c2->vm_sock,
-                        shm::PackAddr(src_ip, src_port), handle, len);
-      if (slib_->EnqueueToVm(*c2, nqe, true)) {
+      if (slib_->EnqueueToVm(*c2, NqeOp::kDgramRecvZc, true, shm::PackAddr(src_ip, src_port),
+                             handle, len)) {
         c2->rx_outstanding += len;
       } else {
         // Ring full: the datagram is dropped (UDP applies no backpressure);
@@ -696,9 +687,8 @@ void ServiceLib::StackTransport::ShipDgrams(udp::SocketId usid) {
     bool shipped = false;
     if (n >= 0) {
       ++slib_->dgram_copy_ships_;
-      Nqe nqe = MakeNqe(NqeOp::kDgramRecv, c2->vm_id, c2->vm_qset, c2->vm_sock,
-                        shm::PackAddr(src_ip, src_port), off, static_cast<uint32_t>(n));
-      shipped = slib_->EnqueueToVm(*c2, nqe, true);
+      shipped = slib_->EnqueueToVm(*c2, NqeOp::kDgramRecv, true, shm::PackAddr(src_ip, src_port),
+                                   off, static_cast<uint32_t>(n));
       if (shipped) c2->rx_outstanding += static_cast<uint64_t>(n);
     }
     // NSM-side receive-ring full means the datagram is dropped (UDP applies

@@ -308,17 +308,12 @@ inline void SetNqeTraceId(Nqe* n, uint16_t id) {
   n->reserved[4] = static_cast<uint8_t>(id >> 8);
 }
 
+// Every byte of the NQE is written, so `*slot = MakeNqe(...)` builds one in
+// place over a stale ring slot (SpscRing::TryEnqueueInPlace).
 inline Nqe MakeNqe(NqeOp op, uint8_t vm_id, uint8_t queue_set, uint32_t vm_sock,
                    uint64_t op_data = 0, uint64_t data_ptr = 0, uint32_t size = 0) {
-  Nqe n;
-  n.SetOp(op);
-  n.vm_id = vm_id;
-  n.queue_set = queue_set;
-  n.vm_sock = vm_sock;
-  n.op_data = op_data;
-  n.data_ptr = data_ptr;
-  n.size = size;
-  return n;
+  return Nqe{op_data, data_ptr, vm_sock, size, static_cast<uint8_t>(op), vm_id, queue_set,
+             {0, 0, 0, 0, 0}};
 }
 
 // The completion that answers guest request `orig` when it dies before any

@@ -46,20 +46,30 @@ class SpscRing {
   // Producer side -----------------------------------------------------------
 
   bool TryEnqueue(const T& item) {
+    return TryEnqueueInPlace([&item](T& slot) { slot = item; });
+  }
+
+  // Builds the item in its slot: calls `fill(T&)` on the next free slot,
+  // which may hold a stale item that `fill` must overwrite entirely, then
+  // publishes it. Returns false, without calling `fill`, when the ring is
+  // full.
+  template <typename Fill>
+  bool TryEnqueueInPlace(Fill&& fill) {
     const size_t head = head_.load(std::memory_order_relaxed);  // own index
     const size_t next = (head + 1) & mask_;
     // Acquire pairs with the consumer's tail_ release in TryDequeue: seeing
     // the new tail guarantees the consumer is done reading slots_[head].
     if (next == tail_.load(std::memory_order_acquire)) return false;  // full
-    slots_[head] = item;
+    fill(slots_[head]);
     // Release publishes the slot write above to the consumer's acquire load.
     head_.store(next, std::memory_order_release);
     return true;
   }
 
   // Enqueues up to `n` items from `items`; returns how many were enqueued.
-  // Same acquire(tail_)/release(head_) pairing as TryEnqueue, amortized over
-  // the batch: one release-store publishes every slot written in the loop.
+  // Same acquire(tail_)/release(head_) pairing as TryEnqueueInPlace,
+  // amortized over the batch: one release-store publishes every slot
+  // written in the loop.
   size_t EnqueueBatch(const T* items, size_t n) {
     const size_t head = head_.load(std::memory_order_relaxed);
     const size_t tail = tail_.load(std::memory_order_acquire);

@@ -36,12 +36,7 @@ class Callback {
             typename = std::enable_if_t<!std::is_same_v<D, Callback> &&
                                         std::is_invocable_r_v<void, D&>>>
   Callback(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (kFitsInline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
-    }
-    ops_ = &kOps<D>;
+    Construct(std::forward<F>(f));
   }
 
   Callback(Callback&& other) noexcept { TakeFrom(other); }
@@ -57,6 +52,20 @@ class Callback {
   ~Callback() { Reset(); }
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+  // Replaces the callable with `f`, built straight into this Callback's
+  // storage; a Callback rvalue is moved in instead. The event loop builds
+  // each event's callable in its slab slot this way, with no temporary.
+  template <typename F>
+  void Assign(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "a Callback is moved in, never copied");
+      *this = std::move(f);
+    } else {
+      Reset();
+      Construct(std::forward<F>(f));
+    }
+  }
 
   void operator()() {
     NK_CHECK(ops_ != nullptr);
@@ -113,6 +122,17 @@ class Callback {
   }
   template <typename D>
   static constexpr Ops kOps = MakeOps<D>();
+
+  template <typename F, typename D = std::decay_t<F>>
+  void Construct(F&& f) {
+    static_assert(std::is_invocable_r_v<void, D&>, "a Callback holds a void() callable");
+    if constexpr (kFitsInline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+    } else {
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
+    }
+    ops_ = &kOps<D>;
+  }
 
   void TakeFrom(Callback& other) noexcept {
     if (other.ops_ == nullptr) return;

@@ -45,10 +45,12 @@ class CpuCore {
   };
   WorkAwaiter Work(Cycles cycles) { return WorkAwaiter{this, cycles}; }
 
-  // Callback flavour: occupy the core for `cycles`, then run `fn`.
-  void Charge(Cycles cycles, Callback fn) {
+  // Callback flavour: occupy the core for `cycles`, then run `fn` (built
+  // straight into its event slot, like EventLoop::Schedule's).
+  template <typename F>
+  void Charge(Cycles cycles, F&& fn) {
     SimTime done = Reserve(cycles);
-    loop_->Schedule(done, std::move(fn));
+    loop_->Schedule(done, std::forward<F>(fn));
   }
 
   // Accounts cycles as busy without scheduling a completion (used for costs

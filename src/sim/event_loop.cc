@@ -6,7 +6,7 @@
 
 namespace netkernel::sim {
 
-EventHandle EventLoop::Schedule(SimTime at, Callback fn) {
+uint32_t EventLoop::TakeSlot(SimTime at) {
   NK_CHECK(at >= now_);
   uint32_t slot = free_head_;
   if (slot != kNoSlot) {
@@ -16,8 +16,11 @@ EventHandle EventLoop::Schedule(SimTime at, Callback fn) {
     NK_CHECK(slot != kNoSlot);
     slab_.emplace_back();
   }
+  return slot;
+}
+
+EventHandle EventLoop::Enqueue(SimTime at, uint32_t slot) {
   Slot& s = slab_[slot];
-  s.fn = std::move(fn);
   s.seq = next_seq_++;
   const Key key{at, s.seq, slot};
   // The lane stays sorted: it only takes keys of the instant it holds.

@@ -82,12 +82,19 @@ class EventLoop {
 
   SimTime Now() const { return now_; }
 
-  // Schedules `fn` at absolute virtual time `at` (>= Now()).
-  EventHandle Schedule(SimTime at, Callback fn);
+  // Schedules `fn` at absolute virtual time `at` (>= Now()). `fn` is any
+  // void() callable (or a sim::Callback), built straight into its slab slot.
+  template <typename F>
+  EventHandle Schedule(SimTime at, F&& fn) {
+    const uint32_t slot = TakeSlot(at);
+    slab_[slot].fn.Assign(std::forward<F>(fn));
+    return Enqueue(at, slot);
+  }
 
   // Schedules `fn` after `delay` nanoseconds of virtual time.
-  EventHandle ScheduleAfter(SimTime delay, Callback fn) {
-    return Schedule(now_ + delay, std::move(fn));
+  template <typename F>
+  EventHandle ScheduleAfter(SimTime delay, F&& fn) {
+    return Schedule(now_ + delay, std::forward<F>(fn));
   }
 
   // Runs until the queue empties or the clock would pass `until`.
@@ -125,6 +132,11 @@ class EventLoop {
   static bool Before(const Key& a, const Key& b) {
     return a.at != b.at ? a.at < b.at : a.seq < b.seq;
   }
+
+  // Checks `at` and takes a free slab slot for an event due then; Enqueue
+  // queues its key once the slot holds the callable.
+  uint32_t TakeSlot(SimTime at);
+  EventHandle Enqueue(SimTime at, uint32_t slot);
 
   bool IsPending(uint32_t slot, uint32_t generation) const {
     return slab_[slot].generation == generation;

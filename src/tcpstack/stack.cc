@@ -102,7 +102,14 @@ int TcpStack::Bind(SocketId id, IpAddr ip, uint16_t port) {
 int TcpStack::Listen(SocketId id, int backlog, bool reuseport) {
   Sock* s = Find(id);
   if (s == nullptr) return kNotConnected;
-  NK_CHECK(s->bound);
+  // listen() on a socket with no port autobinds an ephemeral one, as Linux
+  // does: never bound (a Baseline socket), or bound to port 0 (an NSM's
+  // socket for a guest that never called bind()).
+  if (!s->bound || s->tuple.local_port == 0) {
+    if (s->tuple.local_ip == 0) s->tuple.local_ip = nic_ != nullptr ? nic_->ip() : 0;
+    s->tuple.local_port = AllocEphemeralPort();
+    s->bound = true;
+  }
   auto& group = listeners_[s->tuple.local_port];
   if (!group.empty()) {
     if (!reuseport) return kAddrInUse;

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/coreengine.h"
@@ -188,6 +189,55 @@ TEST(CeSchedTest, RotationSurvivesManyVms) {
   }
   ASSERT_GT(mn, 0u);
   EXPECT_LT(static_cast<double>(mx) / static_cast<double>(mn), 1.25);
+}
+
+TEST(CeSchedTest, DeliveryOrderAndCursorsHoldBesideIdleAndQuarantinedVms) {
+  // VM 1 holds a backlog on both its queue sets beside VM 2, idle, and VM 3,
+  // idle and quarantined; VMs 2 and 3 own three queue sets each, so their
+  // cursors show in the order a later backlog drains in. A DRR pass skips
+  // a VM whose rings ran dry and turns its cursor as the skipped polls
+  // would have; the expected string was recorded before that skip existed.
+  sim::EventLoop loop;
+  sim::CpuCore core(&loop, "ce");
+  CoreEngine ce(&loop, {&core});
+  NkDevice nsm("nsm", 1);
+  ce.RegisterNsmDevice(1, &nsm);
+  std::vector<std::unique_ptr<NkDevice>> vms;
+  for (uint8_t v = 1; v <= 3; ++v) {
+    vms.push_back(std::make_unique<NkDevice>("vm", v == 1 ? 2 : 3));
+    ce.RegisterVmDevice(v, vms.back().get());
+    ce.AssignVmToNsm(v, 1);
+  }
+  ce.validator().SetQuarantined(3, true);
+  std::string order;
+  const auto fill = [&](uint8_t v, int qsets, int per_qset) {
+    for (int qs = 0; qs < qsets; ++qs) {
+      for (int i = 0; i < per_qset; ++i) {
+        ASSERT_TRUE(vms[v - 1]->queue_set(qs).send.TryEnqueue(
+            MakeNqe(NqeOp::kSendTo, v, static_cast<uint8_t>(qs), 1, 0, 0, 64)));
+      }
+    }
+    ce.NotifyVmOutbound(v);
+  };
+  const auto run = [&] {
+    loop.Run(loop.Now() + kMillisecond);
+    Nqe nqe;
+    while (nsm.queue_set(0).send.TryDequeue(&nqe)) {
+      order += static_cast<char>('A' + nqe.vm_id - 1);
+      order += static_cast<char>('0' + nqe.queue_set);
+    }
+    order += '|';
+  };
+  fill(1, 2, 25);  // several rounds of VM 1 alone
+  run();
+  fill(1, 2, 2);   // then every VM's cursor shows
+  fill(2, 3, 2);
+  ce.validator().SetQuarantined(3, false);
+  fill(3, 3, 2);
+  run();
+  EXPECT_EQ(order,
+            "A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0A1A0"
+            "A1A0A1A0A1A0A1A0A1|C0A0B1C1A1B2C2A0B0C0A1B1C1B2C2B0|");
 }
 
 // ---------------------------------------------------------------------------

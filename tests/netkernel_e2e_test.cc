@@ -437,6 +437,35 @@ TEST_F(NetkernelE2eTest, SecondConnectFailsTheCallNotTheStack) {
   EXPECT_EQ(handled, 2);
 }
 
+TEST_F(NetkernelE2eTest, ListenWithoutBindAutobindsAnEphemeralPort) {
+  // listen() on a socket that was never bound picks an ephemeral port, as
+  // Linux does, so two such listeners on one stack both succeed. Baseline
+  // used to abort on the unbound socket, and under NetKernel both NSM
+  // sockets listened on port 0, so the second got kAddrInUse.
+  Nsm* nsm = HostA().CreateNsm("nsm", 1, NsmKind::kKernel);
+  Vm* nk = HostA().CreateNetkernelVm("nk", 1, nsm);
+  Vm* base = HostA().CreateBaselineVm("base", 1);
+  int result[2][2] = {{1, 1}, {1, 1}};
+  auto task = [](Vm* vm, int* out) -> sim::Task<void> {
+    SocketApi& api = vm->api();
+    sim::CpuCore* cpu = vm->vcpu(0);
+    const int a = co_await api.Socket(cpu);
+    const int b = co_await api.Socket(cpu);
+    out[0] = co_await api.Listen(cpu, a, 16, false);
+    out[1] = co_await api.Listen(cpu, b, 16, false);
+    co_await api.Close(cpu, a);
+    co_await api.Close(cpu, b);
+  };
+  sim::Spawn(task(nk, result[0]));
+  sim::Spawn(task(base, result[1]));
+  Run();
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i == 0 ? "NetKernel" : "Baseline");
+    EXPECT_EQ(result[i][0], 0);
+    EXPECT_EQ(result[i][1], 0);
+  }
+}
+
 TEST_F(NetkernelE2eTest, ConnectOnADatagramSocketIsNotConnected) {
   Nsm* nsm = HostA().CreateNsm("nsm", 1, NsmKind::kKernel);
   Vm* nk = HostA().CreateNetkernelVm("nk", 1, nsm);

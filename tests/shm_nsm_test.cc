@@ -51,6 +51,51 @@ sim::Task<void> ShmEchoServer(Vm* vm, uint16_t port, int* served) {
   ++*served;
 }
 
+TEST_F(ShmNsmTest, SecondConnectIsRefusedAndTheFirstStreamDeliversEveryByte) {
+  // A connect() on a connected socket answers kIsConnected, as on the stack
+  // NSMs, instead of opening a second connection and re-pointing the first
+  // one's peer.
+  constexpr uint64_t kBytes = 256 * 1024;
+  int accepted = 0;
+  uint64_t received = 0;
+  int again = 1;
+  auto server = [&]() -> sim::Task<void> {
+    SocketApi& api = b_->api();
+    sim::CpuCore* cpu = b_->vcpu(0);
+    int lfd = co_await api.Socket(cpu);
+    co_await api.Bind(cpu, lfd, 0, 9100);
+    co_await api.Listen(cpu, lfd, 16, false);
+    for (;;) {
+      int fd = co_await api.Accept(cpu, lfd);
+      if (fd < 0) co_return;
+      ++accepted;
+      std::vector<uint8_t> buf(64 * 1024);
+      for (;;) {
+        int64_t n = co_await api.Recv(cpu, fd, buf.data(), buf.size());
+        if (n <= 0) break;
+        received += static_cast<uint64_t>(n);
+      }
+      co_await api.Close(cpu, fd);
+    }
+  };
+  auto client = [&]() -> sim::Task<void> {
+    SocketApi& api = a_->api();
+    sim::CpuCore* cpu = a_->vcpu(0);
+    int fd = co_await api.Socket(cpu);
+    if (0 != co_await api.Connect(cpu, fd, b_->ip(), 9100)) co_return;
+    again = co_await api.Connect(cpu, fd, b_->ip(), 9100);
+    std::vector<uint8_t> data(kBytes, 0x5a);
+    co_await api.Send(cpu, fd, data.data(), data.size());
+    co_await api.Close(cpu, fd);
+  };
+  sim::Spawn(server());
+  sim::Spawn(client());
+  Run();
+  EXPECT_EQ(again, tcp::kIsConnected);
+  EXPECT_EQ(accepted, 1);
+  EXPECT_EQ(received, kBytes);
+}
+
 TEST_F(ShmNsmTest, EchoDataIntegrity) {
   int served = 0;
   bool ok = false;

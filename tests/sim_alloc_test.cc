@@ -5,7 +5,8 @@
 // no heap allocation, whether through EventLoop::Schedule or CpuCore::Charge,
 // at the current instant or later. Likewise, once the pool and the FIFOs
 // have grown, coroutine frames, segments, datagrams, a byte buffer's chunk
-// queue and a TCP request/response exchange cost nothing.
+// queue, a TCP request/response exchange and a shared-memory NSM stream
+// cost nothing, and an id forged on a shared ring grows no table.
 //
 // Its own binary, because it replaces the global operator new and delete to
 // count calls.
@@ -20,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/netkernel.h"
 #include "src/netsim/fabric.h"
 #include "src/netsim/packet.h"
 #include "src/sim/callback.h"
@@ -33,10 +35,12 @@
 
 namespace {
 size_t g_allocs = 0;
+size_t g_alloc_bytes = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_allocs;
+  g_alloc_bytes += n;
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
@@ -321,3 +325,158 @@ TEST(SimAlloc, TcpExchangeAllocatesOnlyTheCopiedPayloads) {
 
 }  // namespace
 }  // namespace netkernel::sim
+
+namespace netkernel::core {
+namespace {
+
+// Two VMs on a shared-memory NSM, with `vmB` listening on port 9000.
+struct ShmPair {
+  sim::EventLoop loop;
+  netsim::Fabric fabric{&loop};
+  Host host{&loop, &fabric, "host"};
+  Nsm* nsm = host.CreateNsm("shm", 1, NsmKind::kShm);
+  Vm* a = host.CreateNetkernelVm("vmA", 1, nsm);
+  Vm* b = host.CreateNetkernelVm("vmB", 1, nsm);
+
+  void Run(SimTime d) { loop.Run(loop.Now() + d); }
+};
+
+TEST(SimAlloc, ShmStreamMessagesAllocateNothing) {
+  // Blocking Send/Recv of 4 KiB messages from vmA to vmB through the NQE
+  // path (GuestLib, CoreEngine, ServiceLib and its pool-copy transport).
+  // After a warm-up the whole path runs on reused memory.
+  constexpr int kWarm = 2000;
+  constexpr int kMeasured = 2000;
+  ShmPair p;
+  int sent = 0;
+  size_t at_warm = 0;
+  size_t at_end = 0;
+  auto server = [&]() -> sim::Task<void> {
+    SocketApi& api = p.b->api();
+    sim::CpuCore* cpu = p.b->vcpu(0);
+    int lfd = co_await api.Socket(cpu);
+    co_await api.Bind(cpu, lfd, 0, 9000);
+    co_await api.Listen(cpu, lfd, 16, false);
+    int fd = co_await api.Accept(cpu, lfd);
+    std::vector<uint8_t> buf(4096);
+    while (co_await api.Recv(cpu, fd, buf.data(), buf.size()) > 0) {
+    }
+  };
+  auto client = [&]() -> sim::Task<void> {
+    SocketApi& api = p.a->api();
+    sim::CpuCore* cpu = p.a->vcpu(0);
+    int fd = co_await api.Socket(cpu);
+    if (co_await api.Connect(cpu, fd, p.b->ip(), 9000) != 0) co_return;
+    std::vector<uint8_t> msg(4096, 0x42);
+    for (; sent < kWarm + kMeasured; ++sent) {
+      if (sent == kWarm) at_warm = g_allocs;
+      if (co_await api.Send(cpu, fd, msg.data(), msg.size()) != 4096) co_return;
+    }
+    at_end = g_allocs;
+  };
+  sim::Spawn(server());
+  sim::Spawn(client());
+  p.Run(kSecond);
+  ASSERT_EQ(sent, kWarm + kMeasured);
+  EXPECT_EQ(at_end - at_warm, 0u);
+  EXPECT_EQ(p.nsm->servicelib()->bytes_copied(), 4096u * (kWarm + kMeasured));
+}
+
+// A connected vmA -> vmB stream; returns vmA's socket handle.
+uint32_t ConnectPair(ShmPair& p) {
+  bool connected = false;
+  auto server = [&]() -> sim::Task<void> {
+    SocketApi& api = p.b->api();
+    int lfd = co_await api.Socket(p.b->vcpu(0));
+    co_await api.Bind(p.b->vcpu(0), lfd, 0, 9000);
+    co_await api.Listen(p.b->vcpu(0), lfd, 16, false);
+    co_await api.Accept(p.b->vcpu(0), lfd);
+  };
+  auto client = [&]() -> sim::Task<void> {
+    int fd = co_await p.a->api().Socket(p.a->vcpu(0));
+    connected = co_await p.a->api().Connect(p.a->vcpu(0), fd, p.b->ip(), 9000) == 0;
+  };
+  sim::Spawn(server());
+  sim::Spawn(client());
+  p.Run(10 * kMillisecond);
+  EXPECT_TRUE(connected);
+  return 1;  // GuestLib hands out handles from 1
+}
+
+// Injects an NSM->guest kRecvData straight onto vmA's receive ring, naming
+// guest handle `handle` and a chunk vmA's pool never handed out.
+void InjectForgedRecv(ShmPair& p, uint32_t handle) {
+  ASSERT_TRUE(p.a->dev()->queue_set(0).receive.TryEnqueue(
+      shm::MakeNqe(shm::NqeOp::kRecvData, p.a->id(), 0, handle, 0, 12345, 64)));
+  p.a->dev()->Wake();
+  p.Run(kMillisecond);
+}
+
+// Injects a guest->NSM job `op` onto vmA's job ring.
+void InjectJob(ShmPair& p, shm::NqeOp op, uint32_t vm_sock, uint64_t op_data) {
+  ASSERT_TRUE(p.a->dev()->queue_set(0).job.TryEnqueue(
+      shm::MakeNqe(op, p.a->id(), 0, vm_sock, op_data)));
+  p.host.ce().NotifyVmOutbound(p.a->id(), 0);
+  p.Run(kMillisecond);
+}
+
+TEST(SimAlloc, ForgedHandleInACompletionFindsNothingAndAllocatesNothing) {
+  // GuestLib finds its sockets by handle in a dense table; a handle off the
+  // shared ring past its end is refused as a closed socket's NQE always was
+  // (the unowned chunk counted as a bad free) and grows nothing.
+  ShmPair p;
+  ConnectPair(p);
+  GuestLib* g = p.a->guestlib();
+  InjectForgedRecv(p, 999);  // warms the inbound path
+  ASSERT_EQ(g->guard_bad_frees(), 1u);
+  const uint64_t received = g->nqes_received();
+  const size_t before = g_allocs;
+  InjectForgedRecv(p, 0xFFFFFFF0u);
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_EQ(g->guard_bad_frees(), 2u);
+  EXPECT_EQ(g->nqes_received(), received + 1);
+}
+
+TEST(SimAlloc, ForgedEndpointIdInAcceptFindsNothingAndAllocatesNothing) {
+  // The shared-memory NSM finds endpoints by id in a dense table. A kAccept
+  // whose op_data names no endpoint links nothing and answers nothing, as
+  // before, whatever the id.
+  ShmPair p;
+  const uint32_t handle = ConnectPair(p);
+  ServiceLib* slib = p.nsm->servicelib();
+  InjectJob(p, shm::NqeOp::kAccept, handle, 1000);  // warms the job path
+  const uint64_t drops = slib->guard_drops();
+  const uint64_t received = p.a->guestlib()->nqes_received();
+  const uint64_t processed = slib->nqes_processed();
+  const size_t before = g_allocs;
+  InjectJob(p, shm::NqeOp::kAccept, handle, 0xFFFFFFFFFFFFull);
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_EQ(slib->nqes_processed(), processed + 1);
+  EXPECT_EQ(slib->guard_drops(), drops);
+  EXPECT_EQ(p.a->guestlib()->nqes_received(), received);
+  EXPECT_EQ(p.host.ce().validator().stats().rejects, 0u);
+}
+
+TEST(SimAlloc, LargestGuestHandleOnSocketSizesNoTable) {
+  // A kSocket naming guest handle 0xFFFFFFFF builds one endpoint, as any
+  // kSocket does: the tables keyed by a guest-written handle (CoreEngine's
+  // socket table, ServiceLib's by_vm_) stay hashed, and the endpoint's own
+  // id comes from the NSM. The answer reaches no guest socket.
+  ShmPair p;
+  ConnectPair(p);
+  GuestLib* g = p.a->guestlib();
+  const uint64_t received = g->nqes_received();
+  const uint64_t bad_frees = g->guard_bad_frees();
+  const size_t before = g_allocs;
+  const size_t bytes_before = g_alloc_bytes;
+  InjectJob(p, shm::NqeOp::kSocket, 0xFFFFFFFFu, 0);
+  EXPECT_LE(g_allocs - before, 8u);
+  EXPECT_LT(g_alloc_bytes - bytes_before, 4096u);
+  EXPECT_EQ(g->nqes_received(), received + 1);  // the kOpResult, for no socket
+  EXPECT_EQ(g->guard_bad_frees(), bad_frees);
+  EXPECT_EQ(p.nsm->servicelib()->guard_drops(), 0u);
+  EXPECT_EQ(p.host.ce().validator().stats().rejects, 0u);
+}
+
+}  // namespace
+}  // namespace netkernel::core
